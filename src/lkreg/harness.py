@@ -268,6 +268,8 @@ def load_grid(path):
         values = np.loadtxt(fh).ravel()
     if values.size != r * c:
         raise ConfigError(f"{path}: expected {r * c} values, found {values.size}")
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{path}: grid values must be finite")
     return values.reshape(r, c)
 
 
@@ -283,6 +285,10 @@ def build_problem(cfg):
     """Assemble (problem, truth, delta_abs) for the configured experiment."""
     if cfg.problem == "ct":
         geom = ct_geometry(cfg)
+        if cfg.n_blocks > geom.n_angles:
+            raise ConfigError(
+                f"n_blocks = {cfg.n_blocks} exceeds the {geom.n_angles} projection angles"
+            )
         matrix = tomo.build_parallel_tomo(geom)
         truth = tomo.shepp_logan(cfg.ct_q)
         clean = matrix @ truth.ravel()
@@ -304,8 +310,14 @@ def build_problem(cfg):
         raise ConfigError(f"cannot load matrix: {exc}") from exc
     try:
         truth = load_grid(cfg.truth_path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load truth grid: {exc}") from exc
+    if matrix.shape[1] != truth.size:
+        raise ConfigError(
+            f"matrix has {matrix.shape[1]} columns but the truth grid has {truth.size} cells"
+        )
+    if cfg.n_blocks > matrix.shape[0]:
+        raise ConfigError(f"n_blocks = {cfg.n_blocks} exceeds the {matrix.shape[0]} matrix rows")
     clean = matrix @ truth.ravel()
     data, delta_abs = tomo.add_relative_gaussian_noise(clean, cfg.noise_rel, cfg.seed)
     problem = MatrixProblem(matrix, data, truth.shape, n_blocks=cfg.n_blocks)

@@ -25,10 +25,20 @@ schedule is tuned for that unit-weight regime and destabilizes when mu moves
 far from 1, so the solver always iterates on the normal form and maps the
 result back exactly: x = mu w, values and absolute gaps pick up a factor mu,
 and the relative gap is invariant.
+
+One inner iteration costs two discrete gradients (of the new z, which the
+primal value and the next dual step share, and of the Lagrangian minimizer
+in the dual value), one divergence, one dual-ball projection and one l21
+norm.  The iterates and every temporary of that fixed sequence live in
+buffers allocated once per solve, so the loop allocates little beyond the
+temporaries of the projection and the primal value; the floats are the ones
+the plain expressions give, operation for operation.  The TV primitives are
+called through this module's names so that a caller can wrap them.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +65,11 @@ class DenoiseProblem:
         if not self.mu > 0.0:
             raise ValueError("mu must be positive")
 
+    @cached_property
+    def mu_xi(self):
+        """The grid mu * xi, computed once per problem."""
+        return self.mu * self.xi
+
 
 def step_sizes(k):
     """Dual step tau_k and primal relaxation theta_k at inner iteration k.
@@ -67,12 +82,17 @@ def step_sizes(k):
     return tau, theta
 
 
-def primal_value(prob, z):
-    """Psi_P(z); infinite when z violates the constraint."""
+def primal_value(prob, z, grad=None):
+    """Psi_P(z); infinite when z violates the constraint.
+
+    `grad`, when given, is discrete_gradient(z) computed by the caller.
+    """
     if prob.constraint is not None and not prob.constraint.contains(z):
         return math.inf
-    d = z - prob.mu * prob.xi
-    return float(np.vdot(d, d)) / (2.0 * prob.mu) + l21_norm(discrete_gradient(z))
+    d = z - prob.mu_xi
+    if grad is None:
+        grad = discrete_gradient(z)
+    return float(np.vdot(d, d)) / (2.0 * prob.mu) + l21_norm(grad)
 
 
 def dual_value(prob, lam, feas_tol=1e-12):
@@ -88,12 +108,20 @@ def dual_value(prob, lam, feas_tol=1e-12):
     return _dual_value_at(prob, lam, divergence_adjoint(lam))
 
 
-def _dual_value_at(prob, lam, div_lam):
-    zstar = prob.mu * (prob.xi - div_lam)
+def _dual_value_at(prob, lam, div_lam, work=None):
+    """Psi_D(lam) given div_lam = divergence_adjoint(lam).
+
+    `work`, an optional (grid, field) pair of lam's shape, receives the
+    Lagrangian minimizer and its gradient instead of fresh arrays.
+    """
+    zstar, grad = (None, None) if work is None else work
+    zstar = np.subtract(prob.xi, div_lam, out=zstar)
+    np.multiply(zstar, prob.mu, out=zstar)
     if prob.constraint is not None:
-        zstar = prob.constraint.project(zstar)
-    d = zstar - prob.mu * prob.xi
-    return float(np.vdot(d, d)) / (2.0 * prob.mu) + field_dot(lam, discrete_gradient(zstar))
+        prob.constraint.project(zstar, out=zstar)
+    grad = discrete_gradient(zstar, out=grad)
+    d = np.subtract(zstar, prob.mu_xi, out=zstar)
+    return float(np.vdot(d, d)) / (2.0 * prob.mu) + field_dot(lam, grad)
 
 
 @dataclass
@@ -155,44 +183,65 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
         w0 = None if z0 is None else np.asarray(z0, dtype=float) / prob.mu
         return _rescaled(pdhg_solve(unit, z0=w0, lam0=lam0, eta=eta, max_iter=max_iter), prob.mu)
     mu, xi = prob.mu, prob.xi
-    z = np.zeros_like(xi) if z0 is None else np.array(z0, dtype=float, copy=True)
+    z = np.zeros(xi.shape) if z0 is None else np.array(z0, dtype=float, copy=True)
     if prob.constraint is not None:
         z = prob.constraint.project(z)
     lam = GradientField.zeros(z.shape) if lam0 is None else project_dual_ball(lam0)
     gap_floor = 16.0 * np.finfo(float).eps * (1.0 + 0.5 * mu * float(np.vdot(xi, xi)))
 
-    p_val = primal_value(prob, z)
-    d_val = _dual_value_at(prob, lam, divergence_adjoint(lam))
+    # grad holds the gradient of the current z: the primal value uses it and
+    # the next dual step scales it in place.
+    grad = discrete_gradient(z)
+    div_lam = divergence_adjoint(lam)
+    p_val = primal_value(prob, z, grad)
+    d_val = _dual_value_at(prob, lam, div_lam)
     gap = p_val - d_val
     rel = _rel_gap(gap, p_val, d_val, gap_floor)
     p_hist, d_hist = [p_val], [d_val]
-    best = (gap, rel, z, lam, p_val, d_val)
+    best = (gap, rel, p_val, d_val)
     iters = 0
     converged = rel <= eta
 
+    # Two iterate slots: a step overwrites the current (z, lam) in place
+    # unless it is the best pair so far, which must survive for the report.
+    slots = [(z, lam), (np.empty(z.shape), GradientField.empty(z.shape))]
+    cur = best_slot = 0
+    z_step = np.empty(z.shape)
+    work = (np.empty(z.shape), GradientField.empty(z.shape))
     while not converged and iters < max_iter:
         tau, theta = step_sizes(iters)
-        grad_z = discrete_gradient(z)
-        lam = project_dual_ball(
-            GradientField(lam.u + mu * tau * grad_z.u, lam.v + mu * tau * grad_z.v)
-        )
-        div_lam = divergence_adjoint(lam)
-        z = (1.0 - theta) * z + mu * theta * (xi - div_lam)
+        nxt = 1 - cur if cur == best_slot else cur
+        z_next, lam_next = slots[nxt]
+        np.multiply(grad.u, mu * tau, out=grad.u)
+        np.multiply(grad.v, mu * tau, out=grad.v)
+        np.add(lam.u, grad.u, out=lam_next.u)
+        np.add(lam.v, grad.v, out=lam_next.v)
+        lam = project_dual_ball(lam_next, out=lam_next)
+        divergence_adjoint(lam, out=div_lam)
+        np.subtract(xi, div_lam, out=z_step)
+        np.multiply(z_step, mu * theta, out=z_step)
+        np.multiply(z, 1.0 - theta, out=z_next)
+        np.add(z_next, z_step, out=z_next)
+        z = z_next
         if prob.constraint is not None:
-            z = prob.constraint.project(z)
+            prob.constraint.project(z, out=z)
+        cur = nxt
         iters += 1
 
-        p_val = primal_value(prob, z)
-        d_val = _dual_value_at(prob, lam, div_lam)
+        discrete_gradient(z, out=grad)
+        p_val = primal_value(prob, z, grad)
+        d_val = _dual_value_at(prob, lam, div_lam, work)
         gap = p_val - d_val
         rel = _rel_gap(gap, p_val, d_val, gap_floor)
         p_hist.append(p_val)
         d_hist.append(d_val)
         if gap < best[0]:
-            best = (gap, rel, z, lam, p_val, d_val)
+            best = (gap, rel, p_val, d_val)
+            best_slot = cur
         converged = rel <= eta
 
-    gap_b, rel_b, z_b, lam_b, p_b, d_b = best
+    gap_b, rel_b, p_b, d_b = best
+    z_b, lam_b = slots[best_slot]
     return PdhgReport(
         x=z_b,
         lam=lam_b,
@@ -227,7 +276,12 @@ def _rescaled(report, mu):
 
 @dataclass(frozen=True)
 class InnerInfo:
-    """What the outer iteration needs to know about one inner solve."""
+    """What the outer iteration needs to know about one inner solve.
+
+    `report` is the full PdhgReport of a TV solve (None for the exact
+    quadratic solve).  Nothing in the package reads it; the benchmark in
+    `benchmarks/worker.py` reads its `dual_value` and `gap_rel`.
+    """
 
     iterations: int
     converged: bool

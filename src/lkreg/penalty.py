@@ -40,8 +40,8 @@ def duality_map(r, s):
 class NonnegativityConstraint:
     """The set {z : z >= 0 everywhere}."""
 
-    def project(self, z):
-        return np.maximum(z, 0.0)
+    def project(self, z, out=None):
+        return np.maximum(z, 0.0, out=out)
 
     def contains(self, z, tol=0.0):
         return bool(np.min(z) >= -tol)
@@ -67,8 +67,8 @@ class BoxConstraint:
         if not (self.lower <= 0.0 <= self.upper):
             raise ValueError("constraint box must contain 0")
 
-    def project(self, z):
-        return np.clip(z, self.lower, self.upper)
+    def project(self, z, out=None):
+        return np.clip(z, self.lower, self.upper, out=out)
 
     def contains(self, z, tol=0.0):
         return bool(np.min(z) >= self.lower - tol and np.max(z) <= self.upper + tol)

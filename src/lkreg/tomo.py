@@ -277,4 +277,6 @@ def load_matrix_coo(path):
             rows[k] = int(parts[0])
             cols[k] = int(parts[1])
             vals[k] = float(parts[2])
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("matrix entries must be finite")
     return sp.coo_matrix((vals, (rows, cols)), shape=(m, q)).tocsr()

@@ -38,3 +38,21 @@ def tiny_linear_problem(seed, domain_shape=(3, 4), rows=8, n_blocks=1, data=None
         data = matrix @ truth.ravel()
     problem = MatrixProblem(matrix, data, domain_shape, n_blocks=n_blocks)
     return problem, matrix, truth
+
+
+def roll_gradient(z):
+    """Reference periodic forward differences, written with np.roll."""
+    return GradientField(np.roll(z, -1, axis=0) - z, np.roll(z, -1, axis=1) - z)
+
+
+def roll_divergence(field):
+    """Reference transpose of `roll_gradient`, written with np.roll."""
+    u, v = field.u, field.v
+    return np.roll(u, 1, axis=0) - u + np.roll(v, 1, axis=1) - v
+
+
+def roll_projection(field):
+    """Reference dual-ball projection: divide by the inward-biased length."""
+    norm = np.hypot(field.u, field.v)
+    scale = np.where(norm > 1.0, norm * (1.0 + 2.0 ** -48), 1.0)
+    return GradientField(field.u / scale, field.v / scale)

@@ -276,3 +276,66 @@ def test_cli_export_matrix(tmp_path, capsys):
     mat = load_matrix_coo(out)
     assert mat.shape == (3 * default_ray_count(6), 36)
     capsys.readouterr()
+
+
+def test_cli_rejects_ct_block_count_past_the_angles(tmp_path, capsys):
+    cfg_path = tmp_path / "blocks.cfg"
+    cfg_path.write_text(
+        "problem = ct\nct_q = 8\nct_angles = 4\nn_blocks = 9\npenalty = quadratic\n"
+        "constraint = none\nn_max = 2\n"
+    )
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "n_blocks" in capsys.readouterr().err
+
+
+def custom_linear_run(tmp_path, matrix_text=None, truth_text=None, **extra):
+    """CLI exit code of a custom-linear run on the tiny problem's files.
+
+    `matrix_text` and `truth_text` replace the saved files' contents.
+    """
+    from lkreg.tomo import save_matrix_coo
+
+    _, matrix, truth = tiny_linear_problem(304)
+    mpath, tpath = tmp_path / "mat.txt", tmp_path / "truth.txt"
+    save_matrix_coo(mpath, matrix)
+    save_grid(tpath, truth)
+    if matrix_text is not None:
+        mpath.write_text(matrix_text(mpath.read_text()))
+    if truth_text is not None:
+        tpath.write_text(truth_text(tpath.read_text()))
+    lines = ["problem = custom-linear", f"matrix_path = {mpath}", f"truth_path = {tpath}",
+             "penalty = quadratic", "constraint = none", "n_max = 2"]
+    lines += [f"{key} = {value}" for key, value in extra.items()]
+    cfg_path = tmp_path / "custom.cfg"
+    cfg_path.write_text("\n".join(lines) + "\n")
+    return main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+
+
+def test_cli_custom_linear_accepts_its_own_files(tmp_path, capsys):
+    assert custom_linear_run(tmp_path, n_blocks=8) == 0
+    assert "terminated_by=cap" in capsys.readouterr().out
+
+
+def last_cell_of_first_row(text, new):
+    """Saved grid or matrix text with the last cell after the header set to `new`."""
+    head, first, rest = text.split("\n", 2)
+    cells = first.split()
+    cells[-1] = new
+    return "\n".join([head, " ".join(cells), rest])
+
+
+@pytest.mark.parametrize("case", [
+    "blocks-past-rows", "width-mismatch", "nan-in-truth", "nan-in-matrix",
+    "inf-in-matrix", "unparsable-truth",
+])
+def test_cli_rejects_bad_custom_linear_input(tmp_path, capsys, case):
+    kwargs = {
+        "blocks-past-rows": dict(n_blocks=9),
+        "width-mismatch": dict(truth_text=lambda t: "4 4\n" + " ".join(["1.0"] * 16) + "\n"),
+        "nan-in-truth": dict(truth_text=lambda t: last_cell_of_first_row(t, "nan")),
+        "nan-in-matrix": dict(matrix_text=lambda t: last_cell_of_first_row(t, "nan")),
+        "inf-in-matrix": dict(matrix_text=lambda t: last_cell_of_first_row(t, "-inf")),
+        "unparsable-truth": dict(truth_text=lambda t: last_cell_of_first_row(t, "x1")),
+    }[case]
+    assert custom_linear_run(tmp_path, **kwargs) == 2
+    assert "config error" in capsys.readouterr().err

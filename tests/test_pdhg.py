@@ -23,7 +23,13 @@ from lkreg.pdhg import (
 )
 from lkreg.tv import GradientField, project_dual_ball
 
-from conftest import rand_field, rand_grid
+from conftest import (
+    rand_field,
+    rand_grid,
+    roll_divergence,
+    roll_gradient,
+    roll_projection,
+)
 
 
 def test_step_schedule_values():
@@ -246,3 +252,115 @@ def test_inner_pair_passes_its_own_certificate():
     assert check_eps_subgradient(pair, pen, bound)
     off = PrimalDualPair(x=pair.x + 1.0, xi=pair.xi, eps=pair.eps)
     assert not check_eps_subgradient(off, pen, bound)
+
+
+def oracle_pdhg(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
+    """The solver loop as first written, over the np.roll reference primitives.
+
+    Every iterate is a fresh array and the primal value differentiates z
+    again.  Returns (x, lam, iterations, primal_history, dual_history).
+    """
+    mu, xi, c = prob.mu, prob.xi, prob.constraint
+    if mu != 1.0:
+        unit = DenoiseProblem(xi=xi, mu=1.0, constraint=None if c is None else c.scaled(1.0 / mu))
+        w0 = None if z0 is None else np.asarray(z0, dtype=float) / mu
+        x, lam, iters, p_hist, d_hist = oracle_pdhg(unit, w0, lam0, eta, max_iter)
+        return mu * x, lam, iters, [mu * v for v in p_hist], [mu * v for v in d_hist]
+
+    def primal(z):
+        if c is not None and not c.contains(z):
+            return math.inf
+        d = z - mu * xi
+        g = roll_gradient(z)
+        return float(np.vdot(d, d)) / (2.0 * mu) + float(np.sum(np.hypot(g.u, g.v)))
+
+    def dual(lam, div_lam):
+        zstar = mu * (xi - div_lam)
+        if c is not None:
+            zstar = c.project(zstar)
+        d = zstar - mu * xi
+        g = roll_gradient(zstar)
+        return float(np.vdot(d, d)) / (2.0 * mu) + float(np.vdot(lam.u, g.u) + np.vdot(lam.v, g.v))
+
+    def rel_gap(gap, p_val, d_val):
+        if gap <= gap_floor:
+            return 0.0
+        denom = abs(p_val) + abs(d_val)
+        return gap / denom if denom > 0.0 else 0.0
+
+    z = np.zeros_like(xi) if z0 is None else np.array(z0, dtype=float, copy=True)
+    if c is not None:
+        z = c.project(z)
+    lam = GradientField.zeros(z.shape) if lam0 is None else roll_projection(lam0)
+    gap_floor = 16.0 * np.finfo(float).eps * (1.0 + 0.5 * mu * float(np.vdot(xi, xi)))
+    p_val, d_val = primal(z), dual(lam, roll_divergence(lam))
+    p_hist, d_hist = [p_val], [d_val]
+    best = (p_val - d_val, z, lam)
+    iters = 0
+    converged = rel_gap(p_val - d_val, p_val, d_val) <= eta
+    while not converged and iters < max_iter:
+        tau, theta = step_sizes(iters)
+        grad_z = roll_gradient(z)
+        lam = roll_projection(
+            GradientField(lam.u + mu * tau * grad_z.u, lam.v + mu * tau * grad_z.v)
+        )
+        div_lam = roll_divergence(lam)
+        z = (1.0 - theta) * z + mu * theta * (xi - div_lam)
+        if c is not None:
+            z = c.project(z)
+        iters += 1
+        p_val, d_val = primal(z), dual(lam, div_lam)
+        p_hist.append(p_val)
+        d_hist.append(d_val)
+        if p_val - d_val < best[0]:
+            best = (p_val - d_val, z, lam)
+        converged = rel_gap(p_val - d_val, p_val, d_val) <= eta
+    return best[1], best[2], iters, p_hist, d_hist
+
+
+def assert_report_matches(rep, want):
+    x, lam, iters, p_hist, d_hist = want
+    assert np.array_equal(rep.x, x)
+    assert np.array_equal(rep.lam.u, lam.u) and np.array_equal(rep.lam.v, lam.v)
+    assert rep.iterations == iters
+    assert rep.primal_history == p_hist and rep.dual_history == d_hist
+
+
+@pytest.mark.parametrize("mu", [1.0, 20.0])
+@pytest.mark.parametrize(
+    "constraint", [None, NonnegativityConstraint(), BoxConstraint(-0.5, 2.0)],
+    ids=["none", "nonneg", "box"],
+)
+def test_solver_reproduces_reference_loop_exactly(mu, constraint):
+    xi = rand_grid(40, (12, 9))
+    prob = DenoiseProblem(xi=xi, mu=mu, constraint=constraint)
+    cold = pdhg_solve(prob, eta=1e-7)
+    assert_report_matches(cold, oracle_pdhg(prob, eta=1e-7))
+    # warm start at a moved xi, as the outer iteration does
+    moved = DenoiseProblem(xi=xi + 0.5 * rand_grid(41, (12, 9)), mu=mu, constraint=constraint)
+    warm = pdhg_solve(moved, z0=cold.x, lam0=cold.lam, eta=1e-7)
+    assert_report_matches(warm, oracle_pdhg(moved, z0=cold.x, lam0=cold.lam, eta=1e-7))
+    # a capped run whose best iterate is not the last
+    capped = pdhg_solve(moved, z0=cold.x, lam0=cold.lam, eta=1e-12, max_iter=82)
+    assert_report_matches(
+        capped, oracle_pdhg(moved, z0=cold.x, lam0=cold.lam, eta=1e-12, max_iter=82)
+    )
+    gaps = np.subtract(capped.primal_history, capped.dual_history)
+    assert not capped.converged and gaps[-1] > gaps.min()
+
+
+@pytest.mark.parametrize("mu", [1.0, 20.0])
+def test_reports_own_their_arrays(mu):
+    constraint = NonnegativityConstraint()
+    prob = DenoiseProblem(xi=rand_grid(42, (10, 10)), mu=mu, constraint=constraint)
+    first = pdhg_solve(prob, eta=1e-6)
+    kept = [a.copy() for a in (first.x, first.lam.u, first.lam.v)]
+    moved = DenoiseProblem(xi=prob.xi + rand_grid(43, (10, 10)), mu=mu, constraint=constraint)
+    second = pdhg_solve(moved, z0=first.x, lam0=first.lam, eta=1e-8)
+    assert second.iterations > 0
+    for old, saved in zip((first.x, first.lam.u, first.lam.v), kept):
+        assert np.array_equal(old, saved)
+        for new in (second.x, second.lam.u, second.lam.v, moved.xi):
+            assert not np.shares_memory(old, new)
+    assert not np.shares_memory(second.x, moved.xi)
+    assert not np.shares_memory(second.lam.u, second.lam.v)

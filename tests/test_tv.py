@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lkreg.tv import (
     GradientField,
@@ -15,7 +17,7 @@ from lkreg.tv import (
     tv_value,
 )
 
-from conftest import rand_field, rand_grid
+from conftest import rand_field, rand_grid, roll_divergence, roll_gradient, roll_projection
 
 
 def test_gradient_of_constant_is_zero():
@@ -103,3 +105,61 @@ def test_field_dot_is_bilinear():
     c = rand_field(43, (4, 6))
     ab_c = field_dot(GradientField(a.u + b.u, a.v + b.v), c)
     assert math.isclose(ab_c, field_dot(a, c) + field_dot(b, c), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 7), (64, 64)])
+def test_primitives_match_roll_reference_bit_for_bit(shape):
+    z = rand_grid(1100 + shape[0], shape)
+    w = rand_field(1200 + shape[1], shape)
+    big = GradientField(3.0 * w.u, 3.0 * w.v)  # some entries inside the ball, most outside
+    want = {
+        "gradient": roll_gradient(z),
+        "divergence": roll_divergence(w),
+        "projection": roll_projection(big),
+    }
+
+    def junk_field():
+        return GradientField(np.full(shape, np.nan), np.full(shape, np.nan))
+
+    g_out, d_out, p_out = junk_field(), np.full(shape, np.nan), junk_field()
+    in_place = GradientField(big.u.copy(), big.v.copy())
+    assert discrete_gradient(z, out=g_out) is g_out
+    assert divergence_adjoint(w, out=d_out) is d_out
+    assert project_dual_ball(big, out=p_out) is p_out
+    assert project_dual_ball(in_place, out=in_place) is in_place
+    got = {
+        "gradient": [discrete_gradient(z), g_out],
+        "divergence": [divergence_adjoint(w), d_out],
+        "projection": [project_dual_ball(big), p_out, in_place],
+    }
+    for name, results in got.items():
+        for result in results:
+            if name == "divergence":
+                assert np.array_equal(result, want[name]), name
+            else:
+                assert np.array_equal(result.u, want[name].u), name
+                assert np.array_equal(result.v, want[name].v), name
+
+
+_entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def grid_and_field(draw):
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12))
+    z, u, v = (draw(hnp.arrays(np.float64, shape, elements=_entries)) for _ in range(3))
+    return z, GradientField(u, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_and_field())
+def test_adjoint_identity_property(case):
+    z, w = case
+    grad, div = discrete_gradient(z), divergence_adjoint(w)
+    lhs = field_dot(grad, w)
+    rhs = float(np.vdot(z, div))
+    scale = 1.0 + float(np.linalg.norm(z)) * math.sqrt(field_dot(w, w))
+    assert abs(lhs - rhs) <= 1e-12 * scale
+    ref = roll_gradient(z)
+    assert np.array_equal(grad.u, ref.u) and np.array_equal(grad.v, ref.v)
+    assert np.array_equal(div, roll_divergence(w))
