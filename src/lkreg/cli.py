@@ -6,13 +6,19 @@ Subcommands:
 * ``validate``       print the admissibility report for a configuration
 * ``export-matrix``  write the configured CT system matrix as text
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure.
+Exit codes: 0 success, 2 configuration error, 3 solver failure (the inner
+solver missed its gap target, or the run's numbers went non-finite).
 """
 
 import argparse
 import sys
 
 from . import harness, tomo
+
+SOLVER_FAILURES = {
+    "inner-failure": "inner solver failed to reach its gap target",
+    "non-finite": "the run's numbers went non-finite (inf or nan)",
+}
 
 
 def _add_source_args(parser):
@@ -61,8 +67,8 @@ def main(argv=None):
                 f"terminated_by={summary['terminated_by']} n_final={summary['n_final']} "
                 f"residual={summary['residual_final']:.6g}"
             )
-            if trace.terminated_by == "inner-failure":
-                print("inner solver failed to reach its gap target", file=sys.stderr)
+            if trace.terminated_by in SOLVER_FAILURES:
+                print(SOLVER_FAILURES[trace.terminated_by], file=sys.stderr)
                 return 3
             return 0
         if args.command == "validate":

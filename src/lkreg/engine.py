@@ -16,8 +16,10 @@ i = n mod N it
    certifies the new eps.
 
 Every iterate visited, including the final one, contributes one StepRecord
-to the trace; runs end by `discrepancy`, by the iteration `cap`, or by
-`inner-failure` when the inner solver cannot reach its gap target.
+to the trace; runs end by `discrepancy`, by the iteration `cap`, by
+`inner-failure` when the inner solver cannot reach its gap target, or by
+`non-finite` as soon as a residual norm, update norm, step size or
+certificate is inf or nan.
 """
 
 import math
@@ -219,6 +221,10 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
             rec.rel_error = _relative_error(pair.x, truth)
             rec.bregman_to_truth = _bregman(penalty, pair, truth, eps_n, theta_truth)
         trace.records.append(rec)
+        if not math.isfinite(r_norm):
+            trace.terminated_by = "non-finite"
+            trace.n_final = n
+            break
 
         if held:
             if q == n_blocks:
@@ -232,6 +238,10 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
         g = problem.adjoint(i, x_eval, jr)
         g_norm = float(np.linalg.norm(g))
         rec.mu_tilde, rec.mu = step_size(r_norm, g_norm, eps_n, cfg, noisy)
+        if not (math.isfinite(g_norm) and math.isfinite(rec.mu)):
+            trace.terminated_by = "non-finite"
+            trace.n_final = n
+            break
 
         if n == cfg.n_max:
             break  # cap: final iterate recorded, no further update
@@ -249,6 +259,10 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
         rec.inner_iterations = info.iterations
         if not info.converged:
             trace.terminated_by = "inner-failure"
+            trace.n_final = n
+            break
+        if not math.isfinite(new_pair.eps):
+            trace.terminated_by = "non-finite"
             trace.n_final = n
             break
         lam_warm = info.lam if info.lam is not None else lam_warm

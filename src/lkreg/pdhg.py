@@ -29,11 +29,12 @@ and the relative gap is invariant.
 One inner iteration costs two discrete gradients (of the new z, which the
 primal value and the next dual step share, and of the Lagrangian minimizer
 in the dual value), one divergence, one dual-ball projection and one l21
-norm.  The iterates and every temporary of that fixed sequence live in
-buffers allocated once per solve, so the loop allocates little beyond the
-temporaries of the projection and the primal value; the floats are the ones
-the plain expressions give, operation for operation.  The TV primitives are
-called through this module's names so that a caller can wrap them.
+norm; the last two share `tv.pointwise_norm`.  The iterates and every
+temporary of that fixed sequence live in buffers allocated once per solve,
+so the loop allocates little beyond the scale of the projection; the floats
+are the ones the plain expressions give, operation for operation.  The TV
+primitives are called through this module's names so that a caller can wrap
+them.
 """
 
 import math
@@ -49,6 +50,7 @@ from .tv import (
     divergence_adjoint,
     field_dot,
     l21_norm,
+    pointwise_norm,
     project_dual_ball,
 )
 
@@ -89,10 +91,20 @@ def primal_value(prob, z, grad=None):
     """
     if prob.constraint is not None and not prob.constraint.contains(z):
         return math.inf
-    d = z - prob.mu_xi
     if grad is None:
         grad = discrete_gradient(z)
-    return float(np.vdot(d, d)) / (2.0 * prob.mu) + l21_norm(grad)
+    return _primal_value_at(prob, z, grad)
+
+
+def _primal_value_at(prob, z, grad, work=None):
+    """Psi_P(z) for a z known to satisfy the constraint, given its gradient.
+
+    `work`, an optional (grid, field) pair of z's shape, receives z - mu xi
+    and the scratch of the l21 norm instead of fresh arrays.
+    """
+    d, scratch = (None, None) if work is None else work
+    d = np.subtract(z, prob.mu_xi, out=d)
+    return float(np.vdot(d, d)) / (2.0 * prob.mu) + l21_norm(grad, scratch)
 
 
 def dual_value(prob, lam, feas_tol=1e-12):
@@ -102,8 +114,7 @@ def dual_value(prob, lam, feas_tol=1e-12):
     (project mu (xi - div* lam) onto C) and evaluated there, so the returned
     value is a true lower bound on min Psi_P regardless of rounding.
     """
-    norms = np.hypot(lam.u, lam.v)
-    if float(np.max(norms)) > 1.0 + feas_tol:
+    if float(np.max(pointwise_norm(lam))) > 1.0 + feas_tol:
         return -math.inf
     return _dual_value_at(prob, lam, divergence_adjoint(lam))
 
@@ -169,7 +180,8 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
         Iteration cap; on hitting it the report carries converged=False.
 
     Returns the report for the smallest-absolute-gap iterate seen, including
-    the initial point, with per-iterate primal/dual value histories.
+    the initial point, with per-iterate primal/dual value histories.  A nan
+    gap (non-finite xi, say) certifies nothing: its eps is inf.
 
     Instances with mu != 1 are reduced to the unit-weight normal form
     (z = mu w, same xi, constraint scaled by 1/mu) before iterating; the
@@ -206,6 +218,8 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     # unless it is the best pair so far, which must survive for the report.
     slots = [(z, lam), (np.empty(z.shape), GradientField.empty(z.shape))]
     cur = best_slot = 0
+    # work is scratch for the projection, the primal value and the dual
+    # value in turn; nothing in it outlives the call that writes it.
     z_step = np.empty(z.shape)
     work = (np.empty(z.shape), GradientField.empty(z.shape))
     while not converged and iters < max_iter:
@@ -216,7 +230,7 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
         np.multiply(grad.v, mu * tau, out=grad.v)
         np.add(lam.u, grad.u, out=lam_next.u)
         np.add(lam.v, grad.v, out=lam_next.v)
-        lam = project_dual_ball(lam_next, out=lam_next)
+        lam = project_dual_ball(lam_next, out=lam_next, work=work[1])
         divergence_adjoint(lam, out=div_lam)
         np.subtract(xi, div_lam, out=z_step)
         np.multiply(z_step, mu * theta, out=z_step)
@@ -229,7 +243,7 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
         iters += 1
 
         discrete_gradient(z, out=grad)
-        p_val = primal_value(prob, z, grad)
+        p_val = _primal_value_at(prob, z, grad, work)
         d_val = _dual_value_at(prob, lam, div_lam, work)
         gap = p_val - d_val
         rel = _rel_gap(gap, p_val, d_val, gap_floor)
@@ -249,7 +263,7 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
         converged=converged,
         gap_abs=gap_b,
         gap_rel=rel_b,
-        eps_certificate=max(gap_b, 0.0),
+        eps_certificate=math.inf if math.isnan(gap_b) else max(gap_b, 0.0),
         primal_value=p_b,
         dual_value=d_b,
         primal_history=p_hist,

@@ -71,9 +71,29 @@ def divergence_adjoint(field, out=None):
     return out
 
 
-def l21_norm(field):
-    """Sum over pixels of the pointwise Euclidean length sqrt(u^2 + v^2)."""
-    return float(np.sum(np.hypot(field.u, field.v)))
+def pointwise_norm(field, work=None):
+    """Pointwise Euclidean length sqrt(u*u + v*v) of a field.
+
+    `work`, an optional field of the same shape, holds the squares: the
+    length is written into `work.u`, which is returned, and `work.v` is
+    overwritten.  The squares overflow for entries above about 1e154,
+    where the length is inf.
+    """
+    if work is None:
+        work = GradientField.empty(field.shape)
+    norm, scratch = work.u, work.v
+    np.multiply(field.u, field.u, out=norm)
+    np.multiply(field.v, field.v, out=scratch)
+    np.add(norm, scratch, out=norm)
+    return np.sqrt(norm, out=norm)
+
+
+def l21_norm(field, work=None):
+    """Sum over pixels of the pointwise length; inf once a square overflows.
+
+    `work` is passed on to `pointwise_norm`.
+    """
+    return float(np.sum(pointwise_norm(field, work)))
 
 
 def tv_value(z):
@@ -81,23 +101,32 @@ def tv_value(z):
     return l21_norm(discrete_gradient(z))
 
 
-# Shrinking by an extra half ulp or so leaves reprojected points strictly
-# inside the unit ball, which makes a second projection an exact no-op.
+# Dividing by the length times _INWARD instead of the length leaves a
+# reprojected entry strictly inside the unit ball, so that a second
+# projection passes it through unchanged: the computed length, from two
+# rounded squares, a rounded sum and a rounded sqrt, and the two divisions
+# err by a few ulp (about 2^-52 each), well inside the 2^-48 margin.  An
+# entry above about 1e154 has an infinite computed length and maps to 0,
+# which is still inside the ball.
 _INWARD = 1.0 + 2.0 ** -48
 
 
-def project_dual_ball(field, out=None):
+def project_dual_ball(field, out=None, work=None):
     """Project a field onto pointwise Euclidean unit balls.
 
-    Entries with sqrt(u^2 + v^2) <= 1 pass through unchanged; longer ones are
-    divided by their length (biased slightly inward so the projection is
-    idempotent in floating point).  With `out`, a field of the same shape
-    (`field` itself is allowed), the result is written into its arrays.
+    Entries whose length (see `pointwise_norm`) is <= 1 pass through
+    unchanged; longer ones are divided by their length times _INWARD, so
+    that the projection is idempotent in floating point.  With `out`, a
+    field of the same shape (`field` itself is allowed), the result is
+    written into its arrays; `work`, a field of the same shape distinct from
+    both, is overwritten with scratch values.
     """
-    norm = np.hypot(field.u, field.v)
-    scale = np.where(norm > 1.0, norm * _INWARD, 1.0)
+    if work is None:
+        work = GradientField.empty(field.shape)
+    norm = pointwise_norm(field, work)
+    scale = np.where(norm > 1.0, np.multiply(norm, _INWARD, out=work.v), 1.0)
     if out is None:
-        out = GradientField.empty(norm.shape)
+        out = GradientField.empty(field.shape)
     np.divide(field.u, scale, out=out.u)
     np.divide(field.v, scale, out=out.v)
     return out

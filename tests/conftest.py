@@ -51,8 +51,13 @@ def roll_divergence(field):
     return np.roll(u, 1, axis=0) - u + np.roll(v, 1, axis=1) - v
 
 
+def reference_norm(field):
+    """Reference pointwise length sqrt(u*u + v*v), as a plain expression."""
+    return np.sqrt(field.u * field.u + field.v * field.v)
+
+
 def roll_projection(field):
     """Reference dual-ball projection: divide by the inward-biased length."""
-    norm = np.hypot(field.u, field.v)
+    norm = reference_norm(field)
     scale = np.where(norm > 1.0, norm * (1.0 + 2.0 ** -48), 1.0)
     return GradientField(field.u / scale, field.v / scale)

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from lkreg.engine import SolverConfig, run, step_size, validate_config
+from lkreg import engine
+from lkreg.engine import ForwardProblem, SolverConfig, run, step_size, validate_config
 from lkreg.penalty import (
     NonnegativityConstraint,
+    PrimalDualPair,
     QuadraticPenalty,
     TotalVariationPenalty,
 )
@@ -183,6 +185,72 @@ def test_inner_failure_terminates_run():
     pair, trace = run(problem, pen, cfg, mode="plain")
     assert trace.terminated_by == "inner-failure"
     assert trace.n_final == 0 and len(trace.records) == 1
+
+
+class PoisonedProblem(ForwardProblem):
+    """A tiny linear problem whose residual or update turns `value` at outer step k."""
+
+    def __init__(self, base, k, where, value):
+        self.base, self.k, self.where, self.value = base, k, where, value
+        self.num_blocks, self.domain_shape = base.num_blocks, base.domain_shape
+        self.step = -1  # the engine takes one residual per outer step
+        self.adjoint_steps = []
+
+    def residual(self, i, x):
+        self.step += 1
+        return self._poison(self.base.residual(i, x), "residual")
+
+    def adjoint(self, i, x, w):
+        self.adjoint_steps.append(self.step)
+        return self._poison(self.base.adjoint(i, x, w), "adjoint")
+
+    def _poison(self, arr, where):
+        if self.where == where and self.step == self.k:
+            arr = arr.copy()
+            arr[0] = self.value
+        return arr
+
+
+def assert_stopped_non_finite_at(trace, k):
+    assert trace.terminated_by == "non-finite"
+    assert trace.n_final == k and len(trace.records) == k + 1
+    assert all(math.isfinite(rec.residual_norm) for rec in trace.records[:k])
+
+
+@pytest.mark.parametrize("mode", ["plain", "accelerated"])
+@pytest.mark.parametrize("where,value", [
+    ("residual", math.nan), ("residual", math.inf), ("adjoint", math.nan), ("adjoint", -math.inf),
+])
+def test_non_finite_residual_or_update_stops_run(where, value, mode):
+    base, _, _ = tiny_linear_problem(212)
+    k = 6
+    problem = PoisonedProblem(base, k, where, value)
+    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg_with(n_max=500), mode=mode)
+    assert_stopped_non_finite_at(trace, k)
+    assert problem.step == k  # no residual evaluated after the stop
+    # a non-finite residual stops the run before its adjoint is spent
+    assert problem.adjoint_steps[-1] == (k if where == "adjoint" else k - 1)
+    assert np.all(np.isfinite(pair.x)) and np.all(np.isfinite(pair.xi))
+
+
+def test_non_finite_certificate_stops_run(monkeypatch):
+    problem, _, _ = tiny_linear_problem(213)
+    k = 4
+    real_inner_solver = engine.inner_solver
+    calls = []
+
+    def poisoned_inner_solver(xi, penalty, **kw):
+        pair, info = real_inner_solver(xi, penalty, **kw)
+        if len(calls) == k:
+            pair = PrimalDualPair(x=pair.x, xi=pair.xi, eps=math.inf)
+        calls.append(pair)
+        return pair, info
+
+    monkeypatch.setattr(engine, "inner_solver", poisoned_inner_solver)
+    pen = TotalVariationPenalty(mu=1.0, constraint=NonnegativityConstraint())
+    pair, trace = run(problem, pen, cfg_with(n_max=500), mode="plain")
+    assert_stopped_non_finite_at(trace, k)
+    assert len(calls) == k + 1 and pair is calls[k - 1]
 
 
 def test_truth_diagnostics_and_cadence():

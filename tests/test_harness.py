@@ -339,3 +339,12 @@ def test_cli_rejects_bad_custom_linear_input(tmp_path, capsys, case):
     }[case]
     assert custom_linear_run(tmp_path, **kwargs) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_non_finite_exit_code(tmp_path, capsys):
+    # a truth cell of 1e300 puts data near 1e300, so the first residual norm overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = custom_linear_run(tmp_path, truth_text=lambda t: last_cell_of_first_row(t, "1e300"))
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert "terminated_by=non-finite n_final=0" in out and "non-finite" in err

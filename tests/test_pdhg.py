@@ -26,6 +26,7 @@ from lkreg.tv import GradientField, project_dual_ball
 from conftest import (
     rand_field,
     rand_grid,
+    reference_norm,
     roll_divergence,
     roll_gradient,
     roll_projection,
@@ -232,6 +233,13 @@ def test_inner_solver_requires_target_for_tv():
         inner_solver(np.ones((3, 3)), Odd())
 
 
+def test_nan_gap_certifies_nothing():
+    pen = TotalVariationPenalty(mu=2.0, constraint=NonnegativityConstraint())
+    with np.errstate(invalid="ignore"):
+        pair, info = inner_solver(np.full((4, 4), np.nan), pen, gap_target=1e-3)
+    assert pair.eps == math.inf and info.report.eps_certificate == math.inf
+
+
 def test_inner_certificate_within_relative_gap_budget():
     # converged solve at gap eta: eps <= 2 eta / (1 - eta) * Psi_P(x)
     eta = 1e-4
@@ -272,7 +280,7 @@ def oracle_pdhg(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
             return math.inf
         d = z - mu * xi
         g = roll_gradient(z)
-        return float(np.vdot(d, d)) / (2.0 * mu) + float(np.sum(np.hypot(g.u, g.v)))
+        return float(np.vdot(d, d)) / (2.0 * mu) + float(np.sum(reference_norm(g)))
 
     def dual(lam, div_lam):
         zstar = mu * (xi - div_lam)

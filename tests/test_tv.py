@@ -13,11 +13,19 @@ from lkreg.tv import (
     divergence_adjoint,
     field_dot,
     l21_norm,
+    pointwise_norm,
     project_dual_ball,
     tv_value,
 )
 
-from conftest import rand_field, rand_grid, roll_divergence, roll_gradient, roll_projection
+from conftest import (
+    rand_field,
+    rand_grid,
+    reference_norm,
+    roll_divergence,
+    roll_gradient,
+    roll_projection,
+)
 
 
 def test_gradient_of_constant_is_zero():
@@ -163,3 +171,61 @@ def test_adjoint_identity_property(case):
     ref = roll_gradient(z)
     assert np.array_equal(grad.u, ref.u) and np.array_equal(grad.v, ref.v)
     assert np.array_equal(div, roll_divergence(w))
+
+
+# Entries from 1e-200 to 1e150 in magnitude, plus a dense band around the
+# unit circle where the projection's rounding matters.
+_magnitudes = st.builds(
+    lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+    st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.999), st.integers(-200, 149),
+)
+_wide_entries = st.one_of(st.just(0.0), _magnitudes, st.floats(-1.5, 1.5))
+
+
+@st.composite
+def wide_field(draw):
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9))
+    u, v = (draw(hnp.arrays(np.float64, shape, elements=_wide_entries)) for _ in range(2))
+    return GradientField(u, v)
+
+
+def assert_same_field(a, b):
+    assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_field())
+def test_projection_property_over_wide_magnitudes(field):
+    once = project_dual_ball(field)
+    assert np.all(np.isfinite(once.u)) and np.all(np.isfinite(once.v))
+    assert float(np.max(pointwise_norm(once))) <= 1.0
+    assert_same_field(project_dual_ball(once), once)
+    assert_same_field(once, roll_projection(field))
+
+    shape = field.shape
+    out, work = GradientField.empty(shape), GradientField.empty(shape)
+    assert project_dual_ball(field, out=out, work=work) is out
+    assert_same_field(out, once)
+    assert_same_field(project_dual_ball(field, work=GradientField.empty(shape)), once)
+    in_place = GradientField(field.u.copy(), field.v.copy())
+    assert project_dual_ball(in_place, out=in_place, work=work) is in_place
+    assert_same_field(in_place, once)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_field())
+def test_norm_and_l21_match_plain_expression(field):
+    want = reference_norm(field)
+    work = GradientField.empty(field.shape)
+    assert pointwise_norm(field, work) is work.u
+    assert np.array_equal(work.u, want) and np.array_equal(pointwise_norm(field), want)
+    assert l21_norm(field, GradientField.empty(field.shape)) == l21_norm(field)
+    assert l21_norm(field) == float(np.sum(want))
+
+
+def test_overflowing_entries_project_to_zero_and_l21_is_inf():
+    big = GradientField(np.array([[3e154, 0.5]]), np.array([[-2e200, 0.5]]))
+    with np.errstate(over="ignore"):
+        once = project_dual_ball(big)
+        assert l21_norm(big) == math.inf
+    assert np.array_equal(once.u, [[0.0, 0.5]]) and np.array_equal(once.v, [[0.0, 0.5]])
