@@ -257,12 +257,12 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
             max_iter=cfg.inner_max_iter,
         )
         rec.inner_iterations = info.iterations
-        if not info.converged:
-            trace.terminated_by = "inner-failure"
-            trace.n_final = n
-            break
         if not math.isfinite(new_pair.eps):
             trace.terminated_by = "non-finite"
+            trace.n_final = n
+            break
+        if not info.converged:
+            trace.terminated_by = "inner-failure"
             trace.n_final = n
             break
         lam_warm = info.lam if info.lam is not None else lam_warm

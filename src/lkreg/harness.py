@@ -1,8 +1,15 @@
 """Experiment harness: config files, presets, problem assembly, outputs.
 
 Config files are flat ``key = value`` text; ``#`` starts a comment and blank
-lines are ignored.  Keys are typed against the schema below and unknown keys
-are rejected.  A run writes into its output directory:
+lines are ignored.  Keys are typed against the `ExperimentConfig` schema and
+unknown keys are rejected.  Every range check runs when the config is made:
+`ExperimentConfig` checks the choices, counts and problem fields, and builds
+a `SolverConfig` once, which checks the solver fields.
+
+The ``ct`` and ``custom-linear`` problems share one block operator,
+`tomo.MatrixProblem`: CT splits its rows into runs of whole angles, a custom
+matrix into runs of rows as even as possible.  A run writes into its output
+directory, through one CSV writer for both tables:
 
 * ``metrics.csv``   one row per outer iterate with the exact column set
   ``n, i_n, residual_norm, mu_tilde, mu, eps_n, inner_iterations,
@@ -25,8 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elliptic, tomo
-from .engine import ForwardProblem, SolverConfig, run, validate_config
+from .engine import SolverConfig, run, validate_config
 from .penalty import NonnegativityConstraint, QuadraticPenalty, TotalVariationPenalty
+from .tomo import MatrixProblem
 
 
 class ConfigError(Exception):
@@ -83,28 +91,21 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"{key} must be one of {', '.join(allowed)}; got {getattr(self, key)!r}"
                 )
-        positive = ("mu", "tau", "beta0", "beta1", "sigma", "eta0", "eps_floor")
-        for key in positive:
-            if not getattr(self, key) > 0.0:
-                raise ConfigError(f"{key} must be positive")
+        if not self.mu > 0.0:
+            raise ConfigError("mu must be positive")
         if self.noise_rel < 0.0:
             raise ConfigError("noise_rel must be nonnegative")
-        if self.n_max < 0:
-            raise ConfigError("n_max must be nonnegative")
         for key in ("n_blocks", "inner_max_iter", "metric_every", "ct_q", "ct_angles",
                     "ct_rays", "pde_m"):
             if getattr(self, key) < (0 if key == "ct_rays" else 1):
                 raise ConfigError(f"{key} is out of range")
+        self.solver_config()  # SolverConfig checks the solver fields
 
     def solver_config(self, delta=0.0):
+        shared = {f.name: getattr(self, f.name)
+                  for f in dataclasses.fields(SolverConfig) if f.name != "delta"}
         try:
-            return SolverConfig(
-                p=self.p, s=self.s, beta0=self.beta0, beta1=self.beta1,
-                sigma=self.sigma, tau=self.tau, alpha=self.alpha, delta=delta,
-                eta0=self.eta0, gap_exponent=self.gap_exponent,
-                eps_floor=self.eps_floor, n_max=self.n_max,
-                n_blocks=self.n_blocks, inner_max_iter=self.inner_max_iter,
-            )
+            return SolverConfig(delta=delta, **shared)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -223,41 +224,6 @@ def ct_geometry(cfg):
         raise ConfigError(str(exc)) from exc
 
 
-class MatrixProblem(ForwardProblem):
-    """Plain linear problem A x = y on a grid-shaped unknown."""
-
-    def __init__(self, matrix, data, domain_shape, n_blocks=1):
-        rows = matrix.shape[0]
-        if matrix.shape[1] != domain_shape[0] * domain_shape[1]:
-            raise ValueError("matrix width disagrees with the domain shape")
-        data = np.asarray(data, dtype=float).ravel()
-        if data.size != rows:
-            raise ValueError("data length disagrees with the matrix")
-        if not 1 <= n_blocks <= rows:
-            raise ValueError("block count out of range")
-        self.matrix = matrix.tocsr()
-        self.num_blocks = n_blocks
-        self.domain_shape = domain_shape
-        splits = np.array_split(np.arange(rows), n_blocks)
-        self._slices = [slice(s[0], s[-1] + 1) for s in splits]
-        self._blocks = [self.matrix[s] for s in self._slices]
-        self._data = [data[s] for s in self._slices]
-
-    def apply(self, i, x):
-        return self._blocks[i] @ np.asarray(x).ravel()
-
-    def derivative(self, i, x, h):
-        return self.apply(i, h)
-
-    def adjoint(self, i, x, w):
-        return (self._blocks[i].T @ np.asarray(w, dtype=float).ravel()).reshape(
-            self.domain_shape
-        )
-
-    def data(self, i):
-        return self._data[i]
-
-
 def load_grid(path):
     """Read a dense grid: header ``rows cols`` then row-major values."""
     with open(path) as fh:
@@ -283,17 +249,6 @@ def save_grid(path, grid):
 
 def build_problem(cfg):
     """Assemble (problem, truth, delta_abs) for the configured experiment."""
-    if cfg.problem == "ct":
-        geom = ct_geometry(cfg)
-        if cfg.n_blocks > geom.n_angles:
-            raise ConfigError(
-                f"n_blocks = {cfg.n_blocks} exceeds the {geom.n_angles} projection angles"
-            )
-        matrix = tomo.build_parallel_tomo(geom)
-        truth = tomo.shepp_logan(cfg.ct_q)
-        clean = matrix @ truth.ravel()
-        data, delta_abs = tomo.add_relative_gaussian_noise(clean, cfg.noise_rel, cfg.seed)
-        return tomo.TomoProblem(matrix, data, geom, n_blocks=cfg.n_blocks), truth, delta_abs
     if cfg.problem == "pde":
         mesh, f, g, truth = elliptic.default_problem(cfg.pde_m)
         if cfg.n_blocks != 1:
@@ -301,26 +256,33 @@ def build_problem(cfg):
         clean = elliptic.solve_state(truth, mesh, f, g)
         data, delta_abs = tomo.add_relative_gaussian_noise(clean, cfg.noise_rel, cfg.seed)
         return elliptic.EllipticProblem(mesh, f, g, data), truth, delta_abs
-    # custom-linear
-    if not cfg.matrix_path or not cfg.truth_path:
-        raise ConfigError("custom-linear needs matrix_path and truth_path")
-    try:
-        matrix = tomo.load_matrix_coo(cfg.matrix_path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load matrix: {exc}") from exc
-    try:
-        truth = load_grid(cfg.truth_path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load truth grid: {exc}") from exc
-    if matrix.shape[1] != truth.size:
-        raise ConfigError(
-            f"matrix has {matrix.shape[1]} columns but the truth grid has {truth.size} cells"
-        )
-    if cfg.n_blocks > matrix.shape[0]:
-        raise ConfigError(f"n_blocks = {cfg.n_blocks} exceeds the {matrix.shape[0]} matrix rows")
+    if cfg.problem == "ct":
+        geom = ct_geometry(cfg)
+        matrix = tomo.build_parallel_tomo(geom)
+        truth = tomo.shepp_logan(cfg.ct_q)
+        operator, layout = tomo.TomoProblem, geom
+    else:  # custom-linear
+        if not cfg.matrix_path or not cfg.truth_path:
+            raise ConfigError("custom-linear needs matrix_path and truth_path")
+        try:
+            matrix = tomo.load_matrix_coo(cfg.matrix_path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot load matrix: {exc}") from exc
+        try:
+            truth = load_grid(cfg.truth_path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot load truth grid: {exc}") from exc
+        if matrix.shape[1] != truth.size:
+            raise ConfigError(
+                f"matrix has {matrix.shape[1]} columns but the truth grid has {truth.size} cells"
+            )
+        operator, layout = MatrixProblem, truth.shape
     clean = matrix @ truth.ravel()
     data, delta_abs = tomo.add_relative_gaussian_noise(clean, cfg.noise_rel, cfg.seed)
-    problem = MatrixProblem(matrix, data, truth.shape, n_blocks=cfg.n_blocks)
+    try:
+        problem = operator(matrix, data, layout, n_blocks=cfg.n_blocks)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return problem, truth, delta_abs
 
 
@@ -341,29 +303,21 @@ METRICS_COLUMNS = (
 )
 
 
+def _write_csv(path, records, columns):
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        for rec in records:
+            fh.write(",".join(_csv_cell(getattr(rec, c)) for c in columns) + "\n")
+
+
 def write_metrics(path, trace):
     """Write the per-iterate metrics table with its fixed column set."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(METRICS_COLUMNS) + "\n")
-        for rec in trace.records:
-            cells = (
-                rec.n, rec.i_n, rec.residual_norm, rec.mu_tilde, rec.mu,
-                rec.eps_n, rec.inner_iterations, rec.rel_error, rec.q_n,
-            )
-            fh.write(",".join(_csv_cell(c) for c in cells) + "\n")
+    _write_csv(path, trace.records, METRICS_COLUMNS)
 
 
 def write_trace(path, trace):
-    columns = METRICS_COLUMNS + ("bregman_to_truth",)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for rec in trace.records:
-            cells = (
-                rec.n, rec.i_n, rec.residual_norm, rec.mu_tilde, rec.mu,
-                rec.eps_n, rec.inner_iterations, rec.rel_error, rec.q_n,
-                rec.bregman_to_truth,
-            )
-            fh.write(",".join(_csv_cell(c) for c in cells) + "\n")
+    """Write the metrics columns plus the Bregman distance to the truth."""
+    _write_csv(path, trace.records, METRICS_COLUMNS + ("bregman_to_truth",))
 
 
 def write_pgm(path, grid):

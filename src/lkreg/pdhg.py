@@ -155,7 +155,10 @@ class PdhgReport:
 def _rel_gap(gap, p_val, d_val, floor):
     # Gaps at the rounding floor of the objective count as closed; otherwise
     # instances whose optimal value is exactly zero (constant xi, say) would
-    # stall at a relative gap of 1 with both values at machine noise.
+    # stall at a relative gap of 1 with both values at machine noise.  A nan
+    # gap stays nan, so it never counts as converged.
+    if math.isnan(gap):
+        return gap
     if gap <= floor:
         return 0.0
     denom = abs(p_val) + abs(d_val)
@@ -181,7 +184,8 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
 
     Returns the report for the smallest-absolute-gap iterate seen, including
     the initial point, with per-iterate primal/dual value histories.  A nan
-    gap (non-finite xi, say) certifies nothing: its eps is inf.
+    gap (non-finite xi, say) certifies nothing: the solve stops there,
+    unconverged, and its eps is inf.
 
     Instances with mu != 1 are reduced to the unit-weight normal form
     (z = mu w, same xi, constraint scaled by 1/mu) before iterating; the
@@ -222,7 +226,7 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     # value in turn; nothing in it outlives the call that writes it.
     z_step = np.empty(z.shape)
     work = (np.empty(z.shape), GradientField.empty(z.shape))
-    while not converged and iters < max_iter:
+    while not converged and iters < max_iter and not math.isnan(gap):
         tau, theta = step_sizes(iters)
         nxt = 1 - cur if cur == best_slot else cur
         z_next, lam_next = slots[nxt]

@@ -1,4 +1,4 @@
-"""Parallel-beam tomography: system matrix, phantom, noise, matrix I/O.
+"""Parallel-beam tomography: system matrix, block operator, phantom, noise, I/O.
 
 The image is a q x q grid of unit-side pixels covering [0, q]^2; image array
 index [i, j] is the cell [i, i+1] x [j, j+1], flattened in C order.  For a
@@ -204,31 +204,32 @@ def add_relative_gaussian_noise(g, delta_rel, seed):
     return g + (delta_abs / e_norm) * e, delta_abs
 
 
-class TomoProblem(ForwardProblem):
-    """Linear tomography forward problem, optionally split into angle blocks.
+class MatrixProblem(ForwardProblem):
+    """Linear problem A x = y on a grid-shaped unknown, split into row blocks.
 
-    The system matrix rows are partitioned into `n_blocks` contiguous groups
-    of whole angles; block boundaries never cut through an angle.
+    The rows of A form groups of `group_rows` consecutive rows; the blocks
+    are `n_blocks` contiguous runs of whole groups, as even as possible.
     """
 
-    def __init__(self, matrix, sinogram, geom, n_blocks=1):
-        if matrix.shape != (geom.n_rows, geom.q * geom.q):
-            raise ValueError("matrix shape disagrees with the geometry")
-        sinogram = np.asarray(sinogram, dtype=float).ravel()
-        if sinogram.size != geom.n_rows:
-            raise ValueError("sinogram length disagrees with the geometry")
-        if not 1 <= n_blocks <= geom.n_angles:
-            raise ValueError("block count must lie in [1, n_angles]")
-        self.geom = geom
+    def __init__(self, matrix, data, domain_shape, n_blocks=1, group_rows=1):
+        rows = matrix.shape[0]
+        if matrix.shape[1] != domain_shape[0] * domain_shape[1]:
+            raise ValueError("matrix width disagrees with the domain shape")
+        if rows % group_rows:
+            raise ValueError("matrix rows do not form whole row groups")
+        data = np.asarray(data, dtype=float).ravel()
+        if data.size != rows:
+            raise ValueError("data length disagrees with the matrix")
+        groups = rows // group_rows
+        if not 1 <= n_blocks <= groups:
+            raise ValueError(f"n_blocks = {n_blocks} must lie in [1, {groups}]")
         self.matrix = matrix.tocsr()
         self.num_blocks = n_blocks
-        self.domain_shape = (geom.q, geom.q)
-        angle_groups = np.array_split(np.arange(geom.n_angles), n_blocks)
-        self._row_slices = [
-            slice(g[0] * geom.n_rays, (g[-1] + 1) * geom.n_rays) for g in angle_groups
-        ]
-        self._blocks = [self.matrix[s] for s in self._row_slices]
-        self._data = [sinogram[s] for s in self._row_slices]
+        self.domain_shape = domain_shape
+        runs = np.array_split(np.arange(groups), n_blocks)
+        slices = [slice(r[0] * group_rows, (r[-1] + 1) * group_rows) for r in runs]
+        self._blocks = [self.matrix[s] for s in slices]
+        self._data = [data[s] for s in slices]
 
     def apply(self, i, x):
         return self._blocks[i] @ np.asarray(x).ravel()
@@ -244,6 +245,16 @@ class TomoProblem(ForwardProblem):
 
     def data(self, i):
         return self._data[i]
+
+
+class TomoProblem(MatrixProblem):
+    """Tomography forward problem; its blocks are runs of whole angles."""
+
+    def __init__(self, matrix, sinogram, geom, n_blocks=1):
+        if matrix.shape != (geom.n_rows, geom.q * geom.q):
+            raise ValueError("matrix shape disagrees with the geometry")
+        self.geom = geom
+        super().__init__(matrix, sinogram, (geom.q, geom.q), n_blocks, group_rows=geom.n_rays)
 
 
 def save_matrix_coo(path, matrix):

@@ -372,3 +372,40 @@ def test_reports_own_their_arrays(mu):
             assert not np.shares_memory(old, new)
     assert not np.shares_memory(second.x, moved.xi)
     assert not np.shares_memory(second.lam.u, second.lam.v)
+
+
+@pytest.mark.parametrize("mu", [1.0, 2.0])
+def test_nan_xi_stops_unconverged(mu):
+    prob = DenoiseProblem(xi=np.full((4, 4), np.nan), mu=mu, constraint=NonnegativityConstraint())
+    with np.errstate(invalid="ignore"):
+        report = pdhg_solve(prob, eta=1e-3, max_iter=50)
+    assert report.converged is False
+    assert report.iterations == 0
+    assert report.eps_certificate == math.inf
+
+
+def test_nan_inner_solve_ends_the_run_non_finite(monkeypatch):
+    from lkreg import engine
+    from lkreg.engine import SolverConfig, run
+
+    from conftest import tiny_linear_problem
+
+    problem, _, _ = tiny_linear_problem(214)
+    k = 3
+    real_inner_solver = engine.inner_solver
+    infos = []
+
+    def nan_at_step_k(xi, penalty, **kw):
+        if len(infos) == k:
+            xi = np.full_like(xi, np.nan)
+        pair, info = real_inner_solver(xi, penalty, **kw)
+        infos.append(info)
+        return pair, info
+
+    monkeypatch.setattr(engine, "inner_solver", nan_at_step_k)
+    pen = TotalVariationPenalty(mu=1.0, constraint=NonnegativityConstraint())
+    cfg = SolverConfig(beta0=0.1, beta1=10.0, sigma=1e-3, tau=1.01, n_max=50)
+    with np.errstate(invalid="ignore"):
+        _, trace = run(problem, pen, cfg, mode="plain")
+    assert not infos[k].converged  # an unconverged solve whose certificate is inf
+    assert trace.terminated_by == "non-finite" and trace.n_final == k
