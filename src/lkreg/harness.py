@@ -247,6 +247,14 @@ def save_grid(path, grid):
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def _noisy(clean, cfg):
+    """Noisy data and its absolute level; zero data cannot take relative noise."""
+    try:
+        return tomo.add_relative_gaussian_noise(clean, cfg.noise_rel, cfg.seed)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}; set noise_rel = 0") from exc
+
+
 def build_problem(cfg):
     """Assemble (problem, truth, delta_abs) for the configured experiment."""
     if cfg.problem == "pde":
@@ -254,7 +262,7 @@ def build_problem(cfg):
         if cfg.n_blocks != 1:
             raise ConfigError("the PDE problem is single-block; set n_blocks = 1")
         clean = elliptic.solve_state(truth, mesh, f, g)
-        data, delta_abs = tomo.add_relative_gaussian_noise(clean, cfg.noise_rel, cfg.seed)
+        data, delta_abs = _noisy(clean, cfg)
         return elliptic.EllipticProblem(mesh, f, g, data), truth, delta_abs
     if cfg.problem == "ct":
         geom = ct_geometry(cfg)
@@ -278,7 +286,7 @@ def build_problem(cfg):
             )
         operator, layout = MatrixProblem, truth.shape
     clean = matrix @ truth.ravel()
-    data, delta_abs = tomo.add_relative_gaussian_noise(clean, cfg.noise_rel, cfg.seed)
+    data, delta_abs = _noisy(clean, cfg)
     try:
         problem = operator(matrix, data, layout, n_blocks=cfg.n_blocks)
     except ValueError as exc:

@@ -193,17 +193,17 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     """
     if not (0.0 < eta < 1.0):
         raise ValueError("relative gap target must lie in (0, 1)")
-    if prob.mu != 1.0:
-        scaled = None if prob.constraint is None else prob.constraint.scaled(1.0 / prob.mu)
-        unit = DenoiseProblem(xi=prob.xi, mu=1.0, constraint=scaled)
-        w0 = None if z0 is None else np.asarray(z0, dtype=float) / prob.mu
-        return _rescaled(pdhg_solve(unit, z0=w0, lam0=lam0, eta=eta, max_iter=max_iter), prob.mu)
     mu, xi = prob.mu, prob.xi
+    if mu != 1.0:
+        scaled = None if prob.constraint is None else prob.constraint.scaled(1.0 / mu)
+        prob = DenoiseProblem(xi=xi, mu=1.0, constraint=scaled)
+        z0 = None if z0 is None else np.asarray(z0, dtype=float) / mu
+    # prob is now the unit-weight normal form; mu only scales the report.
     z = np.zeros(xi.shape) if z0 is None else np.array(z0, dtype=float, copy=True)
     if prob.constraint is not None:
         z = prob.constraint.project(z)
     lam = GradientField.zeros(z.shape) if lam0 is None else project_dual_ball(lam0)
-    gap_floor = 16.0 * np.finfo(float).eps * (1.0 + 0.5 * mu * float(np.vdot(xi, xi)))
+    gap_floor = 16.0 * np.finfo(float).eps * (1.0 + 0.5 * float(np.vdot(xi, xi)))
 
     # grad holds the gradient of the current z: the primal value uses it and
     # the next dual step scales it in place.
@@ -230,14 +230,14 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
         tau, theta = step_sizes(iters)
         nxt = 1 - cur if cur == best_slot else cur
         z_next, lam_next = slots[nxt]
-        np.multiply(grad.u, mu * tau, out=grad.u)
-        np.multiply(grad.v, mu * tau, out=grad.v)
+        np.multiply(grad.u, tau, out=grad.u)
+        np.multiply(grad.v, tau, out=grad.v)
         np.add(lam.u, grad.u, out=lam_next.u)
         np.add(lam.v, grad.v, out=lam_next.v)
         lam = project_dual_ball(lam_next, out=lam_next, work=work[1])
         divergence_adjoint(lam, out=div_lam)
         np.subtract(xi, div_lam, out=z_step)
-        np.multiply(z_step, mu * theta, out=z_step)
+        np.multiply(z_step, theta, out=z_step)
         np.multiply(z, 1.0 - theta, out=z_next)
         np.add(z_next, z_step, out=z_next)
         z = z_next
@@ -261,34 +261,17 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     gap_b, rel_b, p_b, d_b = best
     z_b, lam_b = slots[best_slot]
     return PdhgReport(
-        x=z_b,
+        x=mu * z_b,
         lam=lam_b,
         iterations=iters,
         converged=converged,
-        gap_abs=gap_b,
+        gap_abs=mu * gap_b,
         gap_rel=rel_b,
-        eps_certificate=math.inf if math.isnan(gap_b) else max(gap_b, 0.0),
-        primal_value=p_b,
-        dual_value=d_b,
-        primal_history=p_hist,
-        dual_history=d_hist,
-    )
-
-
-def _rescaled(report, mu):
-    """Map a unit-weight report back to the weight-mu variables."""
-    return PdhgReport(
-        x=mu * report.x,
-        lam=report.lam,
-        iterations=report.iterations,
-        converged=report.converged,
-        gap_abs=mu * report.gap_abs,
-        gap_rel=report.gap_rel,
-        eps_certificate=mu * report.eps_certificate,
-        primal_value=mu * report.primal_value,
-        dual_value=mu * report.dual_value,
-        primal_history=[mu * v for v in report.primal_history],
-        dual_history=[mu * v for v in report.dual_history],
+        eps_certificate=mu * (math.inf if math.isnan(gap_b) else max(gap_b, 0.0)),
+        primal_value=mu * p_b,
+        dual_value=mu * d_b,
+        primal_history=[mu * v for v in p_hist],
+        dual_history=[mu * v for v in d_hist],
     )
 
 

@@ -80,8 +80,13 @@ def build_parallel_tomo(geom):
     Returns a CSR matrix of shape (n_angles * n_rays, q * q); row order is
     angle-major.  Entries are exact intersection lengths, so each row sums to
     the chord length its ray cuts through the square [0, q]^2.
+
+    The rays of one angle are traced together: each row of `ts` holds one
+    ray's crossing parameters with the grid lines, clipped to the span
+    [t_lo, t_hi] in which the ray is inside the square and sorted, so the
+    positive gaps between neighbours are the segments the ray cuts.
     """
-    q = geom.q
+    q, n_rays = geom.q, geom.n_rays
     center = q / 2.0
     offsets = geom.offsets()
     planes = np.arange(q + 1, dtype=float)
@@ -90,60 +95,35 @@ def build_parallel_tomo(geom):
         t = math.radians(angle_deg)
         ct, st = math.cos(t), math.sin(t)
         dx, dy = -st, ct
-        for k, rho in enumerate(offsets):
-            px = center + rho * ct
-            py = center + rho * st
-            hit = _trace_ray(px, py, dx, dy, q, planes)
-            if hit is None:
+        px = center + offsets * ct
+        py = center + offsets * st
+        inside = np.ones(n_rays, dtype=bool)
+        t_lo, t_hi = np.full(n_rays, -math.inf), np.full(n_rays, math.inf)
+        crossings = []
+        for p0, d in ((px, dx), (py, dy)):
+            if abs(d) < 1e-14:
+                # a ray parallel to this axis hits the grid only if it starts on it
+                inside &= (0.0 <= p0) & (p0 <= q)
                 continue
-            idx, lengths = hit
-            row = a * geom.n_rays + k
-            rows.append(np.full(idx.shape, row, dtype=np.int64))
-            cols.append(idx)
-            vals.append(lengths)
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-    else:  # pragma: no cover - every sane geometry hits the grid
-        rows = np.zeros(0, dtype=np.int64)
-        cols = np.zeros(0, dtype=np.int64)
-        vals = np.zeros(0)
+            ts = (planes - p0[:, None]) / d
+            lo, hi = (ts[:, 0], ts[:, -1]) if d > 0.0 else (ts[:, -1], ts[:, 0])
+            t_lo, t_hi = np.maximum(t_lo, lo), np.minimum(t_hi, hi)
+            crossings.append(ts)
+        inside &= t_hi > t_lo
+        t_lo, t_hi = t_lo[:, None], t_hi[:, None]
+        ts = np.sort(np.clip(np.hstack(crossings + [t_lo, t_hi]), t_lo, t_hi), axis=1)
+        lengths = np.diff(ts, axis=1)
+        k, j = np.nonzero((lengths > 1e-12) & inside[:, None])
+        lengths = lengths[k, j]
+        mid = ts[k, j] + 0.5 * lengths
+        ix = np.clip(np.floor(px[k] + mid * dx).astype(np.int64), 0, q - 1)
+        iy = np.clip(np.floor(py[k] + mid * dy).astype(np.int64), 0, q - 1)
+        rows.append(a * n_rays + k)
+        cols.append(ix * q + iy)
+        vals.append(lengths)
+    rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(geom.n_rows, q * q))
     return mat.tocsr()
-
-
-def _trace_ray(px, py, dx, dy, q, planes):
-    """Crossing parameters of one unit-speed ray with the pixel grid.
-
-    Returns (flat pixel indices, segment lengths) or None for a miss.
-    """
-    t_lo, t_hi = -math.inf, math.inf
-    crossings = []
-    for p0, d in ((px, dx), (py, dy)):
-        if abs(d) < 1e-14:
-            if not 0.0 <= p0 <= q:
-                return None
-            continue
-        ts = (planes - p0) / d
-        lo, hi = (ts[0], ts[-1]) if d > 0.0 else (ts[-1], ts[0])
-        t_lo, t_hi = max(t_lo, lo), min(t_hi, hi)
-        crossings.append(ts)
-    if t_hi <= t_lo or not crossings:
-        return None
-    ts = np.concatenate(crossings)
-    ts = ts[(ts > t_lo) & (ts < t_hi)]
-    ts = np.unique(np.concatenate((ts, [t_lo, t_hi])))
-    lengths = np.diff(ts)
-    keep = lengths > 1e-12
-    if not np.any(keep):
-        return None
-    mid = ts[:-1] + 0.5 * lengths
-    mx = px + mid[keep] * dx
-    my = py + mid[keep] * dy
-    ix = np.clip(np.floor(mx).astype(np.int64), 0, q - 1)
-    iy = np.clip(np.floor(my).astype(np.int64), 0, q - 1)
-    return ix * q + iy, lengths[keep]
 
 
 # Ellipses of the standard head phantom in its low-contrast variant:
@@ -288,6 +268,9 @@ def load_matrix_coo(path):
             rows[k] = int(parts[0])
             cols[k] = int(parts[1])
             vals[k] = float(parts[2])
+        for line_no, line in enumerate(fh, start=nnz + 2):
+            if line.strip():
+                raise ValueError(f"entry on line {line_no} past the header's count of {nnz}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("matrix entries must be finite")
     return sp.coo_matrix((vals, (rows, cols)), shape=(m, q)).tocsr()

@@ -348,3 +348,27 @@ def test_cli_non_finite_exit_code(tmp_path, capsys):
     assert rc == 3
     out, err = capsys.readouterr()
     assert "terminated_by=non-finite n_final=0" in out and "non-finite" in err
+
+
+IDENTITY_4X4 = "4 4 4\n0 0 1\n1 1 1\n2 2 1\n3 3 1\n"
+
+
+@pytest.mark.parametrize("case", ["zero-data-with-noise", "entries-past-the-count"])
+def test_cli_rejects_zero_data_noise_and_extra_matrix_entries(tmp_path, capsys, case):
+    kwargs = {
+        "zero-data-with-noise": dict(matrix_text=lambda t: IDENTITY_4X4,
+                                     truth_text=lambda t: "2 2\n0 0\n0 0\n", noise_rel=0.01),
+        "entries-past-the-count": dict(matrix_text=lambda t: t + "0 0 1.0\n"),
+    }[case]
+    assert custom_linear_run(tmp_path, **kwargs) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_pde_zero_data_with_noise_is_a_config_error(monkeypatch):
+    from lkreg import elliptic
+
+    monkeypatch.setattr(elliptic, "solve_state", lambda a, mesh, f, g: np.zeros(mesh.m * mesh.m))
+    cfg = ExperimentConfig(problem="pde", pde_m=6, penalty="quadratic", constraint="none",
+                           noise_rel=0.01)
+    with pytest.raises(ConfigError, match="zero data"):
+        build_problem(cfg)

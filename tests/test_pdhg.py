@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lkreg.penalty import (
     BoxConstraint,
@@ -409,3 +411,42 @@ def test_nan_inner_solve_ends_the_run_non_finite(monkeypatch):
         _, trace = run(problem, pen, cfg, mode="plain")
     assert not infos[k].converged  # an unconverged solve whose certificate is inf
     assert trace.terminated_by == "non-finite" and trace.n_final == k
+
+
+_mus = st.floats(0.05, 50.0)
+_constraints = st.sampled_from([None, NonnegativityConstraint(), BoxConstraint(-0.5, 2.0)])
+
+
+@st.composite
+def denoise_case(draw):
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6))
+    entries = st.floats(-5.0, 5.0)
+    xi, z, u, v = (draw(hnp.arrays(np.float64, shape, elements=entries)) for _ in range(4))
+    prob = DenoiseProblem(xi=xi, mu=draw(_mus), constraint=draw(_constraints))
+    return prob, z, GradientField(u, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(denoise_case())
+def test_weak_duality_property(case):
+    prob, z, lam = case
+    if prob.constraint is not None:
+        z = prob.constraint.project(z)
+    lam = project_dual_ball(lam)
+    p_val, d_val = primal_value(prob, z), dual_value(prob, lam)
+    assert math.isfinite(p_val) and math.isfinite(d_val)
+    assert d_val <= p_val + 1e-12 * (1.0 + abs(p_val) + abs(d_val))
+
+
+@settings(max_examples=25, deadline=None)
+@given(denoise_case())
+def test_pdhg_certificate_passes_the_subgradient_check_property(case):
+    prob, z0, _ = case
+    if prob.constraint is not None:
+        z0 = prob.constraint.project(z0)
+    report = pdhg_solve(prob, z0=z0, eta=1e-4, max_iter=300)
+    assert math.isfinite(report.eps_certificate) and report.eps_certificate >= 0.0
+    pen = TotalVariationPenalty(mu=prob.mu, constraint=prob.constraint)
+    pair = PrimalDualPair(x=report.x, xi=prob.xi, eps=report.eps_certificate)
+    bound = report.dual_value - prob.mu * float(np.vdot(prob.xi, prob.xi)) / 2.0
+    assert check_eps_subgradient(pair, pen, bound)

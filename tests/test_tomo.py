@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lkreg.harness import ct_geometry, make_config
 from lkreg.rng import normals, uniforms
 from lkreg.tomo import (
     PHANTOM_ELLIPSES,
@@ -18,6 +19,8 @@ from lkreg.tomo import (
     save_matrix_coo,
     shepp_logan,
 )
+
+from conftest import loop_parallel_tomo
 
 
 def chord_length(px, py, dx, dy, q):
@@ -246,3 +249,29 @@ def test_matrix_io_malformed(tmp_path):
     bad.write_text("2 2 1\n0 1\n")
     with pytest.raises(ValueError):
         load_matrix_coo(bad)
+
+
+@pytest.mark.parametrize("geom", [
+    TomoGeometry(q=1, angles=evenly_spaced_angles(4)),
+    TomoGeometry(q=7, angles=np.array([0.0, 90.0])),
+    TomoGeometry(q=9, angles=np.array([45.0])),
+    ct_geometry(make_config(preset="ct-desk")),
+    TomoGeometry(q=3, angles=np.array([0.0, 90.0]), n_rays=5, detector_spacing=1.3),
+], ids=["q1", "axis-parallel", "diagonal", "ct-desk", "outer-rays-miss"])
+def test_tracer_matches_per_ray_reference_byte_for_byte(geom):
+    mat, ref = build_parallel_tomo(geom), loop_parallel_tomo(geom)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(mat, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    if geom.q == 3:
+        # the outermost rays at offset +-2.6 pass beside the 3x3 grid
+        assert np.count_nonzero(np.diff(mat.indptr) == 0) == 4
+
+
+def test_matrix_load_rejects_entries_past_the_count(tmp_path):
+    path = tmp_path / "extra.txt"
+    path.write_text("4 4 2\n0 0 1.0\n1 1 1.0\n2 2 1.0\n3 3 1.0\n")
+    with pytest.raises(ValueError, match="line 4"):
+        load_matrix_coo(path)
+    path.write_text("4 4 2\n0 0 1.0\n1 1 1.0\n\n  \n")
+    assert load_matrix_coo(path).nnz == 2
