@@ -133,12 +133,12 @@ PRESETS = {
         "gap_exponent": 2.2, "noise_rel": 0.01, "n_max": 5000,
     },
     "pde-paper": {
-        "problem": "pde", "pde_m": 100, "mu": 20.0, "constraint": "none",
+        "problem": "pde", "pde_m": 100, "mu": 20.0, "constraint": "nonneg",
         "beta0": 5e-4, "beta1": 2e4, "sigma": 1e-3, "tau": 1.02, "alpha": 5.0,
         "gap_exponent": 1.5, "noise_rel": 0.00046, "n_max": 10000,
     },
     "pde-desk": {
-        "problem": "pde", "pde_m": 40, "mu": 20.0, "constraint": "none",
+        "problem": "pde", "pde_m": 40, "mu": 20.0, "constraint": "nonneg",
         "beta0": 5e-4, "beta1": 2e4, "sigma": 1e-3, "tau": 1.02, "alpha": 5.0,
         "gap_exponent": 1.5, "noise_rel": 0.0, "n_max": 100,
     },

@@ -26,15 +26,21 @@ far from 1, so the solver always iterates on the normal form and maps the
 result back exactly: x = mu w, values and absolute gaps pick up a factor mu,
 and the relative gap is invariant.
 
-One inner iteration costs two discrete gradients (of the new z, which the
-primal value and the next dual step share, and of the Lagrangian minimizer
-in the dual value), one divergence, one dual-ball projection and one l21
-norm; the last two share `tv.pointwise_norm`.  The iterates and every
-temporary of that fixed sequence live in buffers allocated once per solve,
-so the loop allocates little beyond the scale of the projection; the floats
-are the ones the plain expressions give, operation for operation.  The TV
-primitives are called through this module's names so that a caller can wrap
-them.
+One inner iteration costs one discrete gradient (of the new z, which the
+primal value and the next dual step share), one divergence, one dual-ball
+projection and one l21 norm; the last two share `tv.pointwise_norm`.  The
+dual value needs no gradient of its own.  Since the divergence is the
+gradient's transpose, the Lagrangian at lam is
+
+    ||z - mu xi||^2 / (2 mu) + <div_lam, z> + indicator of C,
+
+separable in z and minimized by z* = P_C(mu (xi - div_lam)); the dual value
+is this very expression at z*.  The z step already forms xi - div_lam, so
+the dual value reuses it.  The iterates and every temporary of that fixed
+sequence live in buffers allocated once per solve, so the loop allocates
+little beyond the scale of the projection; the floats are the ones the
+plain expressions give, operation for operation.  The TV primitives are
+called through this module's names so that a caller can wrap them.
 """
 
 import math
@@ -48,7 +54,7 @@ from .tv import (
     GradientField,
     discrete_gradient,
     divergence_adjoint,
-    field_dot,
+    field_dot,  # noqa: F401  unused here; benchmarks/tracer.py wraps it by this name
     l21_norm,
     pointwise_norm,
     project_dual_ball,
@@ -116,23 +122,28 @@ def dual_value(prob, lam, feas_tol=1e-12):
     """
     if float(np.max(pointwise_norm(lam))) > 1.0 + feas_tol:
         return -math.inf
-    return _dual_value_at(prob, lam, divergence_adjoint(lam))
+    div_lam = divergence_adjoint(lam)
+    return _dual_value_at(prob, np.subtract(prob.xi, div_lam), div_lam)
 
 
-def _dual_value_at(prob, lam, div_lam, work=None):
-    """Psi_D(lam) given div_lam = divergence_adjoint(lam).
+def _dual_value_at(prob, xi_minus_div, div_lam, work=None):
+    """Psi_D(lam) given div_lam = divergence_adjoint(lam) and xi - div_lam.
 
-    `work`, an optional (grid, field) pair of lam's shape, receives the
-    Lagrangian minimizer and its gradient instead of fresh arrays.
+    Returns ||z* - mu xi||^2 / (2 mu) + <div_lam, z*> at the Lagrangian
+    minimizer z* = P_C(mu (xi - div_lam)); the linear term equals
+    <lam, grad z*> because the divergence is the gradient's transpose, so no
+    gradient is taken.  With mu == 1 the product mu (xi - div_lam) is exact
+    and is not formed.  `work`, an optional grid of lam's shape, receives z*
+    and then z* - mu xi instead of fresh arrays; `xi_minus_div` is only read.
     """
-    zstar, grad = (None, None) if work is None else work
-    zstar = np.subtract(prob.xi, div_lam, out=zstar)
-    np.multiply(zstar, prob.mu, out=zstar)
+    zstar = xi_minus_div
+    if prob.mu != 1.0:
+        zstar = np.multiply(zstar, prob.mu, out=work)
     if prob.constraint is not None:
-        prob.constraint.project(zstar, out=zstar)
-    grad = discrete_gradient(zstar, out=grad)
-    d = np.subtract(zstar, prob.mu_xi, out=zstar)
-    return float(np.vdot(d, d)) / (2.0 * prob.mu) + field_dot(lam, grad)
+        zstar = prob.constraint.project(zstar, out=work)
+    linear = float(np.vdot(div_lam, zstar))
+    d = np.subtract(zstar, prob.mu_xi, out=work)
+    return float(np.vdot(d, d)) / (2.0 * prob.mu) + linear
 
 
 @dataclass
@@ -209,8 +220,11 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     # the next dual step scales it in place.
     grad = discrete_gradient(z)
     div_lam = divergence_adjoint(lam)
+    # xi_minus_div holds xi - div_lam: the z step scales it and the dual
+    # value projects it.
+    xi_minus_div = np.subtract(xi, div_lam)
     p_val = primal_value(prob, z, grad)
-    d_val = _dual_value_at(prob, lam, div_lam)
+    d_val = _dual_value_at(prob, xi_minus_div, div_lam)
     gap = p_val - d_val
     rel = _rel_gap(gap, p_val, d_val, gap_floor)
     p_hist, d_hist = [p_val], [d_val]
@@ -236,8 +250,8 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
         np.add(lam.v, grad.v, out=lam_next.v)
         lam = project_dual_ball(lam_next, out=lam_next, work=work[1])
         divergence_adjoint(lam, out=div_lam)
-        np.subtract(xi, div_lam, out=z_step)
-        np.multiply(z_step, theta, out=z_step)
+        np.subtract(xi, div_lam, out=xi_minus_div)
+        np.multiply(xi_minus_div, theta, out=z_step)
         np.multiply(z, 1.0 - theta, out=z_next)
         np.add(z_next, z_step, out=z_next)
         z = z_next
@@ -248,7 +262,7 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
 
         discrete_gradient(z, out=grad)
         p_val = _primal_value_at(prob, z, grad, work)
-        d_val = _dual_value_at(prob, lam, div_lam, work)
+        d_val = _dual_value_at(prob, xi_minus_div, div_lam, work[0])
         gap = p_val - d_val
         rel = _rel_gap(gap, p_val, d_val, gap_floor)
         p_hist.append(p_val)

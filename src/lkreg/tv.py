@@ -40,15 +40,18 @@ def discrete_gradient(z, out=None):
 
     Component u holds differences along the first index (with the last row
     wrapping to the first), component v along the second index.  With `out`,
-    a field of z's shape not overlapping z, the differences are written into
-    its arrays and `out` is returned.
+    a field of C-contiguous arrays of z's shape not overlapping z, the
+    differences are written into its arrays and `out` is returned.
     """
     if out is None:
         out = GradientField.empty(z.shape)
     u, v = out.u, out.v
+    v_flat, z_flat = _flat_view(v), z.ravel()
     np.subtract(z[1:], z[:-1], out=u[:-1])
     np.subtract(z[:1], z[-1:], out=u[-1:])
-    np.subtract(z[:, 1:], z[:, :-1], out=v[:, :-1])
+    # one contiguous pass along the rows; at the last column it runs on into
+    # the next row, and the wrap-around differences overwrite those entries
+    np.subtract(z_flat[1:], z_flat[:-1], out=v_flat[:-1])
     np.subtract(z[:, :1], z[:, -1:], out=v[:, -1:])
     return out
 
@@ -57,18 +60,29 @@ def divergence_adjoint(field, out=None):
     """Apply the exact transpose of `discrete_gradient` to a field.
 
     Each entry is ((u[i-1, j] - u[i, j]) + v[i, j-1]) - v[i, j], indices
-    wrapping around, evaluated in that order.  With `out`, a grid of the
-    field's shape not overlapping it, the result is written there.
+    wrapping around, evaluated in that order.  With `out`, a C-contiguous
+    grid of the field's shape not overlapping it, the result is written there.
     """
     u, v = field.u, field.v
     if out is None:
         out = np.empty(u.shape)
+    flat = _flat_view(out)
     np.subtract(u[-1:], u[:1], out=out[:1])
     np.subtract(u[:-1], u[1:], out=out[1:])
-    np.add(out[:, :1], v[:, -1:], out=out[:, :1])
-    np.add(out[:, 1:], v[:, :-1], out=out[:, 1:])
+    # column 0 takes v from the last column; the contiguous pass below
+    # would add the previous row's last entry there instead
+    first = np.add(out[:, :1], v[:, -1:])
+    np.add(flat[1:], v.ravel()[:-1], out=flat[1:])
+    out[:, :1] = first
     np.subtract(out, v, out=out)
     return out
+
+
+def _flat_view(a):
+    """A 1-D view of `a` for writing; ValueError unless `a` is C-contiguous."""
+    if not a.flags.c_contiguous:
+        raise ValueError("out arrays must be C-contiguous")
+    return a.reshape(-1)
 
 
 def pointwise_norm(field, work=None):

@@ -99,6 +99,15 @@ def test_presets_construct():
     assert make_config(preset="pde-paper").gap_exponent == 1.5
 
 
+def test_accelerated_pde_desk_keeps_the_coefficient_nonnegative(tmp_path):
+    # Unconstrained, the extrapolated coefficient goes below 0, where the
+    # forward map clamps it but its derivative does not: rel_error 2.45 here.
+    cfg = make_config(preset="pde-desk", mode="accelerated", n_max=400, seed=1)
+    pair, trace, _ = run_experiment(cfg, out_dir=tmp_path)
+    assert trace.n_final == 400 and float(np.min(pair.x)) >= 0.0
+    assert trace.records[-1].rel_error < 1.0
+
+
 def test_ct_geometry_auto_rays():
     cfg = ExperimentConfig(**small_ct_kwargs(ct_rays=0))
     geom = ct_geometry(cfg)

@@ -268,7 +268,8 @@ def oracle_pdhg(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     """The solver loop as first written, over the np.roll reference primitives.
 
     Every iterate is a fresh array and the primal value differentiates z
-    again.  Returns (x, lam, iterations, primal_history, dual_history).
+    again; the dual value's linear term is <div_lam, z*>, as in the solver.
+    Returns (x, lam, iterations, primal_history, dual_history).
     """
     mu, xi, c = prob.mu, prob.xi, prob.constraint
     if mu != 1.0:
@@ -289,8 +290,7 @@ def oracle_pdhg(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
         if c is not None:
             zstar = c.project(zstar)
         d = zstar - mu * xi
-        g = roll_gradient(zstar)
-        return float(np.vdot(d, d)) / (2.0 * mu) + float(np.vdot(lam.u, g.u) + np.vdot(lam.v, g.v))
+        return float(np.vdot(d, d)) / (2.0 * mu) + float(np.vdot(div_lam, zstar))
 
     def rel_gap(gap, p_val, d_val):
         if gap <= gap_floor:
@@ -450,3 +450,42 @@ def test_pdhg_certificate_passes_the_subgradient_check_property(case):
     pair = PrimalDualPair(x=report.x, xi=prob.xi, eps=report.eps_certificate)
     bound = report.dual_value - prob.mu * float(np.vdot(prob.xi, prob.xi)) / 2.0
     assert check_eps_subgradient(pair, pen, bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(denoise_case())
+def test_dual_value_equals_its_gradient_form_property(case):
+    # <div_lam, z*> in place of <lam, grad z*>: the same Lagrangian value.
+    # Both linear terms weigh each entry of z* by at most four entries of
+    # lam, all of length <= 1, so they round relative to sum |z*|.
+    prob, _, lam = case
+    lam = project_dual_ball(lam)
+    zstar = prob.mu * (prob.xi - roll_divergence(lam))
+    if prob.constraint is not None:
+        zstar = prob.constraint.project(zstar)
+    d = zstar - prob.mu * prob.xi
+    g = roll_gradient(zstar)
+    quadratic = float(np.vdot(d, d)) / (2.0 * prob.mu)
+    want = quadratic + float(np.vdot(lam.u, g.u) + np.vdot(lam.v, g.v))
+    scale = quadratic + float(np.sum(np.abs(zstar)))
+    assert abs(dual_value(prob, lam) - want) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("mu", [1.0, 20.0])
+def test_one_gradient_per_iteration(mu, monkeypatch):
+    import lkreg.pdhg as pdhg
+
+    calls = {"gradient": 0, "field_dot": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pdhg, "discrete_gradient", counted("gradient", pdhg.discrete_gradient))
+    monkeypatch.setattr(pdhg, "field_dot", counted("field_dot", pdhg.field_dot))
+    prob = DenoiseProblem(xi=rand_grid(44, (9, 7)), mu=mu, constraint=NonnegativityConstraint())
+    report = pdhg_solve(prob, eta=1e-7)
+    assert report.iterations > 10
+    assert calls == {"gradient": report.iterations + 1, "field_dot": 0}

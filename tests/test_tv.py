@@ -149,6 +149,40 @@ def test_primitives_match_roll_reference_bit_for_bit(shape):
                 assert np.array_equal(result.v, want[name].v), name
 
 
+def _layouts(a):
+    """Views of `a`'s values that are not C-contiguous arrays of its shape."""
+    m, n = a.shape
+    transposed = np.ascontiguousarray(a.T).T
+    strided = np.empty((m, 2 * n))
+    strided[:, ::2] = a
+    return {"transposed": transposed, "strided": strided[:, ::2], "fortran": np.asfortranarray(a)}
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 7), (64, 64)])
+def test_primitives_read_any_memory_layout(shape):
+    z = rand_grid(1300 + shape[0], shape)
+    w = rand_field(1400 + shape[1], shape)
+    grad_ref, div_ref = roll_gradient(z), roll_divergence(w)
+    z_views, u_views, v_views = _layouts(z), _layouts(w.u), _layouts(w.v)
+    for name, z_view in z_views.items():
+        assert not z_view.flags.c_contiguous or 1 in shape, name
+        grad = discrete_gradient(z_view)
+        assert np.array_equal(grad.u, grad_ref.u) and np.array_equal(grad.v, grad_ref.v), name
+        div = divergence_adjoint(GradientField(u_views[name], v_views[name]))
+        assert np.array_equal(div, div_ref), name
+
+
+@pytest.mark.parametrize("layout", ["transposed", "strided", "fortran"])
+def test_non_contiguous_out_is_rejected(layout):
+    shape = (4, 6)
+    z, w = rand_grid(1500, shape), rand_field(1501, shape)
+    bad = _layouts(np.zeros(shape))[layout]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        discrete_gradient(z, out=GradientField(np.empty(shape), bad))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        divergence_adjoint(w, out=bad)
+
+
 _entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
