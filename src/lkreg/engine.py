@@ -18,17 +18,17 @@ i = n mod N it
 Every iterate visited, including the final one, contributes one StepRecord
 to the trace; runs end by `discrepancy`, by the iteration `cap`, by
 `inner-failure` when the inner solver cannot reach its gap target, or by
-`non-finite` as soon as a residual norm, update norm, step size or
-certificate is inf or nan.
+`non-finite` as soon as a residual norm, the discrepancy bound
+(tau delta)^p, an update norm, a step size or a certificate is inf or nan.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .pdhg import inner_solver
-from .penalty import PrimalDualPair, bregman_eps_distance, duality_map
+from .penalty import PrimalDualPair, bregman_eps_distance, duality_map, power
 
 
 class ForwardProblem:
@@ -66,7 +66,8 @@ class SolverConfig:
     (no discrepancy test, run to n_max).  Inner gap targets follow
     eta0 * (n+1)^(-gap_exponent) for the solve that produces iterate n, and
     certified eps values are floored at eps_floor wherever the step size or
-    the discrepancy test consumes them.
+    the discrepancy test consumes them.  Every float field, a subclass's
+    included, must be finite.
     """
 
     p: float = 2.0
@@ -85,36 +86,32 @@ class SolverConfig:
     inner_max_iter: int = 5000
 
     def __post_init__(self):
-        if not self.p >= 1.0:
-            raise ValueError("residual exponent p must satisfy p >= 1")
-        if not self.s > 1.0:
-            raise ValueError("duality-map exponent s must satisfy s > 1")
-        if not self.beta0 > 0.0:
-            raise ValueError("beta0 must be positive")
-        if not self.beta1 > 0.0:
-            raise ValueError("beta1 must be positive")
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
-        if not self.tau > 1.0:
-            raise ValueError("tau must exceed 1")
-        if not self.alpha >= 3.0:
-            raise ValueError("alpha must be at least 3")
-        if self.delta < 0.0:
-            raise ValueError("delta must be nonnegative")
-        if not self.eta0 > 0.0:
-            raise ValueError("eta0 must be positive")
-        if not self.eps_floor > 0.0:
-            raise ValueError("eps_floor must be positive")
-        if self.n_max < 0:
-            raise ValueError("n_max must be nonnegative")
-        if self.n_blocks < 0:
-            raise ValueError("n_blocks must be nonnegative")
-        if not self.gap_target(1) < 1.0:
-            raise ValueError("gap target at n = 1 must lie below 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite; got {value!r}")
+        for ok, message in (
+            (self.p >= 1.0, "residual exponent p must satisfy p >= 1"),
+            (self.s > 1.0, "duality-map exponent s must satisfy s > 1"),
+            (self.beta0 > 0.0, "beta0 must be positive"),
+            (self.beta1 > 0.0, "beta1 must be positive"),
+            (self.sigma > 0.0, "sigma must be positive"),
+            (self.tau > 1.0, "tau must exceed 1"),
+            (self.alpha >= 3.0, "alpha must be at least 3"),
+            (self.delta >= 0.0, "delta must be nonnegative"),
+            (self.eta0 > 0.0, "eta0 must be positive"),
+            (self.eps_floor > 0.0, "eps_floor must be positive"),
+            (self.n_max >= 0, "n_max must be nonnegative"),
+            (self.n_blocks >= 0, "n_blocks must be nonnegative"),
+            (self.inner_max_iter >= 1, "inner_max_iter must be at least 1"),
+            (self.gap_target(1) < 1.0, "gap target at n = 1 must lie below 1"),
+        ):
+            if not ok:
+                raise ValueError(message)
 
     def gap_target(self, n):
         """Relative duality-gap target for the inner solve producing iterate n."""
-        return self.eta0 * float(n + 1) ** (-self.gap_exponent)
+        return self.eta0 * power(float(n + 1), -self.gap_exponent)
 
 
 def step_size(r_norm, ljr_norm, eps_n, cfg, noisy):
@@ -123,17 +120,22 @@ def step_size(r_norm, ljr_norm, eps_n, cfg, noisy):
     mu_tilde = min(beta0 ||r||^(p(s-1)) / ||L* J_s(r)||^p, beta1), with the
     degenerate ||L* J_s(r)|| = 0 case falling back to beta1.  The applied
     step is mu = mu_tilde (||r||^p + sigma eps_n)^(1 - s/p), except that in
-    noisy mode mu = 0 whenever the discrepancy test holds.
+    noisy mode mu = 0 whenever the discrepancy test holds.  A power that
+    overflows, the bound (tau delta)^p included, gives a non-finite step
+    instead of raising.
     """
     p, s = cfg.p, cfg.s
-    test_value = r_norm ** p + cfg.sigma * eps_n
-    if noisy and test_value <= (cfg.tau * cfg.delta) ** p:
+    test_value = power(r_norm, p) + cfg.sigma * eps_n
+    bound = power(cfg.tau * cfg.delta, p)
+    if noisy and not math.isfinite(bound):
+        return math.inf, math.inf  # the discrepancy test cannot be decided
+    if noisy and test_value <= bound:
         return 0.0, 0.0
     if ljr_norm == 0.0:
         mu_tilde = cfg.beta1
     else:
-        mu_tilde = min(cfg.beta0 * r_norm ** (p * (s - 1.0)) / ljr_norm ** p, cfg.beta1)
-    return mu_tilde, mu_tilde * test_value ** (1.0 - s / p)
+        mu_tilde = min(cfg.beta0 * power(r_norm, p * (s - 1.0)) / power(ljr_norm, p), cfg.beta1)
+    return mu_tilde, mu_tilde * power(test_value, 1.0 - s / p)
 
 
 @dataclass
@@ -156,7 +158,11 @@ class StepRecord:
 class RunTrace:
     records: list = field(default_factory=list)
     terminated_by: str = "cap"
-    n_final: int = 0
+
+    @property
+    def n_final(self):
+        """Index of the last iterate; `run` records at least one."""
+        return self.records[-1].n
 
 
 def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
@@ -188,15 +194,14 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
         raise ValueError("forward problem must expose at least one block")
     accel = mode == "accelerated"
     noisy = cfg.delta > 0.0
-    threshold = (cfg.tau * cfg.delta) ** cfg.p
+    threshold = power(cfg.tau * cfg.delta, cfg.p)
 
     shape = problem.domain_shape
     pair = PrimalDualPair(x=np.zeros(shape), xi=np.zeros(shape), eps=0.0)
     prev = pair
     lam_warm = None
-    theta_truth = penalty.value(truth) if truth is not None else None
 
-    trace = RunTrace(records=[], terminated_by="cap", n_final=cfg.n_max)
+    trace = RunTrace()
     q = 0
     for n in range(cfg.n_max + 1):
         i = n % n_blocks
@@ -210,7 +215,7 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
         r = problem.residual(i, x_eval)
         r_norm = float(np.linalg.norm(r))
         eps_n = max(pair.eps, cfg.eps_floor)
-        held = noisy and r_norm ** cfg.p + cfg.sigma * eps_n <= threshold
+        held = noisy and power(r_norm, cfg.p) + cfg.sigma * eps_n <= threshold
         q = q + 1 if held else 0
 
         rec = StepRecord(
@@ -219,17 +224,15 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
         )
         if truth is not None and (n % diag_every == 0 or n == cfg.n_max):
             rec.rel_error = _relative_error(pair.x, truth)
-            rec.bregman_to_truth = _bregman(penalty, pair, truth, eps_n, theta_truth)
+            rec.bregman_to_truth = _bregman(penalty, pair, truth, eps_n)
         trace.records.append(rec)
-        if not math.isfinite(r_norm):
+        if not (math.isfinite(r_norm) and math.isfinite(threshold)):
             trace.terminated_by = "non-finite"
-            trace.n_final = n
             break
 
         if held:
             if q == n_blocks:
                 trace.terminated_by = "discrepancy"
-                trace.n_final = n
                 break
             prev = pair  # idle step: iterate frozen, momentum collapses
             continue
@@ -240,7 +243,6 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
         rec.mu_tilde, rec.mu = step_size(r_norm, g_norm, eps_n, cfg, noisy)
         if not (math.isfinite(g_norm) and math.isfinite(rec.mu)):
             trace.terminated_by = "non-finite"
-            trace.n_final = n
             break
 
         if n == cfg.n_max:
@@ -259,20 +261,18 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
         rec.inner_iterations = info.iterations
         if not math.isfinite(new_pair.eps):
             trace.terminated_by = "non-finite"
-            trace.n_final = n
             break
         if not info.converged:
             trace.terminated_by = "inner-failure"
-            trace.n_final = n
             break
         lam_warm = info.lam if info.lam is not None else lam_warm
         prev = pair
         pair = new_pair
 
-    last = trace.records[-1] if trace.records else None
-    if truth is not None and last is not None and last.rel_error is None:
+    last = trace.records[-1]
+    if truth is not None and last.rel_error is None:
         last.rel_error = _relative_error(pair.x, truth)
-        last.bregman_to_truth = _bregman(penalty, pair, truth, last.eps_n, theta_truth)
+        last.bregman_to_truth = _bregman(penalty, pair, truth, last.eps_n)
     return pair, trace
 
 
@@ -283,9 +283,7 @@ def _relative_error(x, truth):
     return float(np.linalg.norm(x - truth)) / denom
 
 
-def _bregman(penalty, pair, truth, eps_n, theta_truth):
-    if math.isinf(theta_truth):
-        return math.inf
+def _bregman(penalty, pair, truth, eps_n):
     inflated = PrimalDualPair(x=pair.x, xi=pair.xi, eps=eps_n)
     return bregman_eps_distance(penalty, inflated, truth)
 
@@ -327,7 +325,7 @@ def validate_config(cfg, beta=None, c0=None, gamma=None, rho=None):
     if p >= s:
         kappa = 1.0
     else:
-        kappa = (beta ** (p / (s - p)) - 1.0) ** ((p - s) / p)
+        kappa = power(beta ** (p / (s - p)) - 1.0, (p - s) / p)
     product = kappa * cfg.beta1 * cfg.sigma
     report = ValidationReport(kappa=kappa, kappa_beta1_sigma=product, step_cap_ok=product <= 1.0)
     if not report.step_cap_ok:
@@ -344,7 +342,7 @@ def validate_config(cfg, beta=None, c0=None, gamma=None, rho=None):
         g = 0.0 if gamma is None else gamma
         if p > 1.0:
             p_conj = p / (p - 1.0)
-            slope_term = (2.0 / p_conj) * (cfg.beta0 / (2.0 * c0)) ** (p_conj - 1.0)
+            slope_term = (2.0 / p_conj) * power(cfg.beta0 / (2.0 * c0), p_conj - 1.0)
         else:
             # conjugate exponent is infinite: the term survives only above ratio 1
             slope_term = 0.0 if cfg.beta0 <= 2.0 * c0 else math.inf

@@ -2,9 +2,10 @@
 
 Config files are flat ``key = value`` text; ``#`` starts a comment and blank
 lines are ignored.  Keys are typed against the `ExperimentConfig` schema and
-unknown keys are rejected.  Every range check runs when the config is made:
-`ExperimentConfig` checks the choices, counts and problem fields, and builds
-a `SolverConfig` once, which checks the solver fields.
+unknown keys are rejected.  `ExperimentConfig` extends `engine.SolverConfig`,
+so every setting is declared once, and every range check runs when the
+config is made: the subclass checks the choices, counts and problem fields,
+the base class the solver fields and the finiteness of every float.
 
 The ``ct`` and ``custom-linear`` problems share one block operator,
 `tomo.MatrixProblem`: CT splits its rows into runs of whole angles, a custom
@@ -19,12 +20,13 @@ directory, through one CSV writer for both tables:
 * ``summary.json``  termination status and final figures.
 
 Runs are deterministic: the only randomness is the seeded portable noise
-stream, so identical config plus seed reproduces metrics.csv byte for byte.
+stream, so identical config plus seed reproduces metrics.csv byte for byte
+with the same BLAS thread count (long dot products and sparse products may
+round differently across thread counts).
 """
 
 import dataclasses
 import json
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -50,27 +52,20 @@ _CHOICES = {
 
 
 @dataclass
-class ExperimentConfig:
-    """Typed experiment description; fields double as the config-file keys."""
+class ExperimentConfig(SolverConfig):
+    """Typed experiment description; fields double as the config-file keys.
+
+    Solver fields and checks are inherited, with other defaults for n_max and
+    n_blocks; `delta` is measured from the data, so it is not a key.
+    """
 
     problem: str = "ct"
     mode: str = "plain"
     penalty: str = "quadratic+TV"
     constraint: str = "nonneg"
     mu: float = 1.0
-    p: float = 2.0
-    s: float = 2.0
-    beta0: float = 0.1
-    beta1: float = 10.0
-    sigma: float = 1e-3
-    tau: float = 1.01
-    alpha: float = 5.0
-    eta0: float = 1.0
-    gap_exponent: float = 2.2
-    eps_floor: float = 1e-14
     n_max: int = 1000
     n_blocks: int = 1
-    inner_max_iter: int = 5000
     noise_rel: float = 0.0
     seed: int = 1
     ct_q: int = 64
@@ -86,6 +81,10 @@ class ExperimentConfig:
     metric_every: int = 1
 
     def __post_init__(self):
+        try:
+            super().__post_init__()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         for key, allowed in _CHOICES.items():
             if getattr(self, key) not in allowed:
                 raise ConfigError(
@@ -95,19 +94,12 @@ class ExperimentConfig:
             raise ConfigError("mu must be positive")
         if self.noise_rel < 0.0:
             raise ConfigError("noise_rel must be nonnegative")
-        for key in ("n_blocks", "inner_max_iter", "metric_every", "ct_q", "ct_angles",
-                    "ct_rays", "pde_m"):
+        for key in ("n_blocks", "metric_every", "ct_q", "ct_angles", "ct_rays", "pde_m"):
             if getattr(self, key) < (0 if key == "ct_rays" else 1):
                 raise ConfigError(f"{key} is out of range")
-        self.solver_config()  # SolverConfig checks the solver fields
 
     def solver_config(self, delta=0.0):
-        shared = {f.name: getattr(self, f.name)
-                  for f in dataclasses.fields(SolverConfig) if f.name != "delta"}
-        try:
-            return SolverConfig(delta=delta, **shared)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return dataclasses.replace(self, delta=delta)
 
     def penalty_object(self):
         constraint = NonnegativityConstraint() if self.constraint == "nonneg" else None
@@ -116,7 +108,7 @@ class ExperimentConfig:
         return TotalVariationPenalty(mu=self.mu, constraint=constraint)
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig) if f.name != "delta"}
 
 
 PRESETS = {
@@ -299,10 +291,7 @@ def _csv_cell(value):
         return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return repr(v)
+    return repr(float(value))  # inf, -inf and nan included
 
 
 METRICS_COLUMNS = (
@@ -363,16 +352,16 @@ def run_experiment(cfg, out_dir=None):
         diag_every=cfg.metric_every,
     )
     elapsed = time.perf_counter() - started
-    last = trace.records[-1] if trace.records else None
+    last = trace.records[-1]
     summary = {
         "problem": cfg.problem,
         "mode": cfg.mode,
         "terminated_by": trace.terminated_by,
         "n_final": trace.n_final,
         "delta_abs": delta_abs,
-        "residual_final": last.residual_norm if last else None,
-        "eps_final": last.eps_n if last else None,
-        "rel_error_final": last.rel_error if last else None,
+        "residual_final": last.residual_norm,
+        "eps_final": last.eps_n,
+        "rel_error_final": last.rel_error,
         "runtime_seconds": elapsed,
         "records": len(trace.records),
         "seed": cfg.seed,
@@ -391,6 +380,10 @@ def validation_lines(cfg):
     solver_cfg = cfg.solver_config(delta=1.0 if cfg.noise_rel > 0.0 else 0.0)
     pen = cfg.penalty_object()
     report = validate_config(solver_cfg, c0=pen.c0)
+    if cfg.problem == "pde" and cfg.constraint == "none":
+        report.warnings.append("problem = pde with constraint = none: the derivative and "
+                               "adjoint ignore the forward map's clamp of the coefficient at "
+                               "0, so a negative iterate gets wrong gradients; set nonneg")
     lines = [
         f"problem = {cfg.problem}, penalty = {cfg.penalty}, mode = {cfg.mode}",
         f"kappa = {report.kappa:g}",

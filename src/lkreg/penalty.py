@@ -23,6 +23,14 @@ import numpy as np
 from .tv import tv_value
 
 
+def power(base, exponent):
+    """Float base ** exponent for base >= 0, inf where it overflows (not OverflowError)."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def duality_map(r, s):
     """Power-type duality map J_s(r) = ||r||^(s-2) r, with J_s(0) = 0.
 
@@ -34,7 +42,7 @@ def duality_map(r, s):
     nrm = float(np.linalg.norm(r))
     if nrm == 0.0:
         return np.zeros_like(r, dtype=float)
-    return (nrm ** (s - 2.0)) * np.asarray(r, dtype=float)
+    return power(nrm, s - 2.0) * np.asarray(r, dtype=float)
 
 
 class NonnegativityConstraint:

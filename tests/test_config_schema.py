@@ -1,12 +1,15 @@
 """One config schema: solver settings are checked when the config is made."""
 
 import dataclasses
+import itertools
+import math
+import pathlib
 
 import pytest
 
 from lkreg.cli import main
 from lkreg.engine import SolverConfig
-from lkreg.harness import ConfigError, ExperimentConfig, make_config
+from lkreg.harness import _FIELD_TYPES, ConfigError, ExperimentConfig, make_config
 
 
 @pytest.mark.parametrize("bad", [
@@ -33,3 +36,60 @@ def test_cli_rejects_invalid_solver_settings(tmp_path, capsys, command):
     cfg_path.write_text("problem = ct\nct_q = 6\nct_angles = 3\ntau = 1.0\n")
     assert main([command, "--config", str(cfg_path)]) == 2
     assert "tau" in capsys.readouterr().err
+
+
+def test_experiment_config_is_a_solver_config_without_a_delta_key():
+    cfg = make_config(preset="ct-desk")
+    assert isinstance(cfg, SolverConfig)
+    assert cfg.solver_config(delta=0.5) == dataclasses.replace(cfg, delta=0.5)
+    with pytest.raises(ConfigError, match="unknown config key"):
+        make_config(delta=1.0)
+
+
+FLOAT_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)
+              if f.type is float and f.name != "delta"]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_every_float_key_must_be_finite(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        ExperimentConfig(**{key: value})
+
+
+def test_solver_config_owns_the_inner_iteration_floor():
+    with pytest.raises(ValueError, match="inner_max_iter"):
+        SolverConfig(inner_max_iter=0)
+    with pytest.raises(ValueError, match="delta must be finite"):
+        SolverConfig(delta=math.nan)
+
+
+@pytest.mark.parametrize("setting", ["mu = inf", "noise_rel = nan", "tau = inf"])
+def test_cli_rejects_non_finite_settings(tmp_path, capsys, setting):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("problem = ct\nct_q = 8\nct_angles = 4\npenalty = quadratic\n"
+                        f"constraint = none\nn_max = 2\n{setting}\n")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_config_table():
+    """{key: default cell} of README's config-file table, backticks stripped."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| key | default | meaning |") + 2  # skip the rule row
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    cells = (row.split("|")[1:3] for row in rows)
+    return {key.strip().strip("`"): default.strip().strip("`") for key, default in cells}
+
+
+def test_readme_config_table_lists_every_key_with_its_default():
+    table = readme_config_table()
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)
+                if f.name in _FIELD_TYPES}
+    assert sorted(table) == sorted(defaults)
+    for key, default in defaults.items():
+        assert type(default)(table[key]) == default, key

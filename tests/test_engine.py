@@ -318,3 +318,29 @@ def test_validate_p_one_edge():
     assert quiet.c1 is not None and math.isfinite(quiet.c1)
     steep = validate_config(cfg_with(p=1.0, s=1.5, beta0=5.0, tau=8.0), c0=0.5)
     assert steep.c1 == -math.inf and steep.c1_ok is False
+
+
+def test_scalar_power_overflow_gives_inf_not_an_exception():
+    from lkreg.penalty import duality_map, power
+
+    assert power(1e10, 400.0) == math.inf and power(2.0, 3.0) == 8.0
+    cfg = cfg_with(p=400.0, delta=0.01)
+    assert not math.isfinite(step_size(10.0, 10.0, 1e-14, cfg, noisy=True)[1])
+    assert cfg_with(gap_exponent=-100.0, eta0=1e-40).gap_target(10**4) == math.inf
+    assert np.all(np.isinf(duality_map(np.array([1e10, 1.0]), 400.0)))
+
+
+def test_p_400_run_stops_non_finite():
+    problem, _, _ = tiny_linear_problem(213)
+    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg_with(p=400.0, delta=1e-3))
+    assert trace.terminated_by == "non-finite" and trace.n_final == len(trace.records) - 1
+
+
+def test_overflowing_discrepancy_bound_stops_non_finite():
+    # (tau delta)^p = inf would let every residual, even an infinite one, pass the test
+    cfg = cfg_with(p=400.0, delta=10.0)
+    assert not math.isfinite(step_size(1.0, 1.0, 1e-14, cfg, noisy=True)[1])
+    problem, _, _ = tiny_linear_problem(214)
+    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg)
+    assert trace.terminated_by == "non-finite" and trace.n_final == 0
+    assert not np.any(pair.x)

@@ -381,3 +381,28 @@ def test_pde_zero_data_with_noise_is_a_config_error(monkeypatch):
                            noise_rel=0.01)
     with pytest.raises(ConfigError, match="zero data"):
         build_problem(cfg)
+
+
+def test_cli_scalar_power_overflow_exits_non_finite(tmp_path, capsys):
+    cfg_path = tmp_path / "p400.cfg"
+    cfg_path.write_text("problem = ct\nct_q = 16\nct_angles = 4\nnoise_rel = 0.01\np = 400\n")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+    assert "terminated_by=non-finite" in capsys.readouterr().out
+
+
+def test_cli_overflowing_discrepancy_bound_exits_non_finite(tmp_path, capsys):
+    # noise_rel = 0.5 gives tau * delta of about 9.6 here, and 9.6 ** 400 overflows
+    cfg_path = tmp_path / "p400.cfg"
+    cfg_path.write_text("problem = ct\nct_q = 16\nct_angles = 4\nnoise_rel = 0.5\np = 400\n")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+    assert "terminated_by=non-finite" in capsys.readouterr().out
+
+
+def test_validate_warns_about_an_unconstrained_pde(tmp_path, capsys):
+    for name in PRESETS:
+        assert not any("constraint = none" in line
+                       for line in validation_lines(make_config(preset=name)))
+    cfg_path = tmp_path / "pde.cfg"
+    cfg_path.write_text("problem = pde\npde_m = 6\nconstraint = none\n")
+    assert main(["validate", "--config", str(cfg_path)]) == 0
+    assert "warning: problem = pde with constraint = none" in capsys.readouterr().out
