@@ -14,10 +14,16 @@ single sparse factorization of A(c) serves the state, the derivative, and
 the adjoint.  A is symmetric and, for c >= 0, positive definite; c is
 clamped at 0 before assembly to keep that guarantee for stray negative
 iterates.
+
+Only the diagonal depends on c: the Laplacian is built once per mesh and
+cached, and each assembly adds diag(c) to it.  `factorize` orders the
+unknowns by multiple minimum degree on A + A^T, which suits the symmetric
+5-point pattern and gives a sparser LU than SuperLU's default COLAMD.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,18 +56,31 @@ class Mesh:
         return np.meshgrid(c, c, indexing="ij")
 
 
-def assemble_operator(c, mesh):
-    """Sparse matrix of -Laplace_h + diag(max(c, 0)) on the interior nodes."""
+@lru_cache(maxsize=4)
+def _laplacian(mesh):
+    """Sparse -Laplace_h on the interior nodes, shared by every assembly.
+
+    Callers only add to it, which builds a new matrix and leaves it intact.
+    """
     m, h = mesh.m, mesh.h
     main = 2.0 * np.ones(m)
     off = -np.ones(m - 1)
     second = sp.diags((off, main, off), (-1, 0, 1), format="csr")
     eye = sp.identity(m, format="csr")
-    lap = (sp.kron(second, eye) + sp.kron(eye, second)) / h ** 2
+    return (sp.kron(second, eye) + sp.kron(eye, second)) / h ** 2
+
+
+def assemble_operator(c, mesh):
+    """Sparse CSC matrix of -Laplace_h + diag(max(c, 0)) on the interior nodes."""
     cc = np.maximum(np.asarray(c, dtype=float), 0.0).ravel()
-    if cc.size != m * m:
+    if cc.size != mesh.m * mesh.m:
         raise ValueError("coefficient grid does not match the mesh")
-    return (lap + sp.diags(cc)).tocsc()
+    return (_laplacian(mesh) + sp.diags(cc)).tocsc()
+
+
+def factorize(c, mesh):
+    """Sparse LU of A(c), columns ordered by minimum degree on A + A^T."""
+    return splu(assemble_operator(c, mesh), permc_spec="MMD_AT_PLUS_A")
 
 
 def boundary_contribution(mesh, g):
@@ -88,7 +107,7 @@ def boundary_contribution(mesh, g):
 
 def solve_state(c, mesh, f, g=0.0):
     """Solve -Laplace(u) + c u = f with Dirichlet data g; returns u as a grid."""
-    op = splu(assemble_operator(c, mesh))
+    op = factorize(c, mesh)
     rhs = np.asarray(f, dtype=float) + boundary_contribution(mesh, g)
     return op.solve(rhs.ravel()).reshape(mesh.m, mesh.m)
 
@@ -140,7 +159,7 @@ class EllipticProblem(ForwardProblem):
     def _factorize(self, c):
         key = np.asarray(c, dtype=float).tobytes()
         if key != self._key:
-            self._lu = splu(assemble_operator(c, self.mesh))
+            self._lu = factorize(c, self.mesh)
             rhs = self.f + self._rhs_boundary
             self._state = self._lu.solve(rhs.ravel()).reshape(self.domain_shape)
             self._key = key

@@ -122,7 +122,8 @@ def step_size(r_norm, ljr_norm, eps_n, cfg, noisy):
     step is mu = mu_tilde (||r||^p + sigma eps_n)^(1 - s/p), except that in
     noisy mode mu = 0 whenever the discrepancy test holds.  A power that
     overflows, the bound (tau delta)^p included, gives a non-finite step
-    instead of raising.
+    instead of raising; where ||L* J_s(r)||^p underflows to 0 the quotient
+    is formed first, as (||r||^(s-1) / ||L* J_s(r)||)^p.
     """
     p, s = cfg.p, cfg.s
     test_value = power(r_norm, p) + cfg.sigma * eps_n
@@ -131,10 +132,13 @@ def step_size(r_norm, ljr_norm, eps_n, cfg, noisy):
         return math.inf, math.inf  # the discrepancy test cannot be decided
     if noisy and test_value <= bound:
         return 0.0, 0.0
+    denominator = power(ljr_norm, p)
     if ljr_norm == 0.0:
         mu_tilde = cfg.beta1
+    elif denominator == 0.0:
+        mu_tilde = min(cfg.beta0 * power(power(r_norm, s - 1.0) / ljr_norm, p), cfg.beta1)
     else:
-        mu_tilde = min(cfg.beta0 * power(r_norm, p * (s - 1.0)) / power(ljr_norm, p), cfg.beta1)
+        mu_tilde = min(cfg.beta0 * power(r_norm, p * (s - 1.0)) / denominator, cfg.beta1)
     return mu_tilde, mu_tilde * power(test_value, 1.0 - s / p)
 
 

@@ -65,6 +65,20 @@ def roll_projection(field):
     return GradientField(field.u / scale, field.v / scale)
 
 
+def kron_operator(c, mesh):
+    """Reference elliptic assembly: the Laplacian rebuilt by `kron` per call."""
+    m, h = mesh.m, mesh.h
+    main = 2.0 * np.ones(m)
+    off = -np.ones(m - 1)
+    second = sp.diags((off, main, off), (-1, 0, 1), format="csr")
+    eye = sp.identity(m, format="csr")
+    lap = (sp.kron(second, eye) + sp.kron(eye, second)) / h ** 2
+    cc = np.maximum(np.asarray(c, dtype=float), 0.0).ravel()
+    if cc.size != m * m:
+        raise ValueError("coefficient grid does not match the mesh")
+    return (lap + sp.diags(cc)).tocsc()
+
+
 def loop_parallel_tomo(geom):
     """Reference system matrix, traced by one `trace_ray` call per ray.
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lkreg import elliptic
 from lkreg.elliptic import (
     EllipticProblem,
     Mesh,
@@ -17,6 +18,8 @@ from lkreg.elliptic import (
     solve_state,
 )
 from lkreg.rng import normals
+
+from conftest import kron_operator
 
 
 def test_mesh_basics():
@@ -146,3 +149,66 @@ def test_problem_caching_and_data():
     assert np.max(np.abs(u1 - data)) <= 1e-12
     with pytest.raises(ValueError):
         EllipticProblem(mesh, f, g, np.zeros((5, 5)))
+
+
+def mixed_sign_coefficient(m):
+    """Coefficient grid cycling positive, negative and zero entries."""
+    c = np.abs(normals(40 + m, m * m))
+    c[1::3] *= -1.0
+    c[2::3] = 0.0
+    return c.reshape(m, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 40])
+def test_assembly_matches_kron_reference_bytes(m):
+    mesh = Mesh(m)
+    c = mixed_sign_coefficient(m)
+    assert m == 1 or (np.any(c < 0.0) and np.any(c == 0.0) and np.any(c > 0.0))
+    for _ in range(2):  # the second call reads the cached Laplacian
+        got, want = assemble_operator(c, mesh), kron_operator(c, mesh)
+        assert got.format == want.format == "csc"
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_solve_state_matches_a_dense_solve(m):
+    mesh = Mesh(m)
+    c = mixed_sign_coefficient(m)
+    f = normals(60 + m, m * m).reshape(m, m)
+    u = solve_state(c, mesh, f, g=1.5)
+    rhs = f + boundary_contribution(mesh, 1.5)
+    want = np.linalg.solve(kron_operator(c, mesh).toarray(), rhs.ravel())
+    assert np.linalg.norm(u.ravel() - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.fixture
+def factor_count(monkeypatch):
+    """Counts calls of `elliptic.splu`, the name the benchmark tracer patches."""
+    calls = []
+    real = elliptic.splu
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("permc_spec"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "splu", counting)
+    return calls
+
+
+def test_solve_state_factors_once(factor_count):
+    mesh, f, g, c = default_problem(6)
+    solve_state(c, mesh, f, g)
+    assert factor_count == ["MMD_AT_PLUS_A"]
+
+
+def test_problem_factors_once_per_coefficient(factor_count):
+    mesh, f, g, c = default_problem(6)
+    prob = EllipticProblem(mesh, f, g, np.zeros((6, 6)))
+    prob.apply(0, c)
+    prob.adjoint(0, c, np.ones((6, 6)))
+    prob.derivative(0, c.copy(), np.ones((6, 6)))
+    assert len(factor_count) == 1  # one step: forward, adjoint, derivative
+    prob.apply(0, c + 1.0)
+    assert len(factor_count) == 2

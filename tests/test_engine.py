@@ -82,6 +82,16 @@ def test_step_size_fractional_exponent():
     assert mu == pytest.approx(want_t * (r ** 2 + 1e-3 * eps) ** 0.25, rel=1e-12)
 
 
+def test_step_size_survives_an_underflowing_denominator():
+    # ||L* J r||^p and ||r||^(p(s-1)) both underflow to 0, their quotient is 1
+    mu_t, mu = step_size(0.1, 1e-199, 1e-14, SolverConfig(s=200.0), False)
+    assert mu_t == pytest.approx(0.1, rel=1e-12)
+    assert math.isfinite(mu) and mu > 0.0
+    # a denominator that stays positive keeps the plain expression, bit for bit
+    cfg = cfg_with(p=2.0, s=1.5)
+    assert step_size(2.0, 3.0, 1e-3, cfg, False)[0] == 0.1 * 2.0 ** 1.0 / 3.0 ** 2.0
+
+
 def test_two_plain_steps_match_hand_rollout():
     problem, matrix, truth = tiny_linear_problem(201)
     a = matrix.toarray()
