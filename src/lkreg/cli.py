@@ -6,8 +6,9 @@ Subcommands:
 * ``validate``       print the admissibility report for a configuration
 * ``export-matrix``  write the configured CT system matrix as text
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure (the inner
-solver missed its gap target, or the run's numbers went non-finite).
+Exit codes: 0 success, 2 configuration or output-path error, 3 solver
+failure (the inner solver missed its gap target, or the run's numbers went
+non-finite).
 """
 
 import argparse
@@ -88,6 +89,9 @@ def main(argv=None):
             return 0
     except harness.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -226,7 +226,7 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
             n=n, i_n=i, residual_norm=r_norm, mu_tilde=0.0, mu=0.0,
             eps_n=eps_n, inner_iterations=0, q_n=q,
         )
-        if truth is not None and (n % diag_every == 0 or n == cfg.n_max):
+        if truth is not None and n % diag_every == 0:
             rec.rel_error = _relative_error(pair.x, truth)
             rec.bregman_to_truth = _bregman(penalty, pair, truth, eps_n)
         trace.records.append(rec)
@@ -273,6 +273,8 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
         prev = pair
         pair = new_pair
 
+    # Every stop, the cap included, leaves the pair as it was at the last
+    # record, so an off-cadence final iterate gets its diagnostics here.
     last = trace.records[-1]
     if truth is not None and last.rel_error is None:
         last.rel_error = _relative_error(pair.x, truth)

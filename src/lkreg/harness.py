@@ -339,11 +339,12 @@ def run_experiment(cfg, out_dir=None):
     """Execute one configured run and write its artifacts.
 
     Returns (pair, trace, summary).  Output goes to `out_dir` (default
-    cfg.out_dir), which is created if missing.
+    cfg.out_dir), which is created if missing once the problem is built, so
+    a configuration error leaves no directory behind.
     """
+    problem, truth, delta_abs = build_problem(cfg)
     out = out_dir if out_dir is not None else cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    problem, truth, delta_abs = build_problem(cfg)
     solver_cfg = cfg.solver_config(delta=delta_abs)
     pen = cfg.penalty_object()
     started = time.perf_counter()

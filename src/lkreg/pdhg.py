@@ -26,8 +26,11 @@ far from 1, so the solver always iterates on the normal form and maps the
 result back exactly: x = mu w, values and absolute gaps pick up a factor mu,
 and the relative gap is invariant.
 
-One inner iteration costs one discrete gradient (of the new z, which the
-primal value and the next dual step share), one divergence, one dual-ball
+The loop evaluates, then steps: each pass first takes the duality gap of
+the current iterate, the initial one included, at one site, records it and
+tests for a stop, and only then takes the step to the next iterate.  One
+inner iteration costs one discrete gradient (of the current z, which the
+primal value and the dual step share), one divergence, one dual-ball
 projection and one l21 norm; the last two share `tv.pointwise_norm`.  The
 dual value needs no gradient of its own.  Since the divergence is the
 gradient's transpose, the Lagrangian at lam is
@@ -90,16 +93,11 @@ def step_sizes(k):
     return tau, theta
 
 
-def primal_value(prob, z, grad=None):
-    """Psi_P(z); infinite when z violates the constraint.
-
-    `grad`, when given, is discrete_gradient(z) computed by the caller.
-    """
+def primal_value(prob, z):
+    """Psi_P(z); infinite when z violates the constraint."""
     if prob.constraint is not None and not prob.constraint.contains(z):
         return math.inf
-    if grad is None:
-        grad = discrete_gradient(z)
-    return _primal_value_at(prob, z, grad)
+    return _primal_value_at(prob, z, discrete_gradient(z))
 
 
 def _primal_value_at(prob, z, grad, work=None):
@@ -208,39 +206,44 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     if mu != 1.0:
         scaled = None if prob.constraint is None else prob.constraint.scaled(1.0 / mu)
         prob = DenoiseProblem(xi=xi, mu=1.0, constraint=scaled)
-        z0 = None if z0 is None else np.asarray(z0, dtype=float) / mu
     # prob is now the unit-weight normal form; mu only scales the report.
-    z = np.zeros(xi.shape) if z0 is None else np.array(z0, dtype=float, copy=True)
+    z = np.zeros(xi.shape) if z0 is None else np.asarray(z0, dtype=float) / mu
     if prob.constraint is not None:
-        z = prob.constraint.project(z)
+        prob.constraint.project(z, out=z)
     lam = GradientField.zeros(z.shape) if lam0 is None else project_dual_ball(lam0)
     gap_floor = 16.0 * np.finfo(float).eps * (1.0 + 0.5 * float(np.vdot(xi, xi)))
-
-    # grad holds the gradient of the current z: the primal value uses it and
-    # the next dual step scales it in place.
-    grad = discrete_gradient(z)
-    div_lam = divergence_adjoint(lam)
-    # xi_minus_div holds xi - div_lam: the z step scales it and the dual
-    # value projects it.
-    xi_minus_div = np.subtract(xi, div_lam)
-    p_val = primal_value(prob, z, grad)
-    d_val = _dual_value_at(prob, xi_minus_div, div_lam)
-    gap = p_val - d_val
-    rel = _rel_gap(gap, p_val, d_val, gap_floor)
-    p_hist, d_hist = [p_val], [d_val]
-    best = (gap, rel, p_val, d_val)
-    iters = 0
-    converged = rel <= eta
 
     # Two iterate slots: a step overwrites the current (z, lam) in place
     # unless it is the best pair so far, which must survive for the report.
     slots = [(z, lam), (np.empty(z.shape), GradientField.empty(z.shape))]
     cur = best_slot = 0
+    # grad holds the gradient of the current z: the primal value uses it and
+    # the next dual step scales it in place.  xi_minus_div holds xi - div_lam:
+    # the z step scales it and the dual value projects it.
+    grad = GradientField.empty(z.shape)
+    div_lam = divergence_adjoint(lam)
+    xi_minus_div = np.subtract(xi, div_lam)
     # work is scratch for the projection, the primal value and the dual
     # value in turn; nothing in it outlives the call that writes it.
     z_step = np.empty(z.shape)
     work = (np.empty(z.shape), GradientField.empty(z.shape))
-    while not converged and iters < max_iter and not math.isnan(gap):
+    p_hist, d_hist = [], []
+    iters = 0
+    while True:
+        discrete_gradient(z, out=grad)
+        p_val = _primal_value_at(prob, z, grad, work)
+        d_val = _dual_value_at(prob, xi_minus_div, div_lam, work[0])
+        gap = p_val - d_val
+        rel = _rel_gap(gap, p_val, d_val, gap_floor)
+        p_hist.append(p_val)
+        d_hist.append(d_val)
+        if iters == 0 or gap < best[0]:
+            best = (gap, rel, p_val, d_val)
+            best_slot = cur
+        converged = rel <= eta
+        if converged or iters >= max_iter or math.isnan(gap):
+            break
+
         tau, theta = step_sizes(iters)
         nxt = 1 - cur if cur == best_slot else cur
         z_next, lam_next = slots[nxt]
@@ -259,18 +262,6 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
             prob.constraint.project(z, out=z)
         cur = nxt
         iters += 1
-
-        discrete_gradient(z, out=grad)
-        p_val = _primal_value_at(prob, z, grad, work)
-        d_val = _dual_value_at(prob, xi_minus_div, div_lam, work[0])
-        gap = p_val - d_val
-        rel = _rel_gap(gap, p_val, d_val, gap_floor)
-        p_hist.append(p_val)
-        d_hist.append(d_val)
-        if gap < best[0]:
-            best = (gap, rel, p_val, d_val)
-            best_slot = cur
-        converged = rel <= eta
 
     gap_b, rel_b, p_b, d_b = best
     z_b, lam_b = slots[best_slot]

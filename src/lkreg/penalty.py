@@ -114,7 +114,6 @@ class QuadraticPenalty:
     mu: float
     constraint: object = None
     kind = "quadratic"
-    p = 2.0
 
     def __post_init__(self):
         if not self.mu > 0.0:
@@ -144,7 +143,6 @@ class TotalVariationPenalty:
     mu: float
     constraint: object = None
     kind = "quadratic+TV"
-    p = 2.0
 
     def __post_init__(self):
         if not self.mu > 0.0:

@@ -7,11 +7,13 @@ import pytest
 
 from lkreg import engine
 from lkreg.engine import ForwardProblem, SolverConfig, run, step_size, validate_config
+from lkreg.pdhg import InnerInfo
 from lkreg.penalty import (
     NonnegativityConstraint,
     PrimalDualPair,
     QuadraticPenalty,
     TotalVariationPenalty,
+    bregman_eps_distance,
 )
 
 from conftest import rand_grid, tiny_linear_problem
@@ -275,6 +277,40 @@ def test_truth_diagnostics_and_cadence():
     assert recs[3].rel_error is not None
     assert recs[-1].rel_error is not None  # final record always diagnosed
     assert recs[-1].bregman_to_truth >= -1e-10
+
+
+@pytest.mark.parametrize("stop,n_final", [("cap", 7), ("discrepancy", 4), ("inner-failure", 5)])
+def test_final_record_diagnosed_off_cadence(monkeypatch, stop, n_final):
+    problem, _, truth = tiny_linear_problem(211)
+    pen = QuadraticPenalty(mu=1.0)
+    cfg = cfg_with(n_max=7)
+    if stop == "discrepancy":
+        # a noise level whose test first holds at step 4 of the noiseless run
+        _, free = run(problem, pen, cfg, mode="plain")
+        r = free.records[n_final].residual_norm
+        cfg = cfg_with(n_max=7, delta=1.001 * r / 1.01)
+    if stop == "inner-failure":
+        real_inner_solver = engine.inner_solver
+        solves = []
+
+        def failing_at_n_final(xi, penalty, **kw):
+            pair, info = real_inner_solver(xi, penalty, **kw)
+            solves.append(info)
+            if len(solves) == n_final + 1:
+                info = InnerInfo(iterations=info.iterations, converged=False)
+            return pair, info
+
+        monkeypatch.setattr(engine, "inner_solver", failing_at_n_final)
+    pair, trace = run(problem, pen, cfg, mode="plain", truth=truth, diag_every=3)
+    assert trace.terminated_by == stop and trace.n_final == n_final
+    last = trace.records[-1]
+    assert last.rel_error == engine._relative_error(pair.x, truth)
+    inflated = PrimalDualPair(x=pair.x, xi=pair.xi, eps=last.eps_n)
+    assert last.bregman_to_truth == bregman_eps_distance(pen, inflated, truth)
+    for rec in trace.records[:-1]:
+        diagnosed = rec.n % 3 == 0
+        assert (rec.rel_error is not None) == diagnosed
+        assert (rec.bregman_to_truth is not None) == diagnosed
 
 
 def test_run_rejects_bad_inputs():

@@ -1,10 +1,15 @@
 """Config parsing, presets, problem assembly, output files, CLI."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lkreg
 from lkreg.cli import main
 from lkreg.engine import run
 from lkreg.harness import (
@@ -406,3 +411,36 @@ def test_validate_warns_about_an_unconstrained_pde(tmp_path, capsys):
     cfg_path.write_text("problem = pde\npde_m = 6\nconstraint = none\n")
     assert main(["validate", "--config", str(cfg_path)]) == 0
     assert "warning: problem = pde with constraint = none" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", ["run-out-is-a-file", "export-into-missing-dir"])
+def test_cli_unwritable_output_path_exits_2_without_traceback(tmp_path, case):
+    if case == "run-out-is-a-file":
+        target = tmp_path / "taken"
+        target.write_text("not a directory\n")
+        args = ["run", "--preset", "ct-desk"]
+    else:
+        target = tmp_path / "missing_dir" / "m.txt"
+        args = ["export-matrix", "--preset", "ct-desk"]
+    # a fresh interpreter, so that an uncaught error shows as a traceback and exit 1
+    src = str(pathlib.Path(lkreg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "lkreg.cli", *args, "--out", str(target)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.strip().splitlines()) == 1 and str(target) in done.stderr
+
+
+def test_config_error_leaves_no_output_directory(tmp_path, capsys):
+    _, _, truth = tiny_linear_problem(304)
+    save_grid(tmp_path / "truth.txt", truth)
+    cfg_path = tmp_path / "custom.cfg"
+    cfg_path.write_text(
+        f"problem = custom-linear\nmatrix_path = {tmp_path / 'missing.txt'}\n"
+        f"truth_path = {tmp_path / 'truth.txt'}\npenalty = quadratic\nn_max = 2\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "cannot load matrix" in capsys.readouterr().err
+    assert not out.exists()

@@ -413,6 +413,29 @@ def test_nan_inner_solve_ends_the_run_non_finite(monkeypatch):
     assert trace.terminated_by == "non-finite" and trace.n_final == k
 
 
+@pytest.mark.parametrize("mu,eta,max_iter", [(1.0, 1e-4, 5000), (2.5, 1e-4, 5000), (1.0, 1e-12, 4)])
+def test_each_iterate_is_evaluated_once(monkeypatch, mu, eta, max_iter):
+    from lkreg import pdhg
+
+    calls = {"gradient": 0, "dual": 0, "primal_value": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pdhg, "discrete_gradient", counting("gradient", pdhg.discrete_gradient))
+    monkeypatch.setattr(pdhg, "_dual_value_at", counting("dual", pdhg._dual_value_at))
+    monkeypatch.setattr(pdhg, "primal_value", counting("primal_value", pdhg.primal_value))
+    prob = DenoiseProblem(xi=rand_grid(41, (8, 8)), mu=mu, constraint=NonnegativityConstraint())
+    report = pdhg_solve(prob, z0=np.ones((8, 8)), eta=eta, max_iter=max_iter)
+    assert report.iterations > 0 and report.converged == (max_iter == 5000)
+    assert calls["dual"] == len(report.primal_history) == len(report.dual_history)
+    assert calls["gradient"] == report.iterations + 1
+    assert calls["primal_value"] == 0
+
+
 _mus = st.floats(0.05, 50.0)
 _constraints = st.sampled_from([None, NonnegativityConstraint(), BoxConstraint(-0.5, 2.0)])
 
