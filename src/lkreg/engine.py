@@ -67,7 +67,8 @@ class SolverConfig:
     eta0 * (n+1)^(-gap_exponent) for the solve that produces iterate n, and
     certified eps values are floored at eps_floor wherever the step size or
     the discrepancy test consumes them.  Every float field, a subclass's
-    included, must be finite.
+    included, must be finite.  `run` takes the block count from the problem
+    and the mode, one of `MODES`, as an argument; neither is a field.
     """
 
     p: float = 2.0
@@ -82,7 +83,6 @@ class SolverConfig:
     gap_exponent: float = 2.2
     eps_floor: float = 1e-14
     n_max: int = 10000
-    n_blocks: int = 0
     inner_max_iter: int = 5000
 
     def __post_init__(self):
@@ -102,7 +102,6 @@ class SolverConfig:
             (self.eta0 > 0.0, "eta0 must be positive"),
             (self.eps_floor > 0.0, "eps_floor must be positive"),
             (self.n_max >= 0, "n_max must be nonnegative"),
-            (self.n_blocks >= 0, "n_blocks must be nonnegative"),
             (self.inner_max_iter >= 1, "inner_max_iter must be at least 1"),
             (self.gap_target(1) < 1.0, "gap target at n = 1 must lie below 1"),
         ):
@@ -169,31 +168,34 @@ class RunTrace:
         return self.records[-1].n
 
 
+MODES = ("plain", "accelerated")
+
+
 def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
     """Drive the outer iteration to termination.
 
     Parameters
     ----------
     problem : ForwardProblem
+        Its num_blocks is the Kaczmarz block count; no config repeats it.
     penalty : QuadraticPenalty or TotalVariationPenalty
     cfg : SolverConfig
-        cfg.n_blocks, when nonzero, must match problem.num_blocks.
-    mode : {"plain", "accelerated"}
+    mode : str, one of MODES ("plain", "accelerated")
         Accelerated mode applies Nesterov extrapolation with weight
         n / (n + alpha) to both x and xi before each step; at n = 0 the two
         modes coincide.
     truth : ndarray, optional
         Ground-truth grid; when given, records carry the relative error and
         the eps-Bregman distance from the iterate to the truth, evaluated
-        every `diag_every` outer steps (and always at the final iterate).
+        every `diag_every` >= 1 outer steps (and always at the final iterate).
 
     Returns (pair, trace) with the final certified PrimalDualPair.
     """
-    if mode not in ("plain", "accelerated"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
+    if diag_every < 1:
+        raise ValueError("diag_every must be at least 1")
     n_blocks = problem.num_blocks
-    if cfg.n_blocks and cfg.n_blocks != n_blocks:
-        raise ValueError("cfg.n_blocks disagrees with problem.num_blocks")
     if n_blocks < 1:
         raise ValueError("forward problem must expose at least one block")
     accel = mode == "accelerated"
@@ -310,10 +312,11 @@ class ValidationReport:
 def validate_config(cfg, beta=None, c0=None, gamma=None, rho=None):
     """Check the step-size admissibility conditions and collect warnings.
 
-    kappa is 1 for p >= s and (beta^(p/(s-p)) - 1)^((p-s)/p) otherwise, for
-    an auxiliary constant beta > 1.  When beta is omitted it defaults to 2,
-    or to min(2, (1 + 1/max(gamma, 1e-3)) / 2) when gamma is supplied, which
-    keeps beta * gamma < 1 whenever possible.  The report states whether
+    kappa is 1 for p >= s and (beta^a - 1)^(-1/a) = (1 - beta^(-a))^(-1/a) / beta
+    with a = p/(s-p) otherwise, for an auxiliary constant beta > 1; the second
+    form, evaluated here, tends to 1/beta as p -> s.  When beta is omitted it
+    defaults to 2, or to min(2, (1 + 1/max(gamma, 1e-3)) / 2) when gamma is
+    supplied, which keeps beta * gamma < 1 whenever possible.  The report states whether
     kappa * beta1 * sigma <= 1 and, when c0 (and optionally the nonlinearity
     bound gamma) are given, whether
 
@@ -331,7 +334,8 @@ def validate_config(cfg, beta=None, c0=None, gamma=None, rho=None):
     if p >= s:
         kappa = 1.0
     else:
-        kappa = power(beta ** (p / (s - p)) - 1.0, (p - s) / p)
+        a = p / (s - p)
+        kappa = power(1.0 - power(beta, -a), -1.0 / a) / beta
     product = kappa * cfg.beta1 * cfg.sigma
     report = ValidationReport(kappa=kappa, kappa_beta1_sigma=product, step_cap_ok=product <= 1.0)
     if not report.step_cap_ok:
@@ -359,7 +363,7 @@ def validate_config(cfg, beta=None, c0=None, gamma=None, rho=None):
                 f"descent margin c1 = {report.c1:g} is not positive for beta = {beta:g}"
             )
         if rho is not None:
-            report.eps_budget = c0 * rho ** p / 16.0
+            report.eps_budget = c0 * power(rho, p) / 16.0
     if cfg.gap_exponent <= 1.0:
         report.warnings.append(
             f"gap_exponent = {cfg.gap_exponent:g} makes the inner gap targets "

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elliptic, tomo
-from .engine import SolverConfig, run, validate_config
+from .engine import MODES, SolverConfig, run, validate_config
 from .penalty import NonnegativityConstraint, QuadraticPenalty, TotalVariationPenalty
 from .tomo import MatrixProblem
 
@@ -45,7 +45,7 @@ class ConfigError(Exception):
 
 _CHOICES = {
     "problem": ("ct", "pde", "custom-linear"),
-    "mode": ("plain", "accelerated"),
+    "mode": MODES,
     "penalty": ("quadratic", "quadratic+TV"),
     "constraint": ("none", "nonneg"),
 }
@@ -55,8 +55,9 @@ _CHOICES = {
 class ExperimentConfig(SolverConfig):
     """Typed experiment description; fields double as the config-file keys.
 
-    Solver fields and checks are inherited, with other defaults for n_max and
-    n_blocks; `delta` is measured from the data, so it is not a key.
+    Solver fields and checks are inherited, with another default for n_max;
+    `delta` is measured from the data, so it is not a key.  n_blocks is a
+    problem field, like ct_q: it sets the block count of the built problem.
     """
 
     problem: str = "ct"

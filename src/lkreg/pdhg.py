@@ -223,9 +223,8 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     grad = GradientField.empty(z.shape)
     div_lam = divergence_adjoint(lam)
     xi_minus_div = np.subtract(xi, div_lam)
-    # work is scratch for the projection, the primal value and the dual
-    # value in turn; nothing in it outlives the call that writes it.
-    z_step = np.empty(z.shape)
+    # work is scratch for the primal value, the dual value, the projection
+    # and the z step in turn; nothing in it outlives the step that writes it.
     work = (np.empty(z.shape), GradientField.empty(z.shape))
     p_hist, d_hist = [], []
     iters = 0
@@ -254,9 +253,9 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
         lam = project_dual_ball(lam_next, out=lam_next, work=work[1])
         divergence_adjoint(lam, out=div_lam)
         np.subtract(xi, div_lam, out=xi_minus_div)
-        np.multiply(xi_minus_div, theta, out=z_step)
+        np.multiply(xi_minus_div, theta, out=work[0])
         np.multiply(z, 1.0 - theta, out=z_next)
-        np.add(z_next, z_step, out=z_next)
+        np.add(z_next, work[0], out=z_next)
         z = z_next
         if prob.constraint is not None:
             prob.constraint.project(z, out=z)

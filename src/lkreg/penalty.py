@@ -24,10 +24,10 @@ from .tv import tv_value
 
 
 def power(base, exponent):
-    """Float base ** exponent for base >= 0, inf where it overflows (not OverflowError)."""
+    """Float base ** exponent for base >= 0; inf on overflow and for 0 ** negative."""
     try:
         return base ** exponent
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return math.inf
 
 
@@ -108,12 +108,11 @@ class PrimalDualPair:
 
 
 @dataclass(frozen=True)
-class QuadraticPenalty:
-    """Theta(z) = ||z||^2 / (2 mu) plus an optional constraint indicator."""
+class _QuadraticCore:
+    """The shared part of both penalties: ||z||^2 / (2 mu) plus the indicator of C."""
 
     mu: float
     constraint: object = None
-    kind = "quadratic"
 
     def __post_init__(self):
         if not self.mu > 0.0:
@@ -128,34 +127,26 @@ class QuadraticPenalty:
             return math.inf
         return float(np.vdot(z, z)) / (2.0 * self.mu)
 
+
+class QuadraticPenalty(_QuadraticCore):
+    """Theta(z) = ||z||^2 / (2 mu) plus an optional constraint indicator."""
+
+    kind = "quadratic"
+
     def dual_bound(self, xi):
-        """Exact value of min_z Theta(z) - <xi, z> (attained at the projection)."""
-        x = self.mu * np.asarray(xi, dtype=float)
-        if self.constraint is not None:
-            x = self.constraint.project(x)
+        """Exact value of min_z Theta(z) - <xi, z>, at `solve_quadratic_exact`'s minimizer."""
+        x = solve_quadratic_exact(xi, self).x
         return self.value(x) - float(np.vdot(xi, x))
 
 
-@dataclass(frozen=True)
-class TotalVariationPenalty:
+class TotalVariationPenalty(_QuadraticCore):
     """Theta(z) = ||z||^2 / (2 mu) + TV(z) plus an optional constraint."""
 
-    mu: float
-    constraint: object = None
     kind = "quadratic+TV"
 
-    def __post_init__(self):
-        if not self.mu > 0.0:
-            raise ValueError("penalty weight mu must be positive")
-
-    @property
-    def c0(self):
-        return 0.5 / self.mu
-
     def value(self, z):
-        if self.constraint is not None and not self.constraint.contains(z):
-            return math.inf
-        return float(np.vdot(z, z)) / (2.0 * self.mu) + tv_value(z)
+        val = super().value(z)
+        return val if math.isinf(val) else val + tv_value(z)
 
 
 def solve_quadratic_exact(xi, penalty):

@@ -172,7 +172,7 @@ def test_partial_discrepancy_resets_counter():
     # block 0 starts satisfied (zero data), block 1 never satisfies
     data = np.concatenate([np.zeros(4), 50.0 * np.ones(4)])
     problem, _, _ = tiny_linear_problem(208, rows=8, n_blocks=2, data=data)
-    cfg = cfg_with(delta=1.0, n_max=6, n_blocks=2)
+    cfg = cfg_with(delta=1.0, n_max=6)
     pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg, mode="plain")
     qs = [rec.q_n for rec in trace.records]
     assert qs[0] == 1 and qs[1] == 0  # held on block 0, reset on block 1
@@ -317,8 +317,6 @@ def test_run_rejects_bad_inputs():
     problem, _, _ = tiny_linear_problem(212)
     with pytest.raises(ValueError):
         run(problem, QuadraticPenalty(mu=1.0), cfg_with(), mode="sideways")
-    with pytest.raises(ValueError):
-        run(problem, QuadraticPenalty(mu=1.0), cfg_with(n_blocks=3), mode="plain")
 
 
 def test_validate_kappa_values():
@@ -390,3 +388,43 @@ def test_overflowing_discrepancy_bound_stops_non_finite():
     pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg)
     assert trace.terminated_by == "non-finite" and trace.n_final == 0
     assert not np.any(pair.x)
+
+
+def test_power_of_zero_to_a_negative_exponent_is_inf():
+    from lkreg.penalty import power
+
+    assert power(0.0, -1.0) == math.inf and power(0.0, -5e307) == math.inf
+    assert power(0.0, 2.0) == 0.0
+
+
+def test_eps_budget_for_a_large_p_rho_is_inf_not_an_exception():
+    rep = validate_config(cfg_with(p=400.0), c0=0.5, rho=1e10)
+    assert rep.eps_budget == math.inf
+
+
+@pytest.mark.parametrize("p, s", [(1.0, 1.0001), (1.0, 1.0 + 2.0 ** -52), (1.5, 40.0)])
+def test_kappa_form_matches_the_direct_formula_and_tends_to_one_over_beta(p, s):
+    rep = validate_config(cfg_with(p=p, s=s), beta=2.0)
+    a = p / (s - p)
+    direct = (2.0 ** a - 1.0) ** (-1.0 / a) if a < 1000.0 else 0.5
+    assert rep.kappa == pytest.approx(direct, rel=1e-12)
+
+
+def test_kappa_for_a_huge_s_is_inf_with_a_warning():
+    rep = validate_config(cfg_with(s=1e308))
+    assert rep.kappa == math.inf and not rep.step_cap_ok
+    assert any("exceeds 1" in w for w in rep.warnings)
+
+
+def test_run_rejects_a_diagnostic_stride_below_one():
+    problem, _, truth = tiny_linear_problem(215)
+    with pytest.raises(ValueError, match="diag_every"):
+        run(problem, QuadraticPenalty(mu=1.0), cfg_with(), truth=truth, diag_every=0)
+
+
+def test_block_count_and_modes_have_one_owner():
+    from lkreg import harness
+
+    with pytest.raises(TypeError):
+        SolverConfig(n_blocks=2)
+    assert harness._CHOICES["mode"] is engine.MODES

@@ -444,3 +444,16 @@ def test_config_error_leaves_no_output_directory(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "cannot load matrix" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("body, kappa, warned", [
+    ("p = 1\ns = 1.0001\n", "kappa = 0.5", False),
+    ("s = 1e308\n", "kappa = inf", True),
+])
+def test_validate_reports_kappa_at_extreme_exponents(tmp_path, capsys, body, kappa, warned):
+    cfg_path = tmp_path / "extreme.cfg"
+    cfg_path.write_text(body)
+    assert main(["validate", "--preset", "ct-desk", "--config", str(cfg_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert kappa in out
+    assert any("exceeds 1" in line for line in out) == warned

@@ -17,6 +17,7 @@ from lkreg.penalty import (
     solve_quadratic_exact,
 )
 from lkreg.pdhg import inner_solver
+from lkreg.tv import tv_value
 
 from conftest import rand_grid
 
@@ -189,3 +190,40 @@ def test_certificate_check_accepts_exact_and_rejects_corrupted():
         QuadraticPenalty(mu=1.3, constraint=NonnegativityConstraint()),
         bound,
     )
+
+
+def _closed_form_tv_value(pen, z):
+    # the expression TotalVariationPenalty.value must reproduce bit for bit
+    if pen.constraint is not None and not pen.constraint.contains(z):
+        return math.inf
+    return float(np.vdot(z, z)) / (2.0 * pen.mu) + tv_value(z)
+
+
+def _closed_form_dual_bound(pen, xi):
+    # the expression QuadraticPenalty.dual_bound must reproduce bit for bit
+    x = pen.mu * np.asarray(xi, dtype=float)
+    if pen.constraint is not None:
+        x = pen.constraint.project(x)
+    return float(np.vdot(x, x)) / (2.0 * pen.mu) - float(np.vdot(xi, x))
+
+
+@pytest.mark.parametrize("constraint", [None, NonnegativityConstraint()])
+@pytest.mark.parametrize("mu", [1.0, 0.37, 20.0])
+def test_penalties_keep_their_closed_forms_bit_for_bit(constraint, mu):
+    tv = TotalVariationPenalty(mu=mu, constraint=constraint)
+    quad = QuadraticPenalty(mu=mu, constraint=constraint)
+    for seed in range(40, 46):
+        z = rand_grid(seed, (7, 9))
+        for grid in (z, np.abs(z), np.zeros_like(z)):  # z is infeasible under nonneg
+            assert tv.value(grid) == _closed_form_tv_value(tv, grid)
+            assert quad.dual_bound(grid) == _closed_form_dual_bound(quad, grid)
+    assert tv.value(-np.ones((3, 3))) == (math.inf if constraint else 9.0 / (2.0 * mu))
+
+
+def test_only_the_quadratic_penalty_has_a_dual_bound():
+    assert not hasattr(TotalVariationPenalty(mu=1.0), "dual_bound")
+    tv, quad = TotalVariationPenalty(mu=2.0), QuadraticPenalty(mu=2.0)
+    assert tv.c0 == quad.c0 == 0.25 and tv != quad and repr(tv).startswith("TotalVariationPenalty(")
+    for cls in (QuadraticPenalty, TotalVariationPenalty):
+        with pytest.raises(ValueError, match="mu"):
+            cls(mu=0.0)
