@@ -74,6 +74,7 @@ def main(argv=None):
             return 0
         if args.command == "validate":
             cfg = _load_config(args)
+            harness.build_problem(cfg)  # exit 2 wherever `run` would, before it iterates
             for line in harness.validation_lines(cfg):
                 print(line)
             return 0

@@ -103,7 +103,7 @@ class SolverConfig:
             (self.eps_floor > 0.0, "eps_floor must be positive"),
             (self.n_max >= 0, "n_max must be nonnegative"),
             (self.inner_max_iter >= 1, "inner_max_iter must be at least 1"),
-            (self.gap_target(1) < 1.0, "gap target at n = 1 must lie below 1"),
+            (0.0 < self.gap_target(1) < 1.0, "gap target at n = 1 must lie in (0, 1)"),
         ):
             if not ok:
                 raise ValueError(message)

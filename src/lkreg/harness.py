@@ -93,6 +93,9 @@ class ExperimentConfig(SolverConfig):
                 )
         if not self.mu > 0.0:
             raise ConfigError("mu must be positive")
+        # the target is monotone in n: the base checks n = 1, a run goes to n_max
+        if not 0.0 < self.gap_target(max(self.n_max, 1)) < 1.0:
+            raise ConfigError(f"gap target at n = n_max = {self.n_max} must lie in (0, 1)")
         if self.noise_rel < 0.0:
             raise ConfigError("noise_rel must be nonnegative")
         for key in ("n_blocks", "metric_every", "ct_q", "ct_angles", "ct_rays", "pde_m"):
@@ -159,13 +162,8 @@ def parse_config_text(text, source="<config>"):
 def _convert(key, value):
     if key not in _FIELD_TYPES:
         raise ConfigError(f"unknown config key {key!r}")
-    target = _FIELD_TYPES[key]
-    if target in ("str", str):
-        return value
     try:
-        if target in ("int", int):
-            return int(value)
-        return float(value)
+        return _FIELD_TYPES[key](value)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: cannot parse {value!r}") from exc
 
@@ -224,7 +222,7 @@ def load_grid(path):
         if len(header) != 2:
             raise ConfigError(f"{path}: expected 'rows cols' header")
         r, c = int(header[0]), int(header[1])
-        values = np.loadtxt(fh).ravel()
+        values = tomo.read_rows(fh).ravel()
     if values.size != r * c:
         raise ConfigError(f"{path}: expected {r * c} values, found {values.size}")
     if not np.all(np.isfinite(values)):
@@ -234,10 +232,7 @@ def load_grid(path):
 
 def save_grid(path, grid):
     grid = np.asarray(grid, dtype=float)
-    with open(path, "w") as fh:
-        fh.write(f"{grid.shape[0]} {grid.shape[1]}\n")
-        for row in grid:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    np.savetxt(path, grid, fmt="%.17g", header=f"{grid.shape[0]} {grid.shape[1]}", comments="")
 
 
 def _noisy(clean, cfg):

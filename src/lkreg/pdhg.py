@@ -21,24 +21,24 @@ because the constant shift cancels in the gap.
 TV and the constraint indicator are positively homogeneous, so substituting
 z = mu w turns the weight-mu objective into mu times the weight-1 objective
 with the same xi (boxes scale their bounds; cones are unchanged).  The step
-schedule is tuned for that unit-weight regime and destabilizes when mu moves
-far from 1, so the solver always iterates on the normal form and maps the
-result back exactly: x = mu w, values and absolute gaps pick up a factor mu,
-and the relative gap is invariant.
+schedule is tuned for that unit-weight regime, so the solver iterates on
+this normal form, and the value functions evaluate on it too: no value
+kernel sees mu != 1.  Mapping back is exact: x = mu w, values and absolute
+gaps pick up a factor mu, and the relative gap is invariant.
 
 The loop evaluates, then steps: each pass first takes the duality gap of
 the current iterate, the initial one included, at one site, records it and
 tests for a stop, and only then takes the step to the next iterate.  One
-inner iteration costs one discrete gradient (of the current z, which the
+inner iteration costs one discrete gradient (of the current iterate, which the
 primal value and the dual step share), one divergence, one dual-ball
 projection and one l21 norm; the last two share `tv.pointwise_norm`.  The
 dual value needs no gradient of its own.  Since the divergence is the
-gradient's transpose, the Lagrangian at lam is
+gradient's transpose, the normal form's Lagrangian at lam is
 
-    ||z - mu xi||^2 / (2 mu) + <div_lam, z> + indicator of C,
+    ||w - xi||^2 / 2 + <div_lam, w> + indicator of C,
 
-separable in z and minimized by z* = P_C(mu (xi - div_lam)); the dual value
-is this very expression at z*.  The z step already forms xi - div_lam, so
+separable in w and minimized by w* = P_C(xi - div_lam); the dual value is
+this very expression at w*.  The primal step already forms xi - div_lam, so
 the dual value reuses it.  The iterates and every temporary of that fixed
 sequence live in buffers allocated once per solve, so the loop allocates
 little beyond the scale of the projection; the floats are the ones the
@@ -48,7 +48,6 @@ called through this module's names so that a caller can wrap them.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -76,10 +75,13 @@ class DenoiseProblem:
         if not self.mu > 0.0:
             raise ValueError("mu must be positive")
 
-    @cached_property
-    def mu_xi(self):
-        """The grid mu * xi, computed once per problem."""
-        return self.mu * self.xi
+
+def normal_form(prob):
+    """The unit-weight problem in w = z / mu: same xi, constraint scaled by 1/mu."""
+    if prob.mu == 1.0:
+        return prob
+    scaled = None if prob.constraint is None else prob.constraint.scaled(1.0 / prob.mu)
+    return DenoiseProblem(xi=prob.xi, mu=1.0, constraint=scaled)
 
 
 def step_sizes(k):
@@ -97,18 +99,19 @@ def primal_value(prob, z):
     """Psi_P(z); infinite when z violates the constraint."""
     if prob.constraint is not None and not prob.constraint.contains(z):
         return math.inf
-    return _primal_value_at(prob, z, discrete_gradient(z))
+    w = np.asarray(z, dtype=float) / prob.mu
+    return prob.mu * _primal_value_at(normal_form(prob), w, discrete_gradient(w))
 
 
-def _primal_value_at(prob, z, grad, work=None):
-    """Psi_P(z) for a z known to satisfy the constraint, given its gradient.
+def _primal_value_at(prob, w, grad, work=None):
+    """Normal-form Psi_P(w) for a feasible w, given its gradient.
 
-    `work`, an optional (grid, field) pair of z's shape, receives z - mu xi
+    `work`, an optional (grid, field) pair of w's shape, receives w - xi
     and the scratch of the l21 norm instead of fresh arrays.
     """
     d, scratch = (None, None) if work is None else work
-    d = np.subtract(z, prob.mu_xi, out=d)
-    return float(np.vdot(d, d)) / (2.0 * prob.mu) + l21_norm(grad, scratch)
+    d = np.subtract(w, prob.xi, out=d)
+    return float(np.vdot(d, d)) / 2.0 + l21_norm(grad, scratch)
 
 
 def dual_value(prob, lam, feas_tol=1e-12):
@@ -121,27 +124,22 @@ def dual_value(prob, lam, feas_tol=1e-12):
     if float(np.max(pointwise_norm(lam))) > 1.0 + feas_tol:
         return -math.inf
     div_lam = divergence_adjoint(lam)
-    return _dual_value_at(prob, np.subtract(prob.xi, div_lam), div_lam)
+    return prob.mu * _dual_value_at(normal_form(prob), np.subtract(prob.xi, div_lam), div_lam)
 
 
 def _dual_value_at(prob, xi_minus_div, div_lam, work=None):
-    """Psi_D(lam) given div_lam = divergence_adjoint(lam) and xi - div_lam.
+    """Normal-form Psi_D(lam) given div_lam = divergence_adjoint(lam) and xi - div_lam.
 
-    Returns ||z* - mu xi||^2 / (2 mu) + <div_lam, z*> at the Lagrangian
-    minimizer z* = P_C(mu (xi - div_lam)); the linear term equals
-    <lam, grad z*> because the divergence is the gradient's transpose, so no
-    gradient is taken.  With mu == 1 the product mu (xi - div_lam) is exact
-    and is not formed.  `work`, an optional grid of lam's shape, receives z*
-    and then z* - mu xi instead of fresh arrays; `xi_minus_div` is only read.
+    The Lagrangian at its minimizer w* = P_C(xi - div_lam), with no gradient
+    taken; `work`, an optional grid of lam's shape, receives w* and then
+    w* - xi instead of fresh arrays; `xi_minus_div` is only read.
     """
-    zstar = xi_minus_div
-    if prob.mu != 1.0:
-        zstar = np.multiply(zstar, prob.mu, out=work)
+    wstar = xi_minus_div
     if prob.constraint is not None:
-        zstar = prob.constraint.project(zstar, out=work)
-    linear = float(np.vdot(div_lam, zstar))
-    d = np.subtract(zstar, prob.mu_xi, out=work)
-    return float(np.vdot(d, d)) / (2.0 * prob.mu) + linear
+        wstar = prob.constraint.project(wstar, out=work)
+    linear = float(np.vdot(div_lam, wstar))
+    d = np.subtract(wstar, prob.xi, out=work)
+    return float(np.vdot(d, d)) / 2.0 + linear
 
 
 @dataclass
@@ -196,17 +194,13 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     gap (non-finite xi, say) certifies nothing: the solve stops there,
     unconverged, and its eps is inf.
 
-    Instances with mu != 1 are reduced to the unit-weight normal form
-    (z = mu w, same xi, constraint scaled by 1/mu) before iterating; the
-    returned report is in the original variables.
+    The loop iterates on `normal_form(prob)`; the report is in the original
+    variables.
     """
     if not (0.0 < eta < 1.0):
         raise ValueError("relative gap target must lie in (0, 1)")
     mu, xi = prob.mu, prob.xi
-    if mu != 1.0:
-        scaled = None if prob.constraint is None else prob.constraint.scaled(1.0 / mu)
-        prob = DenoiseProblem(xi=xi, mu=1.0, constraint=scaled)
-    # prob is now the unit-weight normal form; mu only scales the report.
+    prob = normal_form(prob)  # mu only scales the report from here on
     z = np.zeros(xi.shape) if z0 is None else np.asarray(z0, dtype=float) / mu
     if prob.constraint is not None:
         prob.constraint.project(z, out=z)

@@ -11,7 +11,9 @@ grid are kept as all-zero rows so the sinogram layout stays angle-major with
 a fixed ray count per angle.
 """
 
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,6 +253,16 @@ def save_matrix_coo(path, matrix):
             fh.write(f"{r} {c} {v:.17g}\n")
 
 
+def read_rows(lines, dtype=float, comments="#"):
+    """`np.loadtxt` over `lines`, at least 1-D; no data rows give zero rows, not a warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(lines, dtype=dtype, comments=comments, ndmin=1)
+
+
+_COO_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
+
+
 def load_matrix_coo(path):
     """Read a sparse matrix written by `save_matrix_coo`; returns CSR."""
     with open(path) as fh:
@@ -258,19 +270,13 @@ def load_matrix_coo(path):
         if len(header) != 3:
             raise ValueError("malformed matrix header")
         m, q, nnz = (int(t) for t in header)
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz)
-        for k in range(nnz):
-            parts = fh.readline().split()
-            if len(parts) != 3:
-                raise ValueError(f"malformed matrix entry on line {k + 2}")
-            rows[k] = int(parts[0])
-            cols[k] = int(parts[1])
-            vals[k] = float(parts[2])
+        entries = read_rows(itertools.islice(fh, nnz), dtype=_COO_ENTRY, comments=None)
+        if entries.size != nnz:
+            raise ValueError(f"expected {nnz} matrix entries, found {entries.size}")
         for line_no, line in enumerate(fh, start=nnz + 2):
             if line.strip():
                 raise ValueError(f"entry on line {line_no} past the header's count of {nnz}")
+    vals = entries["value"]
     if not np.all(np.isfinite(vals)):
         raise ValueError("matrix entries must be finite")
-    return sp.coo_matrix((vals, (rows, cols)), shape=(m, q)).tocsr()
+    return sp.coo_matrix((vals, (entries["row"], entries["col"])), shape=(m, q)).tocsr()
