@@ -100,11 +100,11 @@ def primal_value(prob, z):
     if prob.constraint is not None and not prob.constraint.contains(z):
         return math.inf
     w = np.asarray(z, dtype=float) / prob.mu
-    return prob.mu * _primal_value_at(normal_form(prob), w, discrete_gradient(w))
+    return prob.mu * _primal_value_at(prob, w, discrete_gradient(w))
 
 
 def _primal_value_at(prob, w, grad, work=None):
-    """Normal-form Psi_P(w) for a feasible w, given its gradient.
+    """Normal-form Psi_P(w) for a feasible w, given its gradient; reads only `prob.xi`.
 
     `work`, an optional (grid, field) pair of w's shape, receives w - xi
     and the scratch of the l21 norm instead of fresh arrays.
@@ -117,8 +117,8 @@ def _primal_value_at(prob, w, grad, work=None):
 def dual_value(prob, lam, feas_tol=1e-12):
     """Constructive dual value Psi_D(lam); -inf when lam leaves the unit balls.
 
-    For feasible lam the Lagrangian is minimized over z in closed form
-    (project mu (xi - div* lam) onto C) and evaluated there, so the returned
+    For feasible lam the normal form's Lagrangian is minimized in closed form
+    (w* = P_{C/mu}(xi - div* lam)), evaluated there and scaled by mu, so the
     value is a true lower bound on min Psi_P regardless of rounding.
     """
     if float(np.max(pointwise_norm(lam))) > 1.0 + feas_tol:

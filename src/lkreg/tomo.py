@@ -257,6 +257,8 @@ def read_rows(lines, dtype=float, comments="#"):
     """`np.loadtxt` over `lines`, at least 1-D; no data rows give zero rows, not a warning."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # older numpy truncates `1.5` in an integer field with only a DeprecationWarning
+        warnings.filterwarnings("error", category=DeprecationWarning)
         return np.loadtxt(lines, dtype=dtype, comments=comments, ndmin=1)
 
 

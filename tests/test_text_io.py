@@ -4,9 +4,12 @@ The suite runs with warnings as errors, so every case here also checks that
 numpy's loader stays silent on empty input.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
+from lkreg.cli import main
 from lkreg.harness import ConfigError, ct_geometry, load_grid, make_config, save_grid
 from lkreg.tomo import build_parallel_tomo, load_matrix_coo, save_matrix_coo
 
@@ -36,6 +39,25 @@ def test_matrix_loader_rejects_malformed_entries(tmp_path, body):
     path.write_text("2 2 2\n" + body)
     with pytest.raises(ValueError):
         load_matrix_coo(path)
+
+
+@pytest.mark.parametrize("index", ["1.5", "1.0"])
+def test_float_index_is_rejected_under_default_warning_filters(tmp_path, capsys, index):
+    # numpy truncates a float in an integer field and only warns, which the
+    # default filters print rather than raise; the loader must still refuse it
+    (tmp_path / "matrix.txt").write_text(f"2 2 1\n0 {index} 1.0\n")
+    (tmp_path / "truth.txt").write_text("2 1\n1.0\n2.0\n")
+    cfg_path = tmp_path / "case.cfg"
+    cfg_path.write_text(f"problem = custom-linear\nmatrix_path = {tmp_path}/matrix.txt\n"
+                        f"truth_path = {tmp_path}/truth.txt\n")
+    with warnings.catch_warnings():
+        warnings.resetwarnings()
+        warnings.simplefilter("default")
+        with pytest.raises(ValueError, match=index):
+            load_matrix_coo(tmp_path / "matrix.txt")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot load matrix") and len(err.splitlines()) == 1, err
 
 
 def test_matrix_loader_reads_an_empty_matrix(tmp_path):
