@@ -211,6 +211,8 @@ class MatrixProblem(ForwardProblem):
         runs = np.array_split(np.arange(groups), n_blocks)
         slices = [slice(r[0] * group_rows, (r[-1] + 1) * group_rows) for r in runs]
         self._blocks = [self.matrix[s] for s in slices]
+        # CSC views kept once: `.T` builds a new matrix object on every call
+        self._transposes = [b.T for b in self._blocks]
         self._data = [data[s] for s in slices]
 
     def apply(self, i, x):
@@ -223,7 +225,7 @@ class MatrixProblem(ForwardProblem):
         w = np.asarray(w, dtype=float).ravel()
         if w.size != self._blocks[i].shape[0]:
             raise ValueError("adjoint input length disagrees with the block")
-        return (self._blocks[i].T @ w).reshape(self.domain_shape)
+        return (self._transposes[i] @ w).reshape(self.domain_shape)
 
     def data(self, i):
         return self._data[i]
@@ -272,6 +274,9 @@ def load_matrix_coo(path):
         if len(header) != 3:
             raise ValueError("malformed matrix header")
         m, q, nnz = (int(t) for t in header)
+        if min(m, q, nnz) < 0:
+            raise ValueError(f"malformed matrix header {' '.join(header)!r}: "
+                             "negative size or entry count")
         entries = read_rows(itertools.islice(fh, nnz), dtype=_COO_ENTRY, comments=None)
         if entries.size != nnz:
             raise ValueError(f"expected {nnz} matrix entries, found {entries.size}")

@@ -38,6 +38,21 @@ def test_ct_blocks_never_cut_an_angle():
     assert [plain.data(i).size for i in range(2)] == [(mat.shape[0] + 1) // 2, mat.shape[0] // 2]
 
 
+@pytest.mark.parametrize("k", [1, 4, 6])
+def test_adjoint_of_every_block_is_the_transpose_product_byte_for_byte(k):
+    geom, mat, sino, x = ct_case(6)
+    problem = MatrixProblem(mat, sino, (geom.q, geom.q), n_blocks=k)
+    start = 0
+    for i in range(k):
+        stop = start + problem.data(i).size
+        w = normals(70 + i, stop - start)
+        want = (mat.tocsr()[start:stop].T @ w).reshape(geom.q, geom.q)
+        got = problem.adjoint(i, x, w)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), i
+        start = stop
+    assert start == mat.shape[0]
+
+
 def test_matrix_problem_adjoint_rejects_a_wrong_length():
     problem, _, _ = tiny_linear_problem(305, rows=8, n_blocks=2)
     x = np.zeros(problem.domain_shape)

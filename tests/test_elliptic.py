@@ -1,11 +1,13 @@
 """Elliptic parameter identification: discretization, solver, derivatives."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from lkreg import elliptic
+from lkreg.cli import main
 from lkreg.elliptic import (
     EllipticProblem,
     Mesh,
@@ -140,11 +142,11 @@ def test_problem_caching_and_data():
     data = solve_state(c_true, mesh, f, g)
     prob = EllipticProblem(mesh, f, g, data)
     u1 = prob.apply(0, c_true)
-    lu_first = prob._lu
+    lu_first = prob._op
     prob.derivative(0, c_true, np.ones((6, 6)))
-    assert prob._lu is lu_first  # same coefficient reuses the factorization
+    assert prob._op is lu_first  # same coefficient reuses the factorization
     prob.apply(0, c_true + 1.0)
-    assert prob._lu is not lu_first
+    assert prob._op is not lu_first
     assert np.array_equal(prob.data(0), data)
     assert np.max(np.abs(u1 - data)) <= 1e-12
     with pytest.raises(ValueError):
@@ -203,12 +205,96 @@ def test_solve_state_factors_once(factor_count):
     assert factor_count == ["MMD_AT_PLUS_A"]
 
 
-def test_problem_factors_once_per_coefficient(factor_count):
+@pytest.fixture
+def setup_count(monkeypatch):
+    """Counts operator setups, the calls of `elliptic.PcgOperator`."""
+    calls = []
+    real = elliptic.PcgOperator
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "PcgOperator", counting)
+    return calls
+
+
+def test_problem_factors_once_per_coefficient(setup_count):
     mesh, f, g, c = default_problem(6)
     prob = EllipticProblem(mesh, f, g, np.zeros((6, 6)))
     prob.apply(0, c)
     prob.adjoint(0, c, np.ones((6, 6)))
     prob.derivative(0, c.copy(), np.ones((6, 6)))
-    assert len(factor_count) == 1  # one step: forward, adjoint, derivative
+    assert len(setup_count) == 1  # one step: forward, adjoint, derivative
     prob.apply(0, c + 1.0)
-    assert len(factor_count) == 2
+    assert len(setup_count) == 2
+
+
+def test_sine_preconditioner_inverts_a_constant_coefficient():
+    # -Laplace_h + cbar I is diagonal in the sine basis, so for c = cbar the
+    # preconditioner is the exact inverse
+    mesh = Mesh(9)
+    c = np.full((9, 9), 3.5)
+    b = normals(70, 81).reshape(9, 9)
+    want = elliptic.factorize(c, mesh).solve(b.ravel()).reshape(9, 9)
+    got = elliptic.PcgOperator(c, mesh).precondition(b)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("cmax", [None, 1e6], ids=["mixed", "up-to-1e6"])
+@pytest.mark.parametrize("rhs", ["smooth", "noise"])
+@pytest.mark.parametrize("m", [1, 2, 7, 40, 100])
+def test_pcg_matches_the_sparse_lu(m, rhs, cmax):
+    mesh = Mesh(m)
+    c = mixed_sign_coefficient(m)
+    if cmax is not None:
+        c *= cmax / np.max(np.abs(c))
+    b = default_source(*mesh.grids()) if rhs == "smooth" else normals(80 + m, m * m).reshape(m, m)
+    want = elliptic.factorize(c, mesh).solve(b.ravel()).reshape(m, m)
+    got = elliptic.PcgOperator(c, mesh).solve(b)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_warm_started_state_equals_a_cold_started_one(monkeypatch):
+    mesh, f, g, c_true = default_problem(20)
+    prob = EllipticProblem(mesh, f, g, np.zeros((20, 20)))
+    c = np.abs(normals(90, 400)).reshape(20, 20)
+    prob.apply(0, c_true)
+    warm = prob.apply(0, c)  # starts from u(c_true)
+    cold = EllipticProblem(mesh, f, g, np.zeros((20, 20))).apply(0, c)
+    assert np.linalg.norm(warm - cold) <= 1e-12 * np.linalg.norm(cold)
+    # a zero right-hand side gives zero whatever the start
+    op = elliptic.PcgOperator(c, mesh)
+    assert np.array_equal(op.solve(np.zeros((20, 20)), x0=warm), np.zeros((20, 20)))
+    # the warm start is taken: a nearby coefficient converges within a cap
+    # that a solve from zero does not meet
+    near = c * (1.0 + 1e-6)
+    monkeypatch.setattr(elliptic, "_PCG_MAX_ITER", 3)
+    assert np.all(np.isfinite(prob.apply(0, near)))
+    assert np.all(np.isnan(EllipticProblem(mesh, f, g, np.zeros((20, 20))).apply(0, near)))
+
+
+def test_a_solve_past_the_iteration_cap_is_nan(monkeypatch):
+    mesh, f, g, _ = default_problem(12)
+    prob = EllipticProblem(mesh, f, g, np.zeros((12, 12)))
+    rough = 1e4 * np.abs(normals(95, 144)).reshape(12, 12)
+    monkeypatch.setattr(elliptic, "_PCG_MAX_ITER", 1)
+    assert np.all(np.isnan(prob.apply(0, rough)))
+    assert np.all(np.isnan(prob.adjoint(0, rough, np.ones((12, 12)))))
+    monkeypatch.undo()
+    # a failed state is no warm start: the next coefficient solves as from cold
+    c = np.ones((12, 12))
+    cold = EllipticProblem(mesh, f, g, np.zeros((12, 12))).apply(0, c)
+    assert np.linalg.norm(prob.apply(0, c) - cold) <= 1e-12 * np.linalg.norm(cold)
+
+
+def test_cli_run_stops_non_finite_when_pcg_hits_its_cap(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(elliptic, "_PCG_MAX_ITER", 1)
+    cfg_path = tmp_path / "pde.cfg"
+    cfg_path.write_text("problem = pde\npde_m = 12\nnoise_rel = 0.01\nn_max = 5\n")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+    out, err = capsys.readouterr()
+    assert "terminated_by=non-finite" in out and "non-finite" in err
+    assert "Traceback" not in err
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["terminated_by"] == "non-finite"

@@ -60,6 +60,26 @@ def test_float_index_is_rejected_under_default_warning_filters(tmp_path, capsys,
     assert err.startswith("config error: cannot load matrix") and len(err.splitlines()) == 1, err
 
 
+@pytest.mark.parametrize("header", ["2 2 -1", "-2 2 0", "2 -2 0"])
+def test_matrix_loader_rejects_a_negative_header_value(tmp_path, header):
+    path = tmp_path / "bad.txt"
+    path.write_text(header + "\n0 0 1.0\n")
+    with pytest.raises(ValueError, match=f"malformed matrix header '{header}'"):
+        load_matrix_coo(path)
+
+
+def test_cli_run_rejects_a_negative_entry_count(tmp_path, capsys):
+    (tmp_path / "matrix.txt").write_text("2 2 -1\n")
+    (tmp_path / "truth.txt").write_text("2 1\n1.0\n2.0\n")
+    cfg_path = tmp_path / "case.cfg"
+    cfg_path.write_text(f"problem = custom-linear\nmatrix_path = {tmp_path}/matrix.txt\n"
+                        f"truth_path = {tmp_path}/truth.txt\n")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("config error: cannot load matrix: malformed matrix header '2 2 -1'")
+
+
 def test_matrix_loader_reads_an_empty_matrix(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("3 4 0\n")
