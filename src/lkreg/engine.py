@@ -67,8 +67,9 @@ class SolverConfig:
     eta0 * (n+1)^(-gap_exponent) for the solve that produces iterate n, and
     certified eps values are floored at eps_floor wherever the step size or
     the discrepancy test consumes them.  Every float field, a subclass's
-    included, must be finite.  `run` takes the block count from the problem
-    and the mode, one of `MODES`, as an argument; neither is a field.
+    included, must be finite; `run` refuses a gap target outside (0, 1) at
+    n = n_max.  `run` takes the block count from the problem and the mode,
+    one of `MODES`, as an argument; neither is a field.
     """
 
     p: float = 2.0
@@ -85,32 +86,46 @@ class SolverConfig:
     n_max: int = 10000
     inner_max_iter: int = 5000
 
+    _error = ValueError  # the exception type `__post_init__` raises
+
     def __post_init__(self):
+        for ok, message in self._rules():
+            if not ok:
+                raise self._error(message)
+
+    def _rules(self):
+        """(holds, message) pairs in checking order; a subclass yields from these first."""
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite; got {value!r}")
-        for ok, message in (
-            (self.p >= 1.0, "residual exponent p must satisfy p >= 1"),
-            (self.s > 1.0, "duality-map exponent s must satisfy s > 1"),
-            (self.beta0 > 0.0, "beta0 must be positive"),
-            (self.beta1 > 0.0, "beta1 must be positive"),
-            (self.sigma > 0.0, "sigma must be positive"),
-            (self.tau > 1.0, "tau must exceed 1"),
-            (self.alpha >= 3.0, "alpha must be at least 3"),
-            (self.delta >= 0.0, "delta must be nonnegative"),
-            (self.eta0 > 0.0, "eta0 must be positive"),
-            (self.eps_floor > 0.0, "eps_floor must be positive"),
-            (self.n_max >= 0, "n_max must be nonnegative"),
-            (self.inner_max_iter >= 1, "inner_max_iter must be at least 1"),
-            (0.0 < self.gap_target(1) < 1.0, "gap target at n = 1 must lie in (0, 1)"),
-        ):
-            if not ok:
-                raise ValueError(message)
+                yield False, f"{f.name} must be finite; got {value!r}"
+        yield self.p >= 1.0, "residual exponent p must satisfy p >= 1"
+        yield self.s > 1.0, "duality-map exponent s must satisfy s > 1"
+        yield self.beta0 > 0.0, "beta0 must be positive"
+        yield self.beta1 > 0.0, "beta1 must be positive"
+        yield self.sigma > 0.0, "sigma must be positive"
+        yield self.tau > 1.0, "tau must exceed 1"
+        yield self.alpha >= 3.0, "alpha must be at least 3"
+        yield self.delta >= 0.0, "delta must be nonnegative"
+        yield self.eta0 > 0.0, "eta0 must be positive"
+        yield self.eps_floor > 0.0, "eps_floor must be positive"
+        yield self.n_max >= 0, "n_max must be nonnegative"
+        yield self.inner_max_iter >= 1, "inner_max_iter must be at least 1"
+        yield self.gap_rule()
 
     def gap_target(self, n):
         """Relative duality-gap target for the inner solve producing iterate n."""
         return self.eta0 * power(float(n + 1), -self.gap_exponent)
+
+    def gap_rule(self, at_cap=False):
+        """(holds, message): the gap target, monotone in n, is in (0, 1) at n = 1 or n_max."""
+        n, where = (max(self.n_max, 1), f"n = n_max = {self.n_max}") if at_cap else (1, "n = 1")
+        return 0.0 < self.gap_target(n) < 1.0, f"gap target at {where} must lie in (0, 1)"
+
+
+def _discrepancy(r_norm, eps_n, cfg):
+    """The two sides of the discrepancy test: ||r||^p + sigma eps_n and (tau delta)^p."""
+    return power(r_norm, cfg.p) + cfg.sigma * eps_n, power(cfg.tau * cfg.delta, cfg.p)
 
 
 def step_size(r_norm, ljr_norm, eps_n, cfg, noisy):
@@ -125,8 +140,7 @@ def step_size(r_norm, ljr_norm, eps_n, cfg, noisy):
     is formed first, as (||r||^(s-1) / ||L* J_s(r)||)^p.
     """
     p, s = cfg.p, cfg.s
-    test_value = power(r_norm, p) + cfg.sigma * eps_n
-    bound = power(cfg.tau * cfg.delta, p)
+    test_value, bound = _discrepancy(r_norm, eps_n, cfg)
     if noisy and not math.isfinite(bound):
         return math.inf, math.inf  # the discrepancy test cannot be decided
     if noisy and test_value <= bound:
@@ -198,9 +212,11 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
     n_blocks = problem.num_blocks
     if n_blocks < 1:
         raise ValueError("forward problem must expose at least one block")
+    targets_ok, message = cfg.gap_rule(at_cap=True)
+    if not targets_ok:
+        raise ValueError(message)
     accel = mode == "accelerated"
     noisy = cfg.delta > 0.0
-    threshold = power(cfg.tau * cfg.delta, cfg.p)
 
     shape = problem.domain_shape
     pair = PrimalDualPair(x=np.zeros(shape), xi=np.zeros(shape), eps=0.0)
@@ -221,7 +237,8 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
         r = problem.residual(i, x_eval)
         r_norm = float(np.linalg.norm(r))
         eps_n = max(pair.eps, cfg.eps_floor)
-        held = noisy and power(r_norm, cfg.p) + cfg.sigma * eps_n <= threshold
+        test_value, threshold = _discrepancy(r_norm, eps_n, cfg)
+        held = noisy and test_value <= threshold
         q = q + 1 if held else 0
 
         rec = StepRecord(
@@ -271,7 +288,7 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
         if not info.converged:
             trace.terminated_by = "inner-failure"
             break
-        lam_warm = info.lam if info.lam is not None else lam_warm
+        lam_warm = info.lam
         prev = pair
         pair = new_pair
 

@@ -9,7 +9,7 @@ import pytest
 
 from lkreg.cli import main
 from lkreg.engine import SolverConfig
-from lkreg.harness import _FIELD_TYPES, ConfigError, ExperimentConfig, make_config
+from lkreg.harness import _FIELD_TYPES, PRESETS, ConfigError, ExperimentConfig, make_config
 
 
 @pytest.mark.parametrize("bad", [
@@ -93,3 +93,68 @@ def test_readme_config_table_lists_every_key_with_its_default():
     assert sorted(table) == sorted(defaults)
     for key, default in defaults.items():
         assert type(default)(table[key]) == default, key
+
+
+# Every preset spelled out in full, as it read before the presets were cut to
+# their departures from the defaults: reference data for what each must build.
+FULL_PRESETS = {
+    "ct-paper": {
+        "problem": "ct", "ct_q": 256, "ct_angles": 45, "ct_angle_start": 1.0,
+        "ct_angle_step": 4.0, "ct_rays": 367, "mu": 1.0, "constraint": "nonneg",
+        "beta0": 0.1, "beta1": 10.0, "sigma": 1e-3, "tau": 1.01, "alpha": 5.0,
+        "gap_exponent": 2.2, "noise_rel": 0.01, "n_max": 10000,
+    },
+    "ct-desk": {
+        "problem": "ct", "ct_q": 64, "ct_angles": 30, "ct_angle_start": 0.0,
+        "ct_angle_step": 6.0, "ct_rays": 0, "mu": 1.0, "constraint": "nonneg",
+        "beta0": 0.1, "beta1": 10.0, "sigma": 1e-3, "tau": 1.01, "alpha": 5.0,
+        "gap_exponent": 2.2, "noise_rel": 0.01, "n_max": 5000,
+    },
+    "pde-paper": {
+        "problem": "pde", "pde_m": 100, "mu": 20.0, "constraint": "nonneg",
+        "beta0": 5e-4, "beta1": 2e4, "sigma": 1e-3, "tau": 1.02, "alpha": 5.0,
+        "gap_exponent": 1.5, "noise_rel": 0.00046, "n_max": 10000,
+    },
+    "pde-desk": {
+        "problem": "pde", "pde_m": 40, "mu": 20.0, "constraint": "nonneg",
+        "beta0": 5e-4, "beta1": 2e4, "sigma": 1e-3, "tau": 1.02, "alpha": 5.0,
+        "gap_exponent": 1.5, "noise_rel": 0.0, "n_max": 100,
+    },
+}
+
+
+def test_presets_list_only_departures_from_the_defaults():
+    assert sorted(PRESETS) == sorted(FULL_PRESETS)
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    for name, preset in PRESETS.items():
+        for key, value in preset.items():
+            assert value != defaults[key], (name, key)
+
+
+@pytest.mark.parametrize("name", sorted(FULL_PRESETS))
+def test_each_preset_builds_its_full_reference_config(name):
+    assert make_config(preset=name) == ExperimentConfig(**FULL_PRESETS[name])
+
+
+def readme_preset_table():
+    """{name: (size, noise, constraint, budget)} of README's presets table."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| name | problem | size | noise | constraint | iteration budget |") + 2
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    cells = ([cell.strip().strip("`") for cell in row.split("|")[1:-1]] for row in rows)
+    return {name: (size, noise, constraint, budget)
+            for name, _, size, noise, constraint, budget in cells}
+
+
+def test_readme_preset_table_matches_each_preset():
+    table = readme_preset_table()
+    assert sorted(table) == sorted(PRESETS)
+    for name, row in table.items():
+        cfg = make_config(preset=name)
+        if cfg.problem == "ct":
+            size = f"{cfg.ct_q} x {cfg.ct_q}, {cfg.ct_angles} angles"
+            size += f", {cfg.ct_rays} rays" if cfg.ct_rays else ""
+        else:
+            size = f"{cfg.pde_m} x {cfg.pde_m} mesh"
+        noise = f"{cfg.noise_rel * 100:g}% relative" if cfg.noise_rel else "none"
+        assert row == (size, noise, cfg.constraint, str(cfg.n_max)), name

@@ -428,3 +428,23 @@ def test_block_count_and_modes_have_one_owner():
     with pytest.raises(TypeError):
         SolverConfig(n_blocks=2)
     assert harness._CHOICES["mode"] is engine.MODES
+
+
+@pytest.mark.parametrize("pen", [
+    TotalVariationPenalty(mu=1.0), QuadraticPenalty(mu=1.0),
+], ids=["tv", "quadratic"])
+def test_run_refuses_a_gap_schedule_leaving_the_unit_interval_before_step_0(monkeypatch, pen):
+    # 0.1 * (n + 1) reaches 1 at n = 9, inside the cap of 20
+    cfg = SolverConfig(gap_exponent=-1.0, eta0=0.1, n_max=20)
+    real_inner_solver = engine.inner_solver
+    calls = []
+
+    def counting_inner_solver(*args, **kw):
+        calls.append(kw.get("gap_target"))
+        return real_inner_solver(*args, **kw)
+
+    monkeypatch.setattr(engine, "inner_solver", counting_inner_solver)
+    problem, _, _ = tiny_linear_problem(215)
+    with pytest.raises(ValueError, match=r"gap target at n = n_max = 20 must lie in \(0, 1\)"):
+        run(problem, pen, cfg)
+    assert calls == []

@@ -457,3 +457,17 @@ def test_validate_reports_kappa_at_extreme_exponents(tmp_path, capsys, body, kap
     out = capsys.readouterr().out.splitlines()
     assert kappa in out
     assert any("exceeds 1" in line for line in out) == warned
+
+
+def test_validate_warns_about_accelerated_runs_with_several_blocks(tmp_path, capsys):
+    for name in PRESETS:
+        assert not any("n_blocks" in line
+                       for line in validation_lines(make_config(preset=name)))
+    cfg_path = tmp_path / "accel.cfg"
+    cfg_path.write_text("problem = ct\nct_q = 8\nct_angles = 6\nmode = accelerated\n"
+                        "n_blocks = 3\n")
+    assert main(["validate", "--config", str(cfg_path)]) == 0
+    assert "warning: mode = accelerated with n_blocks = 3" in capsys.readouterr().out
+    cfg_path.write_text("problem = ct\nct_q = 8\nct_angles = 6\nmode = accelerated\n")
+    assert main(["validate", "--config", str(cfg_path)]) == 0
+    assert "n_blocks" not in capsys.readouterr().out
