@@ -24,6 +24,7 @@ to the trace; runs end by `discrepancy`, by the iteration `cap`, by
 
 import math
 from dataclasses import dataclass, field, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -67,9 +68,10 @@ class SolverConfig:
     eta0 * (n+1)^(-gap_exponent) for the solve that produces iterate n, and
     certified eps values are floored at eps_floor wherever the step size or
     the discrepancy test consumes them.  Every float field, a subclass's
-    included, must be finite; `run` refuses a gap target outside (0, 1) at
-    n = n_max.  `run` takes the block count from the problem and the mode,
-    one of `MODES`, as an argument; neither is a field.
+    included, must be finite, and every int field must hold an integer;
+    `run` refuses a gap target outside (0, 1) at n = n_max.  `run` takes the
+    block count from the problem and the mode, one of `MODES`, as an
+    argument; neither is a field.
     """
 
     p: float = 2.0
@@ -99,6 +101,8 @@ class SolverConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 yield False, f"{f.name} must be finite; got {value!r}"
+            if f.type is int and (isinstance(value, bool) or not isinstance(value, Integral)):
+                yield False, f"{f.name} must be an integer; got {value!r}"
         yield self.p >= 1.0, "residual exponent p must satisfy p >= 1"
         yield self.s > 1.0, "duality-map exponent s must satisfy s > 1"
         yield self.beta0 > 0.0, "beta0 must be positive"

@@ -87,13 +87,20 @@ def build_parallel_tomo(geom):
     ray's crossing parameters with the grid lines, clipped to the span
     [t_lo, t_hi] in which the ray is inside the square and sorted, so the
     positive gaps between neighbours are the segments the ray cuts.
+
+    The entries arrive row by row (angle-major, rays in order), so each
+    angle keeps only its lengths, column indices and per-ray counts; the
+    pieces are joined straight into CSR arrays, and scipy's `sum_duplicates`
+    then canonicalises the matrix once, sorting each row's columns and
+    adding up the segments of one ray that land in the same pixel.
     """
     q, n_rays = geom.q, geom.n_rays
     center = q / 2.0
     offsets = geom.offsets()
     planes = np.arange(q + 1, dtype=float)
-    rows, cols, vals = [], [], []
-    for a, angle_deg in enumerate(geom.angles):
+    col_dtype = sp.get_index_dtype(maxval=q * q)
+    counts, cols, vals = [], [], []
+    for angle_deg in geom.angles:
         t = math.radians(angle_deg)
         ct, st = math.cos(t), math.sin(t)
         dx, dy = -st, ct
@@ -120,12 +127,15 @@ def build_parallel_tomo(geom):
         mid = ts[k, j] + 0.5 * lengths
         ix = np.clip(np.floor(px[k] + mid * dx).astype(np.int64), 0, q - 1)
         iy = np.clip(np.floor(py[k] + mid * dy).astype(np.int64), 0, q - 1)
-        rows.append(a * n_rays + k)
-        cols.append(ix * q + iy)
+        counts.append(np.bincount(k, minlength=n_rays))
+        cols.append((ix * q + iy).astype(col_dtype))
         vals.append(lengths)
-    rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(geom.n_rows, q * q))
-    return mat.tocsr()
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
+    mat = sp.csr_matrix((vals, cols, indptr), shape=(geom.n_rows, q * q))
+    mat.sum_duplicates()
+    return mat
 
 
 # Ellipses of the standard head phantom in its low-contrast variant:
@@ -210,7 +220,8 @@ class MatrixProblem(ForwardProblem):
         self.domain_shape = domain_shape
         runs = np.array_split(np.arange(groups), n_blocks)
         slices = [slice(r[0] * group_rows, (r[-1] + 1) * group_rows) for r in runs]
-        self._blocks = [self.matrix[s] for s in slices]
+        # one block is the whole matrix: a row slice would copy every array
+        self._blocks = [self.matrix] if n_blocks == 1 else [self.matrix[s] for s in slices]
         # CSC views kept once: `.T` builds a new matrix object on every call
         self._transposes = [b.T for b in self._blocks]
         self._data = [data[s] for s in slices]

@@ -118,6 +118,52 @@ def loop_parallel_tomo(geom):
     return mat.tocsr()
 
 
+def coo_parallel_tomo(geom):
+    """Reference system matrix, assembled through one global COO matrix.
+
+    Traces each angle's rays together like `build_parallel_tomo`, keeps
+    int64 row and column arrays per angle, concatenates them and leaves
+    the conversion, duplicate summing included, to `coo_matrix.tocsr`.
+    """
+    q, n_rays = geom.q, geom.n_rays
+    center = q / 2.0
+    offsets = geom.offsets()
+    planes = np.arange(q + 1, dtype=float)
+    rows, cols, vals = [], [], []
+    for a, angle_deg in enumerate(geom.angles):
+        t = math.radians(angle_deg)
+        ct, st = math.cos(t), math.sin(t)
+        dx, dy = -st, ct
+        px = center + offsets * ct
+        py = center + offsets * st
+        inside = np.ones(n_rays, dtype=bool)
+        t_lo, t_hi = np.full(n_rays, -math.inf), np.full(n_rays, math.inf)
+        crossings = []
+        for p0, d in ((px, dx), (py, dy)):
+            if abs(d) < 1e-14:
+                inside &= (0.0 <= p0) & (p0 <= q)
+                continue
+            ts = (planes - p0[:, None]) / d
+            lo, hi = (ts[:, 0], ts[:, -1]) if d > 0.0 else (ts[:, -1], ts[:, 0])
+            t_lo, t_hi = np.maximum(t_lo, lo), np.minimum(t_hi, hi)
+            crossings.append(ts)
+        inside &= t_hi > t_lo
+        t_lo, t_hi = t_lo[:, None], t_hi[:, None]
+        ts = np.sort(np.clip(np.hstack(crossings + [t_lo, t_hi]), t_lo, t_hi), axis=1)
+        lengths = np.diff(ts, axis=1)
+        k, j = np.nonzero((lengths > 1e-12) & inside[:, None])
+        lengths = lengths[k, j]
+        mid = ts[k, j] + 0.5 * lengths
+        ix = np.clip(np.floor(px[k] + mid * dx).astype(np.int64), 0, q - 1)
+        iy = np.clip(np.floor(py[k] + mid * dy).astype(np.int64), 0, q - 1)
+        rows.append(a * n_rays + k)
+        cols.append(ix * q + iy)
+        vals.append(lengths)
+    rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
+    mat = sp.coo_matrix((vals, (rows, cols)), shape=(geom.n_rows, q * q))
+    return mat.tocsr()
+
+
 def trace_ray(px, py, dx, dy, q, planes):
     """Crossing parameters of one unit-speed ray with the pixel grid.
 

@@ -57,6 +57,19 @@ def test_every_float_key_must_be_finite(key, value):
         ExperimentConfig(**{key: value})
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: make_config(n_max=2.5), ConfigError, "n_max must be an integer; got 2.5"),
+    (lambda: make_config(ct_q=8.5), ConfigError, "ct_q must be an integer; got 8.5"),
+    (lambda: SolverConfig(inner_max_iter=3.0), ValueError,
+     "inner_max_iter must be an integer; got 3.0"),
+    (lambda: make_config(seed=True), ConfigError, "seed must be an integer; got True"),
+], ids=["n_max", "ct_q", "inner_max_iter", "bool"])
+def test_every_int_key_must_hold_an_integer(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_solver_config_owns_the_inner_iteration_floor():
     with pytest.raises(ValueError, match="inner_max_iter"):
         SolverConfig(inner_max_iter=0)

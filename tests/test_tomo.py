@@ -1,6 +1,7 @@
 """Tomography: geometry, matrix assembly, phantom, noise, matrix I/O."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from lkreg.tomo import (
     shepp_logan,
 )
 
-from conftest import loop_parallel_tomo
+from conftest import coo_parallel_tomo, loop_parallel_tomo
 
 
 def chord_length(px, py, dx, dy, q):
@@ -275,3 +276,51 @@ def test_matrix_load_rejects_entries_past_the_count(tmp_path):
         load_matrix_coo(path)
     path.write_text("4 4 2\n0 0 1.0\n1 1 1.0\n\n  \n")
     assert load_matrix_coo(path).nnz == 2
+
+
+@pytest.mark.parametrize("geom", [
+    TomoGeometry(q=1, angles=evenly_spaced_angles(3)),
+    TomoGeometry(q=2, angles=evenly_spaced_angles(5, start=3.0)),
+    TomoGeometry(q=17, angles=evenly_spaced_angles(12)),
+    TomoGeometry(q=64, angles=evenly_spaced_angles(30, start=1.0, step=6.0)),
+    TomoGeometry(q=17, angles=np.array([0.0, 90.0]), n_rays=24),
+    TomoGeometry(q=17, angles=np.array([0.0, 90.0]), n_rays=25),
+    TomoGeometry(q=8, angles=evenly_spaced_angles(6), n_rays=9, detector_spacing=2.5),
+    TomoGeometry(q=17, angles=np.array([33.0])),
+    TomoGeometry(q=2, angles=np.array([10.0, 100.0]), n_rays=2, detector_spacing=100.0),
+], ids=["q1", "q2", "q17", "q64", "axis-even-rays", "axis-odd-rays", "spacing-2.5",
+        "one-angle", "all-miss"])
+def test_tracer_matches_the_global_coo_assembly_byte_for_byte(geom):
+    mat, ref = build_parallel_tomo(geom), coo_parallel_tomo(geom)
+    assert mat.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(mat, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    if geom.detector_spacing > 1.0:
+        # the outer rays (offsets up to +-10 and +-50) pass beside the grid
+        assert np.any(np.diff(mat.indptr) == 0)
+
+
+def test_tracer_peak_memory_stays_near_the_matrix_it_returns():
+    geom = TomoGeometry(q=128, angles=evenly_spaced_angles(30))
+    tracemalloc.start()
+    try:
+        mat = build_parallel_tomo(geom)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+    assert peak <= 2.5 * kept, peak / kept
+
+
+def test_one_block_problem_holds_its_matrix_once():
+    geom = TomoGeometry(q=8, angles=evenly_spaced_angles(6, start=2.0))
+    mat = build_parallel_tomo(geom)
+    prob = TomoProblem(mat, np.zeros(mat.shape[0]), geom)
+    block = prob._blocks[0]
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(block, name), getattr(prob.matrix, name)), name
+    x = normals(51, 64).reshape(8, 8)
+    w = normals(52, mat.shape[0])
+    assert prob.apply(0, x).tobytes() == (mat @ x.ravel()).tobytes()
+    assert prob.adjoint(0, x, w).tobytes() == (mat.T @ w).reshape(8, 8).tobytes()
