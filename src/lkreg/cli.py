@@ -94,7 +94,6 @@ def main(argv=None):
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -173,16 +173,11 @@ def boundary_contribution(mesh, g):
     m, h = mesh.m, mesh.h
     out = np.zeros((m, m))
     coords = mesh.coords()
-    if callable(g):
-        out[0, :] += g(0.0, coords)
-        out[-1, :] += g(1.0, coords)
-        out[:, 0] += g(coords, 0.0)
-        out[:, -1] += g(coords, 1.0)
-    else:
-        out[0, :] += g
-        out[-1, :] += g
-        out[:, 0] += g
-        out[:, -1] += g
+    value = g if callable(g) else lambda x, y: g
+    out[0, :] += value(0.0, coords)
+    out[-1, :] += value(1.0, coords)
+    out[:, 0] += value(coords, 0.0)
+    out[:, -1] += value(coords, 1.0)
     return out / h ** 2
 
 

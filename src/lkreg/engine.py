@@ -7,8 +7,9 @@ i = n mod N it
 
 1. evaluates the residual r = F_i(x) - y_i (at the Nesterov extrapolant
    in accelerated mode),
-2. with noisy data checks the discrepancy test ||r||^p + sigma eps_n <=
-   (tau delta)^p, counting consecutive passes in q and stopping at q = N,
+2. with noisy data (the problem's noise_level delta > 0) checks the
+   discrepancy test ||r||^p + sigma eps_n <= (tau delta)^p, counting
+   consecutive passes in q and stopping at q = N,
 3. otherwise takes the dual step xi <- xi - mu L_i(x)* J_s(r) with the
    capped adaptive step size mu from `step_size`,
 4. recovers the next primal iterate from xi through the inner solver,
@@ -37,11 +38,14 @@ class ForwardProblem:
 
     Subclasses define `num_blocks`, `domain_shape`, the block maps
     `apply(i, x)`, their linearizations `derivative(i, x, h)` and adjoints
-    `adjoint(i, x, w)`, and per-block data vectors `data(i)`.
+    `adjoint(i, x, w)`, and per-block data vectors `data(i)`.  noise_level
+    is the absolute noise level delta of the whole data; 0 means exact data
+    (no discrepancy test, run to n_max).
     """
 
     num_blocks = 1
     domain_shape = None
+    noise_level = 0.0
 
     def apply(self, i, x):
         raise NotImplementedError
@@ -63,15 +67,13 @@ class ForwardProblem:
 class SolverConfig:
     """Scalar knobs of the outer iteration.
 
-    delta is the absolute noise level; delta = 0 switches to exact-data mode
-    (no discrepancy test, run to n_max).  Inner gap targets follow
-    eta0 * (n+1)^(-gap_exponent) for the solve that produces iterate n, and
-    certified eps values are floored at eps_floor wherever the step size or
-    the discrepancy test consumes them.  Every float field, a subclass's
-    included, must be finite, and every int field must hold an integer;
-    `run` refuses a gap target outside (0, 1) at n = n_max.  `run` takes the
-    block count from the problem and the mode, one of `MODES`, as an
-    argument; neither is a field.
+    Inner gap targets follow eta0 * (n+1)^(-gap_exponent) for the solve
+    that produces iterate n, and certified eps values are floored at
+    eps_floor wherever the step size or the discrepancy test consumes them.
+    Every float field, a subclass's included, must be finite, and every int
+    field must hold an integer; `run` refuses a gap target outside (0, 1) at
+    n = n_max.  `run` takes the block count and the noise level from the
+    problem and the mode, one of `MODES`, as an argument; none is a field.
     """
 
     p: float = 2.0
@@ -81,7 +83,6 @@ class SolverConfig:
     sigma: float = 1e-3
     tau: float = 1.01
     alpha: float = 5.0
-    delta: float = 0.0
     eta0: float = 1.0
     gap_exponent: float = 2.2
     eps_floor: float = 1e-14
@@ -110,7 +111,6 @@ class SolverConfig:
         yield self.sigma > 0.0, "sigma must be positive"
         yield self.tau > 1.0, "tau must exceed 1"
         yield self.alpha >= 3.0, "alpha must be at least 3"
-        yield self.delta >= 0.0, "delta must be nonnegative"
         yield self.eta0 > 0.0, "eta0 must be positive"
         yield self.eps_floor > 0.0, "eps_floor must be positive"
         yield self.n_max >= 0, "n_max must be nonnegative"
@@ -128,27 +128,21 @@ class SolverConfig:
 
 
 def _discrepancy(r_norm, eps_n, cfg):
-    """The two sides of the discrepancy test: ||r||^p + sigma eps_n and (tau delta)^p."""
-    return power(r_norm, cfg.p) + cfg.sigma * eps_n, power(cfg.tau * cfg.delta, cfg.p)
+    """The left side of the discrepancy test, ||r||^p + sigma eps_n."""
+    return power(r_norm, cfg.p) + cfg.sigma * eps_n
 
 
-def step_size(r_norm, ljr_norm, eps_n, cfg, noisy):
+def step_size(r_norm, ljr_norm, eps_n, cfg):
     """Capped adaptive step size (mu_tilde, mu) for one outer step.
 
     mu_tilde = min(beta0 ||r||^(p(s-1)) / ||L* J_s(r)||^p, beta1), with the
     degenerate ||L* J_s(r)|| = 0 case falling back to beta1.  The applied
-    step is mu = mu_tilde (||r||^p + sigma eps_n)^(1 - s/p), except that in
-    noisy mode mu = 0 whenever the discrepancy test holds.  A power that
-    overflows, the bound (tau delta)^p included, gives a non-finite step
-    instead of raising; where ||L* J_s(r)||^p underflows to 0 the quotient
-    is formed first, as (||r||^(s-1) / ||L* J_s(r)||)^p.
+    step is mu = mu_tilde (||r||^p + sigma eps_n)^(1 - s/p); `run` takes no
+    step where the discrepancy test holds.  A power that overflows gives a
+    non-finite step instead of raising; where ||L* J_s(r)||^p underflows to
+    0 the quotient is formed first, as (||r||^(s-1) / ||L* J_s(r)||)^p.
     """
     p, s = cfg.p, cfg.s
-    test_value, bound = _discrepancy(r_norm, eps_n, cfg)
-    if noisy and not math.isfinite(bound):
-        return math.inf, math.inf  # the discrepancy test cannot be decided
-    if noisy and test_value <= bound:
-        return 0.0, 0.0
     denominator = power(ljr_norm, p)
     if ljr_norm == 0.0:
         mu_tilde = cfg.beta1
@@ -156,7 +150,7 @@ def step_size(r_norm, ljr_norm, eps_n, cfg, noisy):
         mu_tilde = min(cfg.beta0 * power(power(r_norm, s - 1.0) / ljr_norm, p), cfg.beta1)
     else:
         mu_tilde = min(cfg.beta0 * power(r_norm, p * (s - 1.0)) / denominator, cfg.beta1)
-    return mu_tilde, mu_tilde * power(test_value, 1.0 - s / p)
+    return mu_tilde, mu_tilde * power(_discrepancy(r_norm, eps_n, cfg), 1.0 - s / p)
 
 
 @dataclass
@@ -195,7 +189,8 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
     Parameters
     ----------
     problem : ForwardProblem
-        Its num_blocks is the Kaczmarz block count; no config repeats it.
+        Its num_blocks is the Kaczmarz block count and its noise_level the
+        delta of the discrepancy test; no config repeats either.
     penalty : QuadraticPenalty or TotalVariationPenalty
     cfg : SolverConfig
     mode : str, one of MODES ("plain", "accelerated")
@@ -207,7 +202,9 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
         the eps-Bregman distance from the iterate to the truth, evaluated
         every `diag_every` >= 1 outer steps (and always at the final iterate).
 
-    Returns (pair, trace) with the final certified PrimalDualPair.
+    Returns (pair, trace) with the final certified PrimalDualPair.  A
+    negative or non-finite noise level, like a gap schedule leaving (0, 1),
+    is refused with ValueError before step 0.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
@@ -219,8 +216,12 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
     targets_ok, message = cfg.gap_rule(at_cap=True)
     if not targets_ok:
         raise ValueError(message)
+    delta = problem.noise_level
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise ValueError(f"noise_level must be finite and nonnegative; got {delta!r}")
     accel = mode == "accelerated"
-    noisy = cfg.delta > 0.0
+    noisy = delta > 0.0
+    threshold = power(cfg.tau * delta, cfg.p)  # inf on overflow, which stops step 0
 
     shape = problem.domain_shape
     pair = PrimalDualPair(x=np.zeros(shape), xi=np.zeros(shape), eps=0.0)
@@ -241,8 +242,7 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
         r = problem.residual(i, x_eval)
         r_norm = float(np.linalg.norm(r))
         eps_n = max(pair.eps, cfg.eps_floor)
-        test_value, threshold = _discrepancy(r_norm, eps_n, cfg)
-        held = noisy and test_value <= threshold
+        held = noisy and _discrepancy(r_norm, eps_n, cfg) <= threshold
         q = q + 1 if held else 0
 
         rec = StepRecord(
@@ -267,7 +267,7 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
         jr = duality_map(r, cfg.s)
         g = problem.adjoint(i, x_eval, jr)
         g_norm = float(np.linalg.norm(g))
-        rec.mu_tilde, rec.mu = step_size(r_norm, g_norm, eps_n, cfg, noisy)
+        rec.mu_tilde, rec.mu = step_size(r_norm, g_norm, eps_n, cfg)
         if not (math.isfinite(g_norm) and math.isfinite(rec.mu)):
             trace.terminated_by = "non-finite"
             break

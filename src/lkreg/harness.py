@@ -55,9 +55,9 @@ _CHOICES = {
 class ExperimentConfig(SolverConfig):
     """Typed experiment description; fields double as the config-file keys.
 
-    Solver fields and checks are inherited, with another default for n_max;
-    `delta` is measured from the data, so it is not a key.  n_blocks is a
-    problem field, like ct_q: it sets the block count of the built problem.
+    Solver fields and checks are inherited, with another default for n_max.
+    n_blocks and noise_rel are problem fields, like ct_q: they set the block
+    count and the noise level of the built problem.
     """
 
     problem: str = "ct"
@@ -94,9 +94,6 @@ class ExperimentConfig(SolverConfig):
         for key in ("n_blocks", "metric_every", "ct_q", "ct_angles", "ct_rays", "pde_m"):
             yield getattr(self, key) >= (0 if key == "ct_rays" else 1), f"{key} is out of range"
 
-    def solver_config(self, delta=0.0):
-        return dataclasses.replace(self, delta=delta)
-
     def penalty_object(self):
         constraint = NonnegativityConstraint() if self.constraint == "nonneg" else None
         if self.penalty == "quadratic":
@@ -104,7 +101,7 @@ class ExperimentConfig(SolverConfig):
         return TotalVariationPenalty(mu=self.mu, constraint=constraint)
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig) if f.name != "delta"}
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 
 
 # Each preset lists only its departures from the ExperimentConfig defaults.
@@ -222,14 +219,16 @@ def _noisy(clean, cfg):
 
 
 def build_problem(cfg):
-    """Assemble (problem, truth, delta_abs) for the configured experiment."""
+    """Assemble (problem, truth); the problem's noise_level is the data's exact one."""
     if cfg.problem == "pde":
         mesh, f, g, truth = elliptic.default_problem(cfg.pde_m)
         if cfg.n_blocks != 1:
             raise ConfigError("the PDE problem is single-block; set n_blocks = 1")
         clean = elliptic.solve_state(truth, mesh, f, g)
         data, delta_abs = _noisy(clean, cfg)
-        return elliptic.EllipticProblem(mesh, f, g, data), truth, delta_abs
+        problem = elliptic.EllipticProblem(mesh, f, g, data)
+        problem.noise_level = delta_abs
+        return problem, truth
     if cfg.problem == "ct":
         geom = ct_geometry(cfg)
         matrix = tomo.build_parallel_tomo(geom)
@@ -257,7 +256,8 @@ def build_problem(cfg):
         problem = operator(matrix, data, layout, n_blocks=cfg.n_blocks)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return problem, truth, delta_abs
+    problem.noise_level = delta_abs
+    return problem, truth
 
 
 def _csv_cell(value):
@@ -316,14 +316,13 @@ def run_experiment(cfg, out_dir=None):
     cfg.out_dir), which is created if missing once the problem is built, so
     a configuration error leaves no directory behind.
     """
-    problem, truth, delta_abs = build_problem(cfg)
+    problem, truth = build_problem(cfg)
     out = out_dir if out_dir is not None else cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    solver_cfg = cfg.solver_config(delta=delta_abs)
     pen = cfg.penalty_object()
     started = time.perf_counter()
     pair, trace = run(
-        problem, pen, solver_cfg, mode=cfg.mode, truth=truth,
+        problem, pen, cfg, mode=cfg.mode, truth=truth,
         diag_every=cfg.metric_every,
     )
     elapsed = time.perf_counter() - started
@@ -333,7 +332,7 @@ def run_experiment(cfg, out_dir=None):
         "mode": cfg.mode,
         "terminated_by": trace.terminated_by,
         "n_final": trace.n_final,
-        "delta_abs": delta_abs,
+        "delta_abs": problem.noise_level,
         "residual_final": last.residual_norm,
         "eps_final": last.eps_n,
         "rel_error_final": last.rel_error,

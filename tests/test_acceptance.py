@@ -42,10 +42,10 @@ def verdict(num, label, ok, detail=""):
     assert ok, f"criterion {num} ({label}) failed{suffix}"
 
 
-def ct_config(delta, n_max):
+def ct_config(n_max):
     return SolverConfig(
         p=2.0, s=2.0, beta0=0.1, beta1=10.0, sigma=1e-3, tau=1.01,
-        alpha=5.0, delta=delta, eta0=1.0, gap_exponent=2.2, n_max=n_max,
+        alpha=5.0, eta0=1.0, gap_exponent=2.2, n_max=n_max,
     )
 
 
@@ -62,7 +62,7 @@ def ct32():
     truth = shepp_logan(32)
     problem = TomoProblem(matrix, matrix @ truth.ravel(), geom)
     pen = TotalVariationPenalty(mu=1.0, constraint=NonnegativityConstraint())
-    pair, trace, seconds = timed_run(problem, pen, ct_config(0.0, 200), "plain", truth)
+    pair, trace, seconds = timed_run(problem, pen, ct_config(200), "plain", truth)
     return {"trace": trace, "seconds": seconds}
 
 
@@ -76,14 +76,13 @@ def ct64():
     pen = TotalVariationPenalty(mu=1.0, constraint=NonnegativityConstraint())
     out = {"delta_abs": delta_abs, "sigma": 1e-3, "tau": 1.01}
     noisy_problem = TomoProblem(matrix, noisy, geom)
+    noisy_problem.noise_level = delta_abs
     for mode in ("plain", "accelerated"):
-        out["noisy_" + mode] = timed_run(
-            noisy_problem, pen, ct_config(delta_abs, 5000), mode, truth
-        )
+        out["noisy_" + mode] = timed_run(noisy_problem, pen, ct_config(5000), mode, truth)
     exact_problem = TomoProblem(matrix, clean, geom)
     for mode in ("plain", "accelerated"):
         out["exact_" + mode] = timed_run(
-            exact_problem, pen, ct_config(0.0, 400), mode, truth
+            exact_problem, pen, ct_config(400), mode, truth
         )
     return out
 
@@ -95,7 +94,7 @@ def pde40():
     pen = TotalVariationPenalty(mu=20.0)
     cfg = SolverConfig(
         p=2.0, s=2.0, beta0=5e-4, beta1=2e4, sigma=1e-3, tau=1.02,
-        alpha=5.0, delta=0.0, eta0=1.0, gap_exponent=1.5, n_max=100,
+        alpha=5.0, eta0=1.0, gap_exponent=1.5, n_max=100,
     )
     pair, trace, seconds = timed_run(problem, pen, cfg, "plain", c_true)
     return {"trace": trace, "seconds": seconds}
@@ -260,7 +259,7 @@ def test_criterion_09_pde_error_reduction(pde40):
 def test_criterion_10_admissibility_checks():
     base = validate_config(SolverConfig(p=2.0, s=2.0, beta0=0.1, beta1=10.0,
                                         sigma=1e-3, tau=1.01))
-    ct = validate_config(ct_config(0.0, 100))
+    ct = validate_config(ct_config(100))
     pde = validate_config(SolverConfig(p=2.0, s=2.0, beta0=5e-4, beta1=2e4,
                                        sigma=1e-3, tau=1.02, gap_exponent=1.5))
     ok = (

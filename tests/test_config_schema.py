@@ -7,6 +7,7 @@ import pathlib
 
 import pytest
 
+from lkreg import engine, harness
 from lkreg.cli import main
 from lkreg.engine import SolverConfig
 from lkreg.harness import _FIELD_TYPES, PRESETS, ConfigError, ExperimentConfig, make_config
@@ -21,13 +22,18 @@ def test_invalid_solver_settings_are_rejected_at_construction(bad):
         ExperimentConfig(**bad)
 
 
-def test_solver_config_carries_every_shared_field():
-    cfg = make_config(preset="pde-paper", p=1.5, s=3.0, n_blocks=1, inner_max_iter=77)
-    solver = cfg.solver_config(delta=0.25)
-    assert solver.delta == 0.25
+def test_solver_config_carries_every_shared_field(monkeypatch, tmp_path):
+    cfg = make_config(preset="pde-desk", p=1.5, s=3.0, n_blocks=1, inner_max_iter=77, n_max=0)
+    seen = []
+
+    def recording_run(problem, penalty, solver, **kwargs):
+        seen.append(solver)
+        return engine.run(problem, penalty, solver, **kwargs)
+
+    monkeypatch.setattr(harness, "run", recording_run)
+    harness.run_experiment(cfg, out_dir=tmp_path)
     for f in dataclasses.fields(SolverConfig):
-        if f.name != "delta":
-            assert getattr(solver, f.name) == getattr(cfg, f.name), f.name
+        assert getattr(seen[0], f.name) == getattr(cfg, f.name), f.name
 
 
 @pytest.mark.parametrize("command", ["validate", "export-matrix"])
@@ -41,13 +47,12 @@ def test_cli_rejects_invalid_solver_settings(tmp_path, capsys, command):
 def test_experiment_config_is_a_solver_config_without_a_delta_key():
     cfg = make_config(preset="ct-desk")
     assert isinstance(cfg, SolverConfig)
-    assert cfg.solver_config(delta=0.5) == dataclasses.replace(cfg, delta=0.5)
+    assert "delta" not in _FIELD_TYPES
     with pytest.raises(ConfigError, match="unknown config key"):
         make_config(delta=1.0)
 
 
-FLOAT_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)
-              if f.type is float and f.name != "delta"]
+FLOAT_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig) if f.type is float]
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -73,8 +78,6 @@ def test_every_int_key_must_hold_an_integer(make, error, message):
 def test_solver_config_owns_the_inner_iteration_floor():
     with pytest.raises(ValueError, match="inner_max_iter"):
         SolverConfig(inner_max_iter=0)
-    with pytest.raises(ValueError, match="delta must be finite"):
-        SolverConfig(delta=math.nan)
 
 
 @pytest.mark.parametrize("setting", ["mu = inf", "noise_rel = nan", "tau = inf"])
@@ -101,11 +104,9 @@ def readme_config_table():
 
 def test_readme_config_table_lists_every_key_with_its_default():
     table = readme_config_table()
-    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)
-                if f.name in _FIELD_TYPES}
-    assert sorted(table) == sorted(defaults)
-    for key, default in defaults.items():
-        assert type(default)(table[key]) == default, key
+    assert sorted(table) == sorted(_FIELD_TYPES)
+    for f in dataclasses.fields(ExperimentConfig):
+        assert _FIELD_TYPES[f.name](table[f.name]) == f.default, f.name
 
 
 # Every preset spelled out in full, as it read before the presets were cut to

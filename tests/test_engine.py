@@ -34,7 +34,6 @@ def test_config_validation_rejects_bad_scalars():
         dict(sigma=0.0),
         dict(tau=1.0),
         dict(alpha=2.9),
-        dict(delta=-0.1),
         dict(eps_floor=0.0),
         dict(n_max=-1),
         dict(gap_exponent=0.0),  # gap target at n = 1 would be 1
@@ -56,29 +55,21 @@ def test_gap_targets_decay_and_are_summable():
 def test_step_size_plain_cases():
     cfg = cfg_with()
     # ||L* J r|| = ||r||: the quotient collapses to beta0
-    mu_t, mu = step_size(2.0, 2.0, 1e-14, cfg, noisy=False)
+    mu_t, mu = step_size(2.0, 2.0, 1e-14, cfg)
     assert mu_t == pytest.approx(0.1, rel=1e-12)
     assert mu == pytest.approx(mu_t, rel=1e-12)  # exponent 1 - s/p = 0
     # degenerate direction falls back to the cap
-    mu_t, mu = step_size(3.0, 0.0, 1e-14, cfg, noisy=False)
+    mu_t, mu = step_size(3.0, 0.0, 1e-14, cfg)
     assert mu_t == 10.0
     # zero residual in exact mode: cap again, scaled by the eps term
-    mu_t, mu = step_size(0.0, 0.0, 1e-6, cfg, noisy=False)
+    mu_t, mu = step_size(0.0, 0.0, 1e-6, cfg)
     assert mu_t == 10.0 and mu == pytest.approx(10.0, rel=1e-12)
-
-
-def test_step_size_zero_when_discrepancy_holds():
-    cfg = cfg_with(delta=10.0)
-    assert step_size(1.0, 5.0, 1e-14, cfg, noisy=True) == (0.0, 0.0)
-    # above the threshold the step is positive again
-    mu_t, mu = step_size(50.0, 5.0, 1e-14, cfg, noisy=True)
-    assert mu_t > 0.0 and mu > 0.0
 
 
 def test_step_size_fractional_exponent():
     cfg = cfg_with(p=2.0, s=1.5)
     r, ljr, eps = 2.0, 3.0, 1e-3
-    mu_t, mu = step_size(r, ljr, eps, cfg, noisy=False)
+    mu_t, mu = step_size(r, ljr, eps, cfg)
     want_t = min(0.1 * r ** (2.0 * 0.5) / ljr ** 2.0, 10.0)
     assert mu_t == pytest.approx(want_t, rel=1e-12)
     assert mu == pytest.approx(want_t * (r ** 2 + 1e-3 * eps) ** 0.25, rel=1e-12)
@@ -86,12 +77,12 @@ def test_step_size_fractional_exponent():
 
 def test_step_size_survives_an_underflowing_denominator():
     # ||L* J r||^p and ||r||^(p(s-1)) both underflow to 0, their quotient is 1
-    mu_t, mu = step_size(0.1, 1e-199, 1e-14, SolverConfig(s=200.0), False)
+    mu_t, mu = step_size(0.1, 1e-199, 1e-14, SolverConfig(s=200.0))
     assert mu_t == pytest.approx(0.1, rel=1e-12)
     assert math.isfinite(mu) and mu > 0.0
     # a denominator that stays positive keeps the plain expression, bit for bit
     cfg = cfg_with(p=2.0, s=1.5)
-    assert step_size(2.0, 3.0, 1e-3, cfg, False)[0] == 0.1 * 2.0 ** 1.0 / 3.0 ** 2.0
+    assert step_size(2.0, 3.0, 1e-3, cfg)[0] == 0.1 * 2.0 ** 1.0 / 3.0 ** 2.0
 
 
 def test_two_plain_steps_match_hand_rollout():
@@ -150,8 +141,8 @@ def test_single_record_run():
 
 def test_immediate_discrepancy_stop():
     problem, _, _ = tiny_linear_problem(206)
-    cfg = cfg_with(delta=1e6, n_max=50)
-    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg, mode="plain")
+    problem.noise_level = 1e6
+    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg_with(n_max=50), mode="plain")
     assert trace.terminated_by == "discrepancy" and trace.n_final == 0
     assert not np.any(pair.x)
     rec = trace.records[0]
@@ -172,8 +163,8 @@ def test_partial_discrepancy_resets_counter():
     # block 0 starts satisfied (zero data), block 1 never satisfies
     data = np.concatenate([np.zeros(4), 50.0 * np.ones(4)])
     problem, _, _ = tiny_linear_problem(208, rows=8, n_blocks=2, data=data)
-    cfg = cfg_with(delta=1.0, n_max=6)
-    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg, mode="plain")
+    problem.noise_level = 1.0
+    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg_with(n_max=6), mode="plain")
     qs = [rec.q_n for rec in trace.records]
     assert qs[0] == 1 and qs[1] == 0  # held on block 0, reset on block 1
     assert trace.records[0].mu == 0.0 and trace.records[1].mu > 0.0
@@ -181,10 +172,11 @@ def test_partial_discrepancy_resets_counter():
 
 def test_mu_zero_exactly_when_test_holds():
     problem, matrix, truth = tiny_linear_problem(209, rows=8)
-    cfg = cfg_with(delta=0.4 * float(np.linalg.norm(problem.data(0))), n_max=200)
+    problem.noise_level = 0.4 * float(np.linalg.norm(problem.data(0)))
+    cfg = cfg_with(n_max=200)
     pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg, mode="plain")
     assert trace.terminated_by == "discrepancy"
-    thr = (cfg.tau * cfg.delta) ** cfg.p
+    thr = (cfg.tau * problem.noise_level) ** cfg.p
     for rec in trace.records:
         held = rec.residual_norm ** cfg.p + cfg.sigma * rec.eps_n <= thr
         assert (rec.mu == 0.0) == held
@@ -287,8 +279,7 @@ def test_final_record_diagnosed_off_cadence(monkeypatch, stop, n_final):
     if stop == "discrepancy":
         # a noise level whose test first holds at step 4 of the noiseless run
         _, free = run(problem, pen, cfg, mode="plain")
-        r = free.records[n_final].residual_norm
-        cfg = cfg_with(n_max=7, delta=1.001 * r / 1.01)
+        problem.noise_level = 1.001 * free.records[n_final].residual_norm / 1.01
     if stop == "inner-failure":
         real_inner_solver = engine.inner_solver
         solves = []
@@ -368,24 +359,23 @@ def test_scalar_power_overflow_gives_inf_not_an_exception():
     from lkreg.penalty import duality_map, power
 
     assert power(1e10, 400.0) == math.inf and power(2.0, 3.0) == 8.0
-    cfg = cfg_with(p=400.0, delta=0.01)
-    assert not math.isfinite(step_size(10.0, 10.0, 1e-14, cfg, noisy=True)[1])
+    assert not math.isfinite(step_size(10.0, 10.0, 1e-14, cfg_with(p=400.0))[1])
     assert cfg_with(gap_exponent=-100.0, eta0=1e-40).gap_target(10**4) == math.inf
     assert np.all(np.isinf(duality_map(np.array([1e10, 1.0]), 400.0)))
 
 
 def test_p_400_run_stops_non_finite():
     problem, _, _ = tiny_linear_problem(213)
-    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg_with(p=400.0, delta=1e-3))
+    problem.noise_level = 1e-3
+    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg_with(p=400.0))
     assert trace.terminated_by == "non-finite" and trace.n_final == len(trace.records) - 1
 
 
 def test_overflowing_discrepancy_bound_stops_non_finite():
     # (tau delta)^p = inf would let every residual, even an infinite one, pass the test
-    cfg = cfg_with(p=400.0, delta=10.0)
-    assert not math.isfinite(step_size(1.0, 1.0, 1e-14, cfg, noisy=True)[1])
     problem, _, _ = tiny_linear_problem(214)
-    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg)
+    problem.noise_level = 10.0
+    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg_with(p=400.0))
     assert trace.terminated_by == "non-finite" and trace.n_final == 0
     assert not np.any(pair.x)
 
@@ -428,6 +418,22 @@ def test_block_count_and_modes_have_one_owner():
     with pytest.raises(TypeError):
         SolverConfig(n_blocks=2)
     assert harness._CHOICES["mode"] is engine.MODES
+
+
+def test_the_noise_level_belongs_to_the_problem():
+    with pytest.raises(TypeError):
+        SolverConfig(delta=0.1)
+    with pytest.raises(TypeError):
+        step_size(1.0, 1.0, 1e-14, cfg_with(), noisy=True)
+
+
+@pytest.mark.parametrize("level", [-0.1, math.inf, math.nan])
+def test_run_refuses_a_bad_noise_level_before_step_0(monkeypatch, level):
+    problem, _, _ = tiny_linear_problem(216)
+    problem.noise_level = level
+    monkeypatch.setattr(problem, "residual", lambda i, x: pytest.fail("step 0 was taken"))
+    with pytest.raises(ValueError, match="noise_level must be finite and nonnegative"):
+        run(problem, QuadraticPenalty(mu=1.0), cfg_with())
 
 
 @pytest.mark.parametrize("pen", [

@@ -98,7 +98,6 @@ def test_make_config_rejects_bad_input(tmp_path):
 def test_presets_construct():
     for name in PRESETS:
         cfg = make_config(preset=name)
-        cfg.solver_config(delta=0.0)
         cfg.penalty_object()
     assert make_config(preset="ct-paper").ct_rays == 367
     assert make_config(preset="pde-paper").gap_exponent == 1.5
@@ -150,12 +149,12 @@ def test_grid_io_roundtrip(tmp_path):
 
 
 def test_build_problem_ct_and_pde():
-    problem, truth, delta_abs = build_problem(ExperimentConfig(**small_ct_kwargs()))
+    problem, truth = build_problem(ExperimentConfig(**small_ct_kwargs()))
     assert isinstance(problem, TomoProblem)
-    assert truth.shape == (8, 8) and delta_abs == 0.0
+    assert truth.shape == (8, 8) and problem.noise_level == 0.0
     pde_cfg = ExperimentConfig(problem="pde", pde_m=6, penalty="quadratic",
                                constraint="none")
-    problem, truth, delta_abs = build_problem(pde_cfg)
+    problem, truth = build_problem(pde_cfg)
     assert truth.shape == (6, 6)
     with pytest.raises(ConfigError):
         build_problem(ExperimentConfig(problem="pde", pde_m=6, n_blocks=2,
@@ -172,13 +171,32 @@ def test_build_problem_custom_linear(tmp_path):
     cfg = ExperimentConfig(problem="custom-linear", matrix_path=str(mpath),
                            truth_path=str(tpath), n_blocks=2,
                            penalty="quadratic", constraint="none")
-    problem, loaded, delta_abs = build_problem(cfg)
+    problem, loaded = build_problem(cfg)
     assert np.array_equal(loaded, truth)
     data = np.concatenate([problem.data(i) for i in range(2)])
     assert np.allclose(data, matrix @ truth.ravel(), atol=1e-15)
     with pytest.raises(ConfigError):
         build_problem(ExperimentConfig(problem="custom-linear",
                                        penalty="quadratic", constraint="none"))
+
+
+def test_summary_delta_abs_is_the_noise_level_of_the_run_problem(monkeypatch, tmp_path):
+    from lkreg import harness
+
+    cfg = ExperimentConfig(**small_ct_kwargs(noise_rel=0.01))
+    seen = []
+
+    def recording_run(problem, *args, **kwargs):
+        seen.append(problem)
+        return run(problem, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", recording_run)
+    _, _, summary = run_experiment(cfg, out_dir=tmp_path)
+    written = json.loads((tmp_path / "summary.json").read_text())
+    level = seen[0].noise_level
+    assert level > 0.0 and summary["delta_abs"] == written["delta_abs"] == level
+    clean = seen[0].matrix @ build_problem(cfg)[1].ravel()
+    assert level == pytest.approx(0.01 * np.linalg.norm(clean), rel=1e-15)
 
 
 def test_write_pgm_bytes(tmp_path):
@@ -194,7 +212,7 @@ def test_write_pgm_bytes(tmp_path):
 def test_metrics_files(tmp_path):
     problem, _, _ = tiny_linear_problem(303)
     _, trace = run(problem, QuadraticPenalty(mu=1.0),
-                   ExperimentConfig(**small_ct_kwargs()).solver_config(), mode="plain")
+                   ExperimentConfig(**small_ct_kwargs()), mode="plain")
     mpath, tpath = tmp_path / "metrics.csv", tmp_path / "trace.csv"
     write_metrics(mpath, trace)
     write_trace(tpath, trace)
