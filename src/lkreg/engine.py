@@ -326,6 +326,7 @@ class ValidationReport:
     step_cap_ok: bool
     c1: float = None
     c1_ok: bool = None
+    c1_offset: float = None  # C in c1 = 1/beta - C, the part of c1 that beta leaves alone
     eps_budget: float = None
     warnings: list = field(default_factory=list)
 
@@ -377,7 +378,8 @@ def validate_config(cfg, beta=None, c0=None, gamma=None, rho=None):
         else:
             # conjugate exponent is infinite: the term survives only above ratio 1
             slope_term = 0.0 if cfg.beta0 <= 2.0 * c0 else math.inf
-        report.c1 = 1.0 / beta - g - (1.0 + g) / cfg.tau - slope_term
+        report.c1_offset = g + (1.0 + g) / cfg.tau + slope_term
+        report.c1 = 1.0 / beta - report.c1_offset
         report.c1_ok = report.c1 > 0.0
         if not report.c1_ok:
             report.warnings.append(

@@ -368,6 +368,10 @@ def validation_lines(cfg):
     ]
     if report.c1 is not None:
         lines.append(f"c1 = {report.c1:g} ({'ok' if report.c1_ok else 'not positive'})")
+        # c1 = 1/beta - C falls with beta, so it is positive exactly for beta < 1/C
+        offset = report.c1_offset
+        lines.append(f"c1 > 0 for 1 < beta < {1.0 / offset:.5g}" if offset < 1.0
+                     else f"c1 <= {1.0 - offset:.4g} for every beta > 1")
     for warning in report.warnings:
         lines.append(f"warning: {warning}")
     if not report.warnings:

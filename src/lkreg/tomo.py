@@ -43,12 +43,14 @@ class TomoGeometry:
         angles = np.asarray(self.angles, dtype=float)
         if angles.ndim != 1 or angles.size == 0:
             raise ValueError("angles must be a nonempty 1-D array")
+        if not np.all(np.isfinite(angles)):
+            raise ValueError("angles must be finite")
         if np.any(np.diff(angles) <= 0.0):
             raise ValueError("angles must be strictly increasing")
         if angles[0] < 0.0 or angles[-1] >= 180.0:
             raise ValueError("angles must lie in [0, 180) degrees")
-        if not self.detector_spacing > 0.0:
-            raise ValueError("detector spacing must be positive")
+        if not 0.0 < self.detector_spacing < math.inf:
+            raise ValueError("detector spacing must be positive and finite")
         object.__setattr__(self, "angles", angles)
         if self.n_rays == 0:
             object.__setattr__(self, "n_rays", default_ray_count(self.q))
@@ -76,6 +78,52 @@ def evenly_spaced_angles(count, start=0.0, step=None):
     return start + step * np.arange(count, dtype=float)
 
 
+def _rays(geom):
+    """Every ray's start point, direction and span inside [0, q]^2, angle-major.
+
+    Returns (px, py, dx, dy, t_lo, t_hi, inside): the start points and spans
+    have shape (n_angles, n_rays), the direction components one entry per
+    angle.  Each axis's span runs between its two boundary lines, 0 and q;
+    `inside` marks the rays whose span [t_lo, t_hi] has positive length.
+    """
+    q = geom.q
+    radians = [math.radians(a) for a in geom.angles]
+    ct = np.array([math.cos(t) for t in radians])
+    st = np.array([math.sin(t) for t in radians])
+    dx, dy = -st, ct
+    offsets = geom.offsets()
+    px = q / 2.0 + offsets * ct[:, None]
+    py = q / 2.0 + offsets * st[:, None]
+    inside = np.ones(px.shape, dtype=bool)
+    t_lo, t_hi = np.full(px.shape, -math.inf), np.full(px.shape, math.inf)
+    for p0, d in ((px, dx), (py, dy)):
+        # a ray parallel to this axis crosses none of its lines and meets
+        # the grid only if it starts on it
+        parallel = (np.abs(d) < 1e-14)[:, None]
+        inside &= ~parallel | ((0.0 <= p0) & (p0 <= q))
+        d = np.where(parallel, 1.0, d[:, None])
+        first, last = (0.0 - p0) / d, (q - p0) / d
+        t_lo = np.maximum(t_lo, np.where(parallel, -math.inf, np.minimum(first, last)))
+        t_hi = np.minimum(t_hi, np.where(parallel, math.inf, np.maximum(first, last)))
+    inside &= t_hi > t_lo
+    return px, py, dx, dy, t_lo, t_hi, inside
+
+
+def _entry_bounds(dx, dy, t_lo, t_hi, inside):
+    """Most entries each ray can contribute, shape (n_angles, n_rays).
+
+    A span of length L meets at most floor(|d| L) + 1 grid lines of an axis
+    strictly inside it, and its segments are one more than the lines it
+    meets, so floor(|dx| L) + floor(|dy| L) + 3 bounds the entries; the
+    1e-6 inside each floor absorbs the rounding of the crossing parameters.
+    Rays that miss the grid contribute nothing.
+    """
+    span = t_hi - t_lo
+    bound = (np.floor(np.abs(dx)[:, None] * span + 1e-6)
+             + np.floor(np.abs(dy)[:, None] * span + 1e-6) + 3.0)
+    return np.where(inside, bound, 0.0).astype(np.int64)
+
+
 def build_parallel_tomo(geom):
     """Assemble the sparse system matrix for a parallel-beam geometry.
 
@@ -83,56 +131,50 @@ def build_parallel_tomo(geom):
     angle-major.  Entries are exact intersection lengths, so each row sums to
     the chord length its ray cuts through the square [0, q]^2.
 
-    The rays of one angle are traced together: each row of `ts` holds one
-    ray's crossing parameters with the grid lines, clipped to the span
-    [t_lo, t_hi] in which the ray is inside the square and sorted, so the
-    positive gaps between neighbours are the segments the ray cuts.
+    A first pass computes every ray's span [t_lo, t_hi] inside the square
+    from the two boundary lines of each axis and bounds its entry count
+    from the span's length (`_entry_bounds`), so the value and column
+    arrays are allocated once, before any ray is traced.
 
-    The entries arrive row by row (angle-major, rays in order), so each
-    angle keeps only its lengths, column indices and per-ray counts; the
-    pieces are joined straight into CSR arrays, and scipy's `sum_duplicates`
-    then canonicalises the matrix once, sorting each row's columns and
-    adding up the segments of one ray that land in the same pixel.
+    The rays of one angle are then traced together: each row of `ts` holds
+    one ray's crossing parameters with the grid lines, clipped to its span
+    and sorted, so the positive gaps between neighbours are the segments the
+    ray cuts.  The entries arrive row by row (angle-major, rays in order),
+    so each angle writes its lengths, columns and per-ray counts in place
+    after the previous angle's.  The arrays are then shrunk to the entries
+    written, `indptr` is the running sum of the counts, and scipy's
+    `sum_duplicates` canonicalises the matrix once, sorting each row's
+    columns and adding up the segments of one ray that land in the same
+    pixel.  The build thus peaks at the matrix plus one angle's scratch.
     """
     q, n_rays = geom.q, geom.n_rays
-    center = q / 2.0
-    offsets = geom.offsets()
     planes = np.arange(q + 1, dtype=float)
-    col_dtype = sp.get_index_dtype(maxval=q * q)
-    counts, cols, vals = [], [], []
-    for angle_deg in geom.angles:
-        t = math.radians(angle_deg)
-        ct, st = math.cos(t), math.sin(t)
-        dx, dy = -st, ct
-        px = center + offsets * ct
-        py = center + offsets * st
-        inside = np.ones(n_rays, dtype=bool)
-        t_lo, t_hi = np.full(n_rays, -math.inf), np.full(n_rays, math.inf)
-        crossings = []
-        for p0, d in ((px, dx), (py, dy)):
-            if abs(d) < 1e-14:
-                # a ray parallel to this axis hits the grid only if it starts on it
-                inside &= (0.0 <= p0) & (p0 <= q)
-                continue
-            ts = (planes - p0[:, None]) / d
-            lo, hi = (ts[:, 0], ts[:, -1]) if d > 0.0 else (ts[:, -1], ts[:, 0])
-            t_lo, t_hi = np.maximum(t_lo, lo), np.minimum(t_hi, hi)
-            crossings.append(ts)
-        inside &= t_hi > t_lo
-        t_lo, t_hi = t_lo[:, None], t_hi[:, None]
-        ts = np.sort(np.clip(np.hstack(crossings + [t_lo, t_hi]), t_lo, t_hi), axis=1)
+    px, py, dx, dy, t_lo, t_hi, inside = _rays(geom)
+    capacity = int(_entry_bounds(dx, dy, t_lo, t_hi, inside).sum())
+    vals = np.empty(capacity)
+    cols = np.empty(capacity, dtype=sp.get_index_dtype(maxval=q * q))
+    indptr = np.zeros(geom.n_rows + 1, dtype=np.int64)
+    end = 0
+    for a in range(geom.n_angles):
+        lo, hi = t_lo[a, :, None], t_hi[a, :, None]
+        ts = np.hstack([(planes - p0[a, :, None]) / d[a]
+                        for p0, d in ((px, dx), (py, dy)) if abs(d[a]) >= 1e-14] + [lo, hi])
+        ts.clip(lo, hi, out=ts)
+        ts.sort(axis=1)
         lengths = np.diff(ts, axis=1)
-        k, j = np.nonzero((lengths > 1e-12) & inside[:, None])
+        k, j = np.nonzero((lengths > 1e-12) & inside[a, :, None])
+        start, end = end, end + k.size
         lengths = lengths[k, j]
+        vals[start:end] = lengths
         mid = ts[k, j] + 0.5 * lengths
-        ix = np.clip(np.floor(px[k] + mid * dx).astype(np.int64), 0, q - 1)
-        iy = np.clip(np.floor(py[k] + mid * dy).astype(np.int64), 0, q - 1)
-        counts.append(np.bincount(k, minlength=n_rays))
-        cols.append((ix * q + iy).astype(col_dtype))
-        vals.append(lengths)
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
+        ix = np.clip(np.floor(px[a, k] + mid * dx[a]).astype(np.int64), 0, q - 1)
+        iy = np.clip(np.floor(py[a, k] + mid * dy[a]).astype(np.int64), 0, q - 1)
+        cols[start:end] = ix * q + iy
+        indptr[1 + a * n_rays:1 + (a + 1) * n_rays] = np.bincount(k, minlength=n_rays)
+    # a view of the oversized arrays would make scipy's prune copy them
+    vals.resize(end, refcheck=False)
+    cols.resize(end, refcheck=False)
+    np.cumsum(indptr, out=indptr)
     mat = sp.csr_matrix((vals, cols, indptr), shape=(geom.n_rows, q * q))
     mat.sum_duplicates()
     return mat

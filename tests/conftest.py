@@ -125,6 +125,13 @@ def coo_parallel_tomo(geom):
     int64 row and column arrays per angle, concatenates them and leaves
     the conversion, duplicate summing included, to `coo_matrix.tocsr`.
     """
+    rows, cols, vals = coo_parallel_entries(geom)
+    mat = sp.coo_matrix((vals, (rows, cols)), shape=(geom.n_rows, geom.q * geom.q))
+    return mat.tocsr()
+
+
+def coo_parallel_entries(geom):
+    """Every traced segment as int64 rows, int64 columns and lengths, duplicates kept."""
     q, n_rays = geom.q, geom.n_rays
     center = q / 2.0
     offsets = geom.offsets()
@@ -159,9 +166,7 @@ def coo_parallel_tomo(geom):
         rows.append(a * n_rays + k)
         cols.append(ix * q + iy)
         vals.append(lengths)
-    rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(geom.n_rows, q * q))
-    return mat.tocsr()
+    return tuple(np.concatenate(v) for v in (rows, cols, vals))
 
 
 def trace_ray(px, py, dx, dy, q, planes):

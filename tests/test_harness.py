@@ -11,7 +11,7 @@ import pytest
 
 import lkreg
 from lkreg.cli import main
-from lkreg.engine import run
+from lkreg.engine import run, validate_config
 from lkreg.harness import (
     PRESETS,
     ConfigError,
@@ -260,6 +260,27 @@ def test_validation_lines_content():
     lines = validation_lines(make_config(preset="pde-desk"))
     text = "\n".join(lines)
     assert "VIOLATED" in text and "warning:" in text
+
+
+@pytest.mark.parametrize("name, line, positive_below", [
+    ("ct-desk", "c1 <= -0.0901 for every beta > 1", None),
+    ("ct-paper", "c1 <= -0.0901 for every beta > 1", None),
+    ("pde-desk", "c1 > 0 for 1 < beta < 1.0097", 1.0097),
+    ("pde-paper", "c1 > 0 for 1 < beta < 1.0097", 1.0097),
+])
+def test_validate_says_where_c1_turns_positive(name, line, positive_below):
+    cfg = make_config(preset=name)
+    lines = validation_lines(cfg)
+    assert line in lines
+    # the beta = 2 report and its warning stay
+    assert any(text.startswith("c1 = ") and text.endswith("(not positive)") for text in lines)
+    assert any(text.startswith("warning: descent margin c1") for text in lines)
+    c0 = cfg.penalty_object().c0
+    if positive_below is None:
+        assert validate_config(cfg, beta=1.0 + 1e-9, c0=c0).c1 < 0.0
+    else:
+        assert validate_config(cfg, beta=positive_below - 1e-4, c0=c0).c1 > 0.0
+        assert validate_config(cfg, beta=positive_below + 1e-4, c0=c0).c1 < 0.0
 
 
 def test_cli_run_and_validate(tmp_path, capsys):

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lkreg.harness import ct_geometry, make_config
 from lkreg.rng import normals, uniforms
@@ -19,9 +20,11 @@ from lkreg.tomo import (
     load_matrix_coo,
     save_matrix_coo,
     shepp_logan,
+    _entry_bounds,
+    _rays,
 )
 
-from conftest import coo_parallel_tomo, loop_parallel_tomo
+from conftest import coo_parallel_entries, coo_parallel_tomo, loop_parallel_tomo
 
 
 def chord_length(px, py, dx, dy, q):
@@ -57,6 +60,18 @@ def test_geometry_validation():
         TomoGeometry(q=4, angles=np.array([-1.0, 10.0]))
     with pytest.raises(ValueError):
         TomoGeometry(q=4, angles=np.array([0.0]), detector_spacing=0.0)
+
+
+@pytest.mark.parametrize("angles, spacing", [
+    ([math.nan], 1.0),
+    ([0.0, math.nan], 1.0),
+    ([0.0, math.inf], 1.0),
+    ([0.0], math.inf),
+    ([0.0], math.nan),
+], ids=["nan-angle", "second-angle-nan", "inf-angle", "inf-spacing", "nan-spacing"])
+def test_geometry_refuses_non_finite_angles_and_spacing(angles, spacing):
+    with pytest.raises(ValueError, match="finite"):
+        TomoGeometry(q=4, angles=np.array(angles), detector_spacing=spacing)
 
 
 def test_geometry_defaults_and_offsets():
@@ -311,6 +326,48 @@ def test_tracer_peak_memory_stays_near_the_matrix_it_returns():
         tracemalloc.stop()
     kept = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
     assert peak <= 2.5 * kept, peak / kept
+
+
+def test_tracer_builds_in_arrays_sized_before_tracing():
+    geom = TomoGeometry(q=128, angles=evenly_spaced_angles(30))
+    tracemalloc.start()
+    try:
+        mat = build_parallel_tomo(geom)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+    assert peak <= 1.5 * kept, peak / kept
+    # an oversized base kept alive behind a view would still be traced
+    assert held <= 1.05 * kept, held / kept
+
+
+# angles on and near the axes, where one direction component is 0 or tiny
+AXIS_ANGLES = [0.0, 1e-9, 45.0, 90.0 - 1e-9, 90.0, 90.0 + 1e-9, 135.0, 180.0 - 1e-9]
+
+
+@st.composite
+def random_geometry(draw):
+    q = draw(st.integers(1, 40))
+    angle = st.sampled_from(AXIS_ANGLES) | st.floats(0.0, 180.0, exclude_max=True)
+    angles = sorted(draw(st.sets(angle, min_size=1, max_size=8)))
+    n_rays = draw(st.integers(0, 80))  # 0 picks the default ray count
+    spacing = draw(st.sampled_from([0.5, 1.0, 2.5]) | st.floats(1e-3, 50.0))
+    return TomoGeometry(q=q, angles=np.array(angles), n_rays=n_rays, detector_spacing=spacing)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_geometry())
+def test_tracer_matches_the_coo_assembly_and_its_entry_bounds_property(geom):
+    mat, ref = build_parallel_tomo(geom), coo_parallel_tomo(geom)
+    assert mat.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(mat, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    rows, _, _ = coo_parallel_entries(geom)
+    traced = np.bincount(rows, minlength=geom.n_rows)
+    bounds = _entry_bounds(*_rays(geom)[2:]).ravel()
+    assert np.all(traced <= bounds), np.flatnonzero(traced > bounds)
 
 
 def test_one_block_problem_holds_its_matrix_once():
