@@ -16,12 +16,13 @@ at 0 first to keep that guarantee for stray negative iterates.
 
 `EllipticProblem` solves with A(c) by preconditioned conjugate gradients,
 matrix-free: the Laplacian is built once per mesh and A(c) x is
-`L @ x + c * x`.  The preconditioner is -Laplace_h + cbar I with cbar the
-mean of c, which the orthogonal sine basis diagonalizes (Concus & Golub,
-SIAM J. Numer. Anal. 10, 1973).  Any cbar in [min c, max c] bounds the
-preconditioned condition number by (lambda_min + max c) / (lambda_min +
-min c), lambda_min ~ 2 pi^2, so a handful of iterations reach the fixed
-relative residual.  A solve that hits the iteration cap returns NaN, which
+`L @ x + c * x`.  The iteration is `scipy.sparse.linalg.cg`, whose floats
+match the textbook loop operation for operation.  The preconditioner is
+-Laplace_h + cbar I with cbar the mean of c, which the orthogonal sine
+basis diagonalizes (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).  Any
+cbar in [min c, max c] bounds the preconditioned condition number by
+(lambda_min + max c) / (lambda_min + min c), lambda_min ~ 2 pi^2, so a
+handful of iterations reach the fixed relative residual.  A solve that hits the iteration cap returns NaN, which
 the outer loop's non-finite stop ends.
 
 `solve_state` stays exact: it factors A(c) with a sparse LU, the unknowns
@@ -36,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .engine import ForwardProblem
 
@@ -137,31 +138,31 @@ class PcgOperator:
     def solve(self, b, x0=None):
         """Grid x with A x = b, started from x0 if it is finite and b is not 0.
 
-        Returns NaN if the residual stays above the tolerance after the
-        iteration cap, or if b is not finite.
+        The iteration is scipy's `cg`.  Returns NaN if the residual stays
+        above the tolerance after the iteration cap, or if b is not finite.
         """
-        b = np.asarray(b, dtype=float).reshape(self.shape)
-        tol = _PCG_RTOL * np.linalg.norm(b)
-        if x0 is None or tol == 0.0 or not np.all(np.isfinite(x0)):
-            x, r = np.zeros(self.shape), b.copy()
-        else:
-            x = np.array(x0, dtype=float)
-            r = b - self.matvec(x)
-        res = np.linalg.norm(r)
-        z = self.precondition(r)
-        p, rz = z, np.vdot(r, z)
-        iters = 0
-        while res > tol and iters < _PCG_MAX_ITER:
-            q = self.matvec(p)
-            alpha = rz / np.vdot(p, q)
-            x += alpha * p
-            r -= alpha * q
-            z = self.precondition(r)
-            rz, rz_old = np.vdot(r, z), rz
-            p = z + (rz / rz_old) * p
-            res = np.linalg.norm(r)
-            iters += 1
-        return x if res <= tol < math.inf else np.full(self.shape, np.nan)
+        b = np.asarray(b, dtype=float).ravel()
+        norm = np.linalg.norm(b)
+        if not math.isfinite(norm):
+            return np.full(self.shape, np.nan)
+        if norm == 0.0:
+            return np.zeros(self.shape)  # cg would hand back b itself
+        if x0 is not None and not np.all(np.isfinite(x0)):
+            x0 = None
+        # cg tests the residual before each update, so one more pass keeps
+        # the cap at _PCG_MAX_ITER updates.
+        x, info = cg(
+            _on_vectors(self.matvec, self.shape), b,
+            x0=None if x0 is None else np.ravel(x0), rtol=_PCG_RTOL, atol=0.0,
+            maxiter=_PCG_MAX_ITER + 1, M=_on_vectors(self.precondition, self.shape),
+        )
+        return x.reshape(self.shape) if info == 0 else np.full(self.shape, np.nan)
+
+
+def _on_vectors(grid_map, shape):
+    """`grid_map` on grids of `shape` as a LinearOperator on flat vectors."""
+    n = math.prod(shape)
+    return LinearOperator((n, n), matvec=lambda v: grid_map(v.reshape(shape)).ravel(), dtype=float)
 
 
 def boundary_contribution(mesh, g):
@@ -222,13 +223,11 @@ class EllipticProblem(ForwardProblem):
 
     def __init__(self, mesh, f, g, data):
         self.mesh = mesh
-        self.f = np.asarray(f, dtype=float)
-        self.g = g
         self.domain_shape = (mesh.m, mesh.m)
         self._data = np.asarray(data, dtype=float)
         if self._data.shape != self.domain_shape:
             raise ValueError("data grid does not match the mesh")
-        self._rhs = self.f + boundary_contribution(mesh, g)
+        self._rhs = np.asarray(f, dtype=float) + boundary_contribution(mesh, g)
         self._key = None
         self._op = None
         self._state = None

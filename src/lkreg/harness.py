@@ -91,6 +91,7 @@ class ExperimentConfig(SolverConfig):
         yield self.mu > 0.0, "mu must be positive"
         yield self.gap_rule(at_cap=True)
         yield self.noise_rel >= 0.0, "noise_rel must be nonnegative"
+        yield self.ct_angle_step >= 0.0, "ct_angle_step must be nonnegative (0 means 180/ct_angles)"
         for key in ("n_blocks", "metric_every", "ct_q", "ct_angles", "ct_rays", "pde_m"):
             yield getattr(self, key) >= (0 if key == "ct_rays" else 1), f"{key} is out of range"
 

@@ -47,7 +47,7 @@ called through this module's names so that a caller can wrap them.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,23 +155,19 @@ class PdhgReport:
     eps_certificate: float
     primal_value: float
     dual_value: float
-    primal_history: list = field(default_factory=list)
-    dual_history: list = field(default_factory=list)
 
 
 def _rel_gap(gap, p_val, d_val, floor):
     # Gaps at the rounding floor of the objective count as closed; otherwise
     # instances whose optimal value is exactly zero (constant xi, say) would
     # stall at a relative gap of 1 with both values at machine noise.  A nan
-    # gap stays nan, so it never counts as converged.
+    # gap stays nan, so it never counts as converged.  A gap above the floor
+    # is p_val - d_val > 0, so |p_val| + |d_val| > 0.
     if math.isnan(gap):
         return gap
     if gap <= floor:
         return 0.0
-    denom = abs(p_val) + abs(d_val)
-    if denom > 0.0:
-        return gap / denom
-    return 0.0
+    return gap / (abs(p_val) + abs(d_val))
 
 
 def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
@@ -190,9 +186,8 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
         Iteration cap; on hitting it the report carries converged=False.
 
     Returns the report for the smallest-absolute-gap iterate seen, including
-    the initial point, with per-iterate primal/dual value histories.  A nan
-    gap (non-finite xi, say) certifies nothing: the solve stops there,
-    unconverged, and its eps is inf.
+    the initial point.  A nan gap (non-finite xi, say) certifies nothing:
+    the solve stops there, unconverged, and its eps is inf.
 
     The loop iterates on `normal_form(prob)`; the report is in the original
     variables.
@@ -220,7 +215,6 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     # work is scratch for the primal value, the dual value, the projection
     # and the z step in turn; nothing in it outlives the step that writes it.
     work = (np.empty(z.shape), GradientField.empty(z.shape))
-    p_hist, d_hist = [], []
     iters = 0
     while True:
         discrete_gradient(z, out=grad)
@@ -228,8 +222,6 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
         d_val = _dual_value_at(prob, xi_minus_div, div_lam, work[0])
         gap = p_val - d_val
         rel = _rel_gap(gap, p_val, d_val, gap_floor)
-        p_hist.append(p_val)
-        d_hist.append(d_val)
         if iters == 0 or gap < best[0]:
             best = (gap, rel, p_val, d_val)
             best_slot = cur
@@ -268,8 +260,6 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
         eps_certificate=mu * (math.inf if math.isnan(gap_b) else max(gap_b, 0.0)),
         primal_value=mu * p_b,
         dual_value=mu * d_b,
-        primal_history=[mu * v for v in p_hist],
-        dual_history=[mu * v for v in d_hist],
     )
 
 

@@ -290,7 +290,6 @@ class TomoProblem(MatrixProblem):
     def __init__(self, matrix, sinogram, geom, n_blocks=1):
         if matrix.shape != (geom.n_rows, geom.q * geom.q):
             raise ValueError("matrix shape disagrees with the geometry")
-        self.geom = geom
         super().__init__(matrix, sinogram, (geom.q, geom.q), n_blocks, group_rows=geom.n_rays)
 
 

@@ -7,8 +7,10 @@ every run sees identical data; no test depends on global RNG state.
 import math
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
+from lkreg import pdhg
 from lkreg.harness import MatrixProblem
 from lkreg.rng import normals
 from lkreg.tv import GradientField
@@ -40,6 +42,29 @@ def tiny_linear_problem(seed, domain_shape=(3, 4), rows=8, n_blocks=1, data=None
         data = matrix @ truth.ravel()
     problem = MatrixProblem(matrix, data, domain_shape, n_blocks=n_blocks)
     return problem, matrix, truth
+
+
+def solve_with_histories(prob, **kwargs):
+    """`pdhg_solve(prob, **kwargs)` and the primal and dual value of every iterate.
+
+    Records what the loop's value kernels return, in the order it evaluates
+    them, and scales them by mu into the original variables, as the report's
+    values are.  Returns (report, primal values, dual values).
+    """
+    p_hist, d_hist = [], []
+
+    def recording(values, kernel):
+        def wrapper(*args, **kw):
+            value = kernel(*args, **kw)
+            values.append(prob.mu * value)
+            return value
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pdhg, "_primal_value_at", recording(p_hist, pdhg._primal_value_at))
+        mp.setattr(pdhg, "_dual_value_at", recording(d_hist, pdhg._dual_value_at))
+        report = pdhg.pdhg_solve(prob, **kwargs)
+    return report, p_hist, d_hist
 
 
 def roll_gradient(z):
@@ -77,6 +102,36 @@ def kron_operator(c, mesh):
     if cc.size != m * m:
         raise ValueError("coefficient grid does not match the mesh")
     return (lap + sp.diags(cc)).tocsc()
+
+
+def textbook_pcg(op, b, x0, rtol, max_iter):
+    """Reference preconditioned CG over `op.matvec` and `op.precondition`.
+
+    Stops once the residual norm is at most rtol ||b||; after max_iter
+    updates without that, or for a non-finite b, the grid is NaN.  Returns
+    (grid, updates taken).
+    """
+    tol = rtol * np.linalg.norm(b)
+    if x0 is None or tol == 0.0 or not np.all(np.isfinite(x0)):
+        x, r = np.zeros(b.shape), b.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        r = b - op.matvec(x)
+    res = np.linalg.norm(r)
+    z = op.precondition(r)
+    p, rz = z, np.vdot(r, z)
+    iters = 0
+    while res > tol and iters < max_iter:
+        q = op.matvec(p)
+        alpha = rz / np.vdot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        z = op.precondition(r)
+        rz, rz_old = np.vdot(r, z), rz
+        p = z + (rz / rz_old) * p
+        res = np.linalg.norm(r)
+        iters += 1
+    return (x if res <= tol < math.inf else np.full(b.shape, np.nan)), iters
 
 
 def loop_parallel_tomo(geom):

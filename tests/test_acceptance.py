@@ -13,7 +13,7 @@ from lkreg.elliptic import (
     solve_state,
 )
 from lkreg.engine import SolverConfig, run, validate_config
-from lkreg.pdhg import DenoiseProblem, pdhg_solve
+from lkreg.pdhg import DenoiseProblem
 from lkreg.penalty import (
     NonnegativityConstraint,
     PrimalDualPair,
@@ -32,7 +32,7 @@ from lkreg.tomo import (
 )
 from lkreg.tv import discrete_gradient, divergence_adjoint, field_dot
 
-from conftest import rand_field, tiny_linear_problem
+from conftest import rand_field, solve_with_histories, tiny_linear_problem
 
 
 def verdict(num, label, ok, detail=""):
@@ -145,11 +145,11 @@ def test_criterion_02_inner_solver_certificates():
         xi = normals(1000 + i, 64).reshape(8, 8)
         constraint = NonnegativityConstraint() if i % 2 == 0 else None
         prob = DenoiseProblem(xi=xi, mu=float(mu), constraint=constraint)
-        rep = pdhg_solve(prob, eta=1e-6, max_iter=5000)
+        rep, p_hist, d_hist = solve_with_histories(prob, eta=1e-6, max_iter=5000)
         ok = ok and rep.converged and rep.iterations <= 5000
         worst_gap = max(worst_gap, rep.gap_rel)
         max_iters = max(max_iters, rep.iterations)
-        for p_val, d_val in zip(rep.primal_history, rep.dual_history):
+        for p_val, d_val in zip(p_hist, d_hist):
             ok = ok and d_val <= p_val + 1e-10 * (1.0 + abs(p_val))
         pen = TotalVariationPenalty(mu=float(mu), constraint=constraint)
         pair = PrimalDualPair(x=rep.x, xi=xi, eps=rep.eps_certificate)

@@ -14,6 +14,7 @@ CASES = {
     "gap-target-grows-past-1": CT + "gap_exponent = -1\neta0 = 0.1\n",
     # problems that `build_problem` refuses
     "angles-past-180": CT + "ct_angle_step = 10\n",
+    "negative-angle-step": "problem = ct\nct_q = 8\nct_angles = 4\nct_angle_step = -4\n",
     "blocks-past-the-angles": CT + "n_blocks = 1000\n",
     "zero-detector-spacing": CT + "ct_detector_spacing = 0\n",
     "pde-with-two-blocks": "problem = pde\npde_m = 6\nn_blocks = 2\n",

@@ -21,7 +21,7 @@ from lkreg.elliptic import (
 )
 from lkreg.rng import normals
 
-from conftest import kron_operator
+from conftest import kron_operator, textbook_pcg
 
 
 def test_mesh_basics():
@@ -253,6 +253,73 @@ def test_pcg_matches_the_sparse_lu(m, rhs, cmax):
     want = elliptic.factorize(c, mesh).solve(b.ravel()).reshape(m, m)
     got = elliptic.PcgOperator(c, mesh).solve(b)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("m", [1, 7, 40])
+def test_pcg_takes_the_textbook_loops_floats(m, warm, monkeypatch):
+    # scipy's cg performs the textbook loop's operations in the same order,
+    # and meets the same cap: k updates pass under a cap of k, not of k - 1
+    mesh = Mesh(m)
+    op = elliptic.PcgOperator(1e3 * mixed_sign_coefficient(m), mesh)
+    b = default_source(*mesh.grids())
+    x0 = None
+    if warm:
+        x0, b = op.solve(b), b + 1e-3 * normals(60 + m, m * m).reshape(m, m)
+    _, k = textbook_pcg(op, b, x0, elliptic._PCG_RTOL, elliptic._PCG_MAX_ITER)
+    for cap in (elliptic._PCG_MAX_ITER, k, k - 1):
+        monkeypatch.setattr(elliptic, "_PCG_MAX_ITER", cap)
+        want, _ = textbook_pcg(op, b, x0, elliptic._PCG_RTOL, cap)
+        got = op.solve(b, x0=x0)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.all(np.isfinite(got)) == (cap >= k)
+
+
+def test_zero_rhs_gives_a_fresh_zero_grid():
+    mesh = Mesh(5)
+    op = elliptic.PcgOperator(np.ones((5, 5)), mesh)
+    b = np.zeros((5, 5))
+    for x0 in (None, np.ones((5, 5))):
+        x = op.solve(b, x0=x0)
+        assert np.array_equal(x, b) and not np.shares_memory(x, b)
+
+
+def test_warm_solve_leaves_its_start_unchanged():
+    mesh = Mesh(9)
+    c = np.abs(normals(61, 81)).reshape(9, 9)
+    op = elliptic.PcgOperator(c, mesh)
+    b = normals(62, 81).reshape(9, 9)
+    x0 = normals(63, 81).reshape(9, 9)
+    kept = x0.copy()
+    x = op.solve(b, x0=x0)
+    assert np.array_equal(x0, kept) and not np.shares_memory(x, x0)
+    want = elliptic.factorize(c, mesh).solve(b.ravel()).reshape(9, 9)
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rhs_is_nan_without_a_product(monkeypatch, bad):
+    mesh = Mesh(6)
+    op = elliptic.PcgOperator(np.ones((6, 6)), mesh)
+    calls = []
+
+    def counting(name):
+        real = getattr(op, name)
+
+        def wrapper(x):
+            calls.append(name)
+            return real(x)
+        return wrapper
+
+    for name in ("matvec", "precondition"):
+        monkeypatch.setattr(op, name, counting(name))
+    b = np.ones((6, 6))
+    b[2, 3] = bad
+    for x0 in (None, np.ones((6, 6))):
+        assert np.all(np.isnan(op.solve(b, x0=x0)))
+    assert calls == []
+    assert np.all(np.isfinite(op.solve(np.ones((6, 6)))))
+    assert "matvec" in calls and "precondition" in calls  # the counters count
 
 
 def test_warm_started_state_equals_a_cold_started_one(monkeypatch):

@@ -32,6 +32,7 @@ from conftest import (
     roll_divergence,
     roll_gradient,
     roll_projection,
+    solve_with_histories,
 )
 
 
@@ -175,7 +176,7 @@ def test_report_is_consistent_in_original_variables():
         prob = DenoiseProblem(
             xi=rand_grid(31, (8, 8)), mu=mu, constraint=NonnegativityConstraint()
         )
-        rep = pdhg_solve(prob, eta=1e-6)
+        rep, p_hist, d_hist = solve_with_histories(prob, eta=1e-6)
         assert rep.converged
         p = primal_value(prob, rep.x)
         d = dual_value(prob, rep.lam)
@@ -183,7 +184,7 @@ def test_report_is_consistent_in_original_variables():
         assert abs(d - rep.dual_value) <= 1e-9 * (1.0 + abs(d))
         assert rep.eps_certificate == max(rep.gap_abs, 0.0)
         assert rep.gap_abs >= -1e-9 * (1.0 + abs(p))
-        assert len(rep.primal_history) == rep.iterations + 1
+        assert len(p_hist) == len(d_hist) == rep.iterations + 1
 
 
 def test_tight_solution_self_consistency():
@@ -328,12 +329,18 @@ def oracle_pdhg(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     return best[1], best[2], iters, p_hist, d_hist
 
 
-def assert_report_matches(rep, want):
-    x, lam, iters, p_hist, d_hist = want
+def solve_like_the_oracle(prob, **kwargs):
+    """Solve, assert the report and every iterate's values equal the oracle's.
+
+    Returns (report, primal values, dual values).
+    """
+    rep, got_p, got_d = solve_with_histories(prob, **kwargs)
+    x, lam, iters, p_hist, d_hist = oracle_pdhg(prob, **kwargs)
     assert np.array_equal(rep.x, x)
     assert np.array_equal(rep.lam.u, lam.u) and np.array_equal(rep.lam.v, lam.v)
     assert rep.iterations == iters
-    assert rep.primal_history == p_hist and rep.dual_history == d_hist
+    assert got_p == p_hist and got_d == d_hist
+    return rep, got_p, got_d
 
 
 @pytest.mark.parametrize("mu", [1.0, 20.0])
@@ -344,18 +351,15 @@ def assert_report_matches(rep, want):
 def test_solver_reproduces_reference_loop_exactly(mu, constraint):
     xi = rand_grid(40, (12, 9))
     prob = DenoiseProblem(xi=xi, mu=mu, constraint=constraint)
-    cold = pdhg_solve(prob, eta=1e-7)
-    assert_report_matches(cold, oracle_pdhg(prob, eta=1e-7))
+    cold, _, _ = solve_like_the_oracle(prob, eta=1e-7)
     # warm start at a moved xi, as the outer iteration does
     moved = DenoiseProblem(xi=xi + 0.5 * rand_grid(41, (12, 9)), mu=mu, constraint=constraint)
-    warm = pdhg_solve(moved, z0=cold.x, lam0=cold.lam, eta=1e-7)
-    assert_report_matches(warm, oracle_pdhg(moved, z0=cold.x, lam0=cold.lam, eta=1e-7))
+    solve_like_the_oracle(moved, z0=cold.x, lam0=cold.lam, eta=1e-7)
     # a capped run whose best iterate is not the last
-    capped = pdhg_solve(moved, z0=cold.x, lam0=cold.lam, eta=1e-12, max_iter=82)
-    assert_report_matches(
-        capped, oracle_pdhg(moved, z0=cold.x, lam0=cold.lam, eta=1e-12, max_iter=82)
+    capped, p_hist, d_hist = solve_like_the_oracle(
+        moved, z0=cold.x, lam0=cold.lam, eta=1e-12, max_iter=82
     )
-    gaps = np.subtract(capped.primal_history, capped.dual_history)
+    gaps = np.subtract(p_hist, d_hist)
     assert not capped.converged and gaps[-1] > gaps.min()
 
 
@@ -417,7 +421,7 @@ def test_nan_inner_solve_ends_the_run_non_finite(monkeypatch):
 def test_each_iterate_is_evaluated_once(monkeypatch, mu, eta, max_iter):
     from lkreg import pdhg
 
-    calls = {"gradient": 0, "dual": 0, "primal_value": 0}
+    calls = {"gradient": 0, "primal": 0, "dual": 0, "primal_value": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -426,13 +430,13 @@ def test_each_iterate_is_evaluated_once(monkeypatch, mu, eta, max_iter):
         return wrapper
 
     monkeypatch.setattr(pdhg, "discrete_gradient", counting("gradient", pdhg.discrete_gradient))
+    monkeypatch.setattr(pdhg, "_primal_value_at", counting("primal", pdhg._primal_value_at))
     monkeypatch.setattr(pdhg, "_dual_value_at", counting("dual", pdhg._dual_value_at))
     monkeypatch.setattr(pdhg, "primal_value", counting("primal_value", pdhg.primal_value))
     prob = DenoiseProblem(xi=rand_grid(41, (8, 8)), mu=mu, constraint=NonnegativityConstraint())
     report = pdhg_solve(prob, z0=np.ones((8, 8)), eta=eta, max_iter=max_iter)
     assert report.iterations > 0 and report.converged == (max_iter == 5000)
-    assert calls["dual"] == len(report.primal_history) == len(report.dual_history)
-    assert calls["gradient"] == report.iterations + 1
+    assert calls["primal"] == calls["dual"] == calls["gradient"] == report.iterations + 1
     assert calls["primal_value"] == 0
 
 
