@@ -6,9 +6,9 @@ Subcommands:
 * ``validate``       print the admissibility report for a configuration
 * ``export-matrix``  write the configured CT system matrix as text
 
-Exit codes: 0 success, 2 configuration or output-path error, 3 solver
-failure (the inner solver missed its gap target, or the run's numbers went
-non-finite).
+Exit codes: 0 success, 2 configuration, input or output-path error (a
+problem too large for memory included), 3 solver failure (the inner
+solver missed its gap target, or the run's numbers went non-finite).
 """
 
 import argparse
@@ -88,7 +88,7 @@ def main(argv=None):
             print(f"wrote {matrix.shape[0]}x{matrix.shape[1]} matrix "
                   f"({matrix.nnz} entries) to {args.out}")
             return 0
-    except harness.ConfigError as exc:
+    except (harness.ConfigError, MemoryError) as exc:  # a problem too large for memory
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

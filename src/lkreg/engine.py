@@ -275,8 +275,7 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
         if n == cfg.n_max:
             break  # cap: final iterate recorded, no further update
         if not accel and g_norm == 0.0:
-            prev = pair  # zero update direction: nothing would change
-            continue
+            continue  # zero update direction: nothing would change
 
         xi_next = xi_eval - rec.mu * g
         new_pair, info = inner_solver(

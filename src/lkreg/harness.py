@@ -6,6 +6,9 @@ unknown keys are rejected.  `ExperimentConfig` extends `engine.SolverConfig`,
 so every setting is declared once, and every range check runs when the
 config is made: the subclass appends its choice, count and problem rules
 to the base class's finiteness and solver rules, and raises `ConfigError`.
+The problem rules hold the relations between fields too (one block for the
+PDE problem, both input paths for ``custom-linear``); read and assembly
+errors become `ConfigError` in one helper, `_as_config_error`.
 
 The ``ct`` and ``custom-linear`` problems share one block operator,
 `tomo.MatrixProblem`: CT splits its rows into runs of whole angles, a custom
@@ -29,6 +32,7 @@ import dataclasses
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +45,15 @@ from .tomo import MatrixProblem
 
 class ConfigError(Exception):
     """Raised for malformed, unknown, or out-of-range configuration input."""
+
+
+@contextmanager
+def _as_config_error(prefix=""):
+    """Re-raise read and parse errors (`OSError`, `ValueError`) as `ConfigError`."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise ConfigError(prefix + str(exc)) from exc
 
 
 _CHOICES = {
@@ -94,6 +107,9 @@ class ExperimentConfig(SolverConfig):
         yield self.ct_angle_step >= 0.0, "ct_angle_step must be nonnegative (0 means 180/ct_angles)"
         for key in ("n_blocks", "metric_every", "ct_q", "ct_angles", "ct_rays", "pde_m"):
             yield getattr(self, key) >= (0 if key == "ct_rays" else 1), f"{key} is out of range"
+        yield self.problem != "pde" or self.n_blocks == 1, "the PDE problem needs n_blocks = 1"
+        yield (self.problem != "custom-linear" or bool(self.matrix_path and self.truth_path),
+               "custom-linear needs matrix_path and truth_path")
 
     def penalty_object(self):
         constraint = NonnegativityConstraint() if self.constraint == "nonneg" else None
@@ -154,11 +170,8 @@ def make_config(preset=None, config_path=None, **overrides):
         merged.update(PRESETS[preset])
     raw = {}
     if config_path is not None:
-        try:
-            with open(config_path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
+        with _as_config_error("cannot read config file: "), open(config_path) as fh:
+            text = fh.read()
         raw = parse_config_text(text, source=str(config_path))
     given = [(key, value, True) for key, value in raw.items()]
     given += [(key, value, False) for key, value in overrides.items() if value is not None]
@@ -166,10 +179,8 @@ def make_config(preset=None, config_path=None, **overrides):
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         if from_text:
-            try:
+            with _as_config_error(f"config key {key!r}: "):
                 value = _FIELD_TYPES[key](value)
-            except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: cannot parse {value!r}") from exc
         merged[key] = value
     try:
         return ExperimentConfig(**merged)
@@ -182,13 +193,11 @@ def ct_geometry(cfg):
         cfg.ct_angles, cfg.ct_angle_start,
         cfg.ct_angle_step if cfg.ct_angle_step > 0.0 else None,
     )
-    try:
+    with _as_config_error():
         return tomo.TomoGeometry(
             q=cfg.ct_q, angles=angles, n_rays=cfg.ct_rays,
             detector_spacing=cfg.ct_detector_spacing,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def load_grid(path):
@@ -198,6 +207,8 @@ def load_grid(path):
         if len(header) != 2:
             raise ConfigError(f"{path}: expected 'rows cols' header")
         r, c = int(header[0]), int(header[1])
+        if r < 1 or c < 1:
+            raise ConfigError(f"{path}: grid sizes must be at least 1; got {r} {c}")
         values = tomo.read_rows(fh).ravel()
     if values.size != r * c:
         raise ConfigError(f"{path}: expected {r * c} values, found {values.size}")
@@ -213,18 +224,14 @@ def save_grid(path, grid):
 
 def _noisy(clean, cfg):
     """Noisy data and its absolute level; zero data cannot take relative noise."""
-    try:
+    with _as_config_error(f"noise_rel = {cfg.noise_rel:g}: "):
         return tomo.add_relative_gaussian_noise(clean, cfg.noise_rel, cfg.seed)
-    except ValueError as exc:
-        raise ConfigError(f"{exc}; set noise_rel = 0") from exc
 
 
 def build_problem(cfg):
     """Assemble (problem, truth); the problem's noise_level is the data's exact one."""
     if cfg.problem == "pde":
         mesh, f, g, truth = elliptic.default_problem(cfg.pde_m)
-        if cfg.n_blocks != 1:
-            raise ConfigError("the PDE problem is single-block; set n_blocks = 1")
         clean = elliptic.solve_state(truth, mesh, f, g)
         data, delta_abs = _noisy(clean, cfg)
         problem = elliptic.EllipticProblem(mesh, f, g, data)
@@ -236,16 +243,10 @@ def build_problem(cfg):
         truth = tomo.shepp_logan(cfg.ct_q)
         operator, layout = tomo.TomoProblem, geom
     else:  # custom-linear
-        if not cfg.matrix_path or not cfg.truth_path:
-            raise ConfigError("custom-linear needs matrix_path and truth_path")
-        try:
+        with _as_config_error("cannot load matrix: "):
             matrix = tomo.load_matrix_coo(cfg.matrix_path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load matrix: {exc}") from exc
-        try:
+        with _as_config_error("cannot load truth grid: "):
             truth = load_grid(cfg.truth_path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load truth grid: {exc}") from exc
         if matrix.shape[1] != truth.size:
             raise ConfigError(
                 f"matrix has {matrix.shape[1]} columns but the truth grid has {truth.size} cells"
@@ -253,10 +254,8 @@ def build_problem(cfg):
         operator, layout = MatrixProblem, truth.shape
     clean = matrix @ truth.ravel()
     data, delta_abs = _noisy(clean, cfg)
-    try:
+    with _as_config_error():
         problem = operator(matrix, data, layout, n_blocks=cfg.n_blocks)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     problem.noise_level = delta_abs
     return problem, truth
 

@@ -1,6 +1,10 @@
 """`lkreg validate` and `lkreg run` reject the same configs, with exit 2."""
 
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lkreg.cli import main
 
@@ -36,3 +40,47 @@ def test_validate_and_run_both_exit_2_with_one_stderr_line(tmp_path, capsys, cas
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1, err
     assert not out.exists()
+
+
+ROWS_1E15 = 10**15  # 7.11 PiB of int64 or float64: the allocation fails at once
+
+# inputs that cannot be read or held: (config bytes, input files by name)
+INPUT_CASES = {
+    "non-utf8-config": (b"\xff\xfe\x00bad = 1\n", {}),
+    "zero-cell-truth": (CUSTOM + "penalty = quadratic\n",
+                        {"matrix.txt": "1 0 0\n", "truth.txt": "0 5\n"}),
+    "negative-truth-header": (CUSTOM + "penalty = quadratic\n",
+                              {"matrix.txt": "1 6 0\n", "truth.txt": "-2 -3\n1 2 3 4 5 6\n"}),
+    "matrix-with-1e15-rows": (CUSTOM + "penalty = quadratic\n",
+                              {"matrix.txt": f"{ROWS_1E15} 4 0\n", "truth.txt": "2 2\n1 2\n3 4\n"}),
+    "ct-with-1e15-rays": (CT + f"ct_rays = {ROWS_1E15}\n", {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CASES))
+def test_unreadable_or_oversized_inputs_exit_2_with_one_stderr_line(tmp_path, capsys, case):
+    text, files = INPUT_CASES[case]
+    for name, body in files.items():
+        (tmp_path / name).write_text(body)
+    cfg_path = tmp_path / "case.cfg"
+    cfg_path.write_bytes(text if isinstance(text, bytes) else text.format(tmp=tmp_path).encode())
+    out = tmp_path / "out"
+    commands = [["validate"], ["run", "--out", str(out)]]
+    if case.startswith("ct-"):
+        commands.append(["export-matrix", "--out", str(out)])
+    for args in commands:
+        assert main([*args, "--config", str(cfg_path)]) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1, err
+        assert "truth-" not in case or str(tmp_path / "truth.txt") in err, err
+    assert not out.exists()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.binary())
+def test_any_config_bytes_validate_to_0_or_2(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "case.cfg")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        assert main(["validate", "--config", path]) in (0, 2)

@@ -16,6 +16,7 @@ from lkreg.harness import _FIELD_TYPES, PRESETS, ConfigError, ExperimentConfig, 
 @pytest.mark.parametrize("bad", [
     dict(tau=1.0), dict(alpha=2.0), dict(s=1.0), dict(p=0.5),
     dict(beta0=0.0), dict(n_max=-1), dict(gap_exponent=0.0),
+    dict(problem="pde", n_blocks=2), dict(problem="custom-linear", matrix_path="m.txt"),
 ])
 def test_invalid_solver_settings_are_rejected_at_construction(bad):
     with pytest.raises(ConfigError):
