@@ -31,8 +31,9 @@ the current iterate, the initial one included, at one site, records it and
 tests for a stop, and only then takes the step to the next iterate.  One
 inner iteration costs one discrete gradient (of the current iterate, which the
 primal value and the dual step share), one divergence, one dual-ball
-projection and one l21 norm; the last two share `tv.pointwise_norm`.  The
-dual value needs no gradient of its own.  Since the divergence is the
+projection and one l21 norm; the last two share the squared length
+u*u + v*v, and the projection stops there when no entry leaves the ball.
+The dual value needs no gradient of its own.  Since the divergence is the
 gradient's transpose, the normal form's Lagrangian at lam is
 
     ||w - xi||^2 / 2 + <div_lam, w> + indicator of C,
@@ -41,7 +42,7 @@ separable in w and minimized by w* = P_C(xi - div_lam); the dual value is
 this very expression at w*.  The primal step already forms xi - div_lam, so
 the dual value reuses it.  The iterates and every temporary of that fixed
 sequence live in buffers allocated once per solve, so the loop allocates
-little beyond the scale of the projection; the floats are the ones the
+little beyond the mask and scale of the projection; the floats are the ones the
 plain expressions give, operation for operation.  The TV primitives are
 called through this module's names so that a caller can wrap them.
 """
@@ -115,13 +116,13 @@ def _primal_value_at(prob, w, grad, work=None):
 
 
 def dual_value(prob, lam, feas_tol=1e-12):
-    """Constructive dual value Psi_D(lam); -inf when lam leaves the unit balls.
+    """Constructive dual value Psi_D(lam); -inf when lam leaves the unit balls or holds a nan.
 
     For feasible lam the normal form's Lagrangian is minimized in closed form
     (w* = P_{C/mu}(xi - div* lam)), evaluated there and scaled by mu, so the
     value is a true lower bound on min Psi_P regardless of rounding.
     """
-    if float(np.max(pointwise_norm(lam))) > 1.0 + feas_tol:
+    if not float(np.max(pointwise_norm(lam))) <= 1.0 + feas_tol:  # a nan max fails too
         return -math.inf
     div_lam = divergence_adjoint(lam)
     return prob.mu * _dual_value_at(normal_form(prob), np.subtract(prob.xi, div_lam), div_lam)

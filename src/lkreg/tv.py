@@ -85,6 +85,14 @@ def _flat_view(a):
     return a.reshape(-1)
 
 
+def _squared_length(field, work):
+    """Write u*u + v*v into `work.u`, with `work.v` as scratch; return `work.u`."""
+    sq, scratch = work.u, work.v
+    np.multiply(field.u, field.u, out=sq)
+    np.multiply(field.v, field.v, out=scratch)
+    return np.add(sq, scratch, out=sq)
+
+
 def pointwise_norm(field, work=None):
     """Pointwise Euclidean length sqrt(u*u + v*v) of a field.
 
@@ -95,11 +103,8 @@ def pointwise_norm(field, work=None):
     """
     if work is None:
         work = GradientField.empty(field.shape)
-    norm, scratch = work.u, work.v
-    np.multiply(field.u, field.u, out=norm)
-    np.multiply(field.v, field.v, out=scratch)
-    np.add(norm, scratch, out=norm)
-    return np.sqrt(norm, out=norm)
+    sq = _squared_length(field, work)
+    return np.sqrt(sq, out=sq)
 
 
 def l21_norm(field, work=None):
@@ -124,23 +129,42 @@ def tv_value(z):
 # which is still inside the ball.
 _INWARD = 1.0 + 2.0 ** -48
 
+# An entry leaves the ball when its computed length sqrt(s) exceeds 1.0,
+# s being its squared length.  A correctly rounded sqrt is monotone and
+# sqrt(1 + 2^-52) = 1 + 2^-53 - 2^-107 + ..., just below the midpoint
+# between 1.0 and the next double, so it rounds to 1.0; sqrt(1 + 2^-51)
+# rounds above 1.0.  Hence sqrt(s) > 1.0 exactly when s > 1 + 2^-52, the
+# double after 1.0, and comparing s saves the root wherever nothing leaves.
+# A nan s fails both compares and an infinite one passes both.
+_ONE_UP = np.nextafter(1.0, 2.0)
+
 
 def project_dual_ball(field, out=None, work=None):
     """Project a field onto pointwise Euclidean unit balls.
 
     Entries whose length (see `pointwise_norm`) is <= 1 pass through
     unchanged; longer ones are divided by their length times _INWARD, so
-    that the projection is idempotent in floating point.  With `out`, a
+    that the projection is idempotent in floating point.  The test is made
+    on the squared length (see _ONE_UP); when no entry leaves the ball the
+    field is copied as it is, with no root and no division.  With `out`, a
     field of the same shape (`field` itself is allowed), the result is
     written into its arrays; `work`, a field of the same shape distinct from
-    both, is overwritten with scratch values.
+    both, is overwritten with scratch values.  Without `out` the result is a
+    new field, never `field` itself.
     """
     if work is None:
         work = GradientField.empty(field.shape)
-    norm = pointwise_norm(field, work)
-    scale = np.where(norm > 1.0, np.multiply(norm, _INWARD, out=work.v), 1.0)
+    sq = _squared_length(field, work)
+    outside = np.greater(sq, _ONE_UP)
     if out is None:
         out = GradientField.empty(field.shape)
+    if not outside.any():
+        if out is not field:
+            np.copyto(out.u, field.u)
+            np.copyto(out.v, field.v)
+        return out
+    norm = np.sqrt(sq, out=sq)
+    scale = np.where(outside, np.multiply(norm, _INWARD, out=work.v), 1.0)
     np.divide(field.u, scale, out=out.u)
     np.divide(field.v, scale, out=out.v)
     return out

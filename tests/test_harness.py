@@ -156,9 +156,9 @@ def test_build_problem_ct_and_pde():
                                constraint="none")
     problem, truth = build_problem(pde_cfg)
     assert truth.shape == (6, 6)
-    with pytest.raises(ConfigError):
-        build_problem(ExperimentConfig(problem="pde", pde_m=6, n_blocks=2,
-                                       penalty="quadratic", constraint="none"))
+    with pytest.raises(ConfigError):  # a config rule: the constructor refuses it
+        ExperimentConfig(problem="pde", pde_m=6, n_blocks=2,
+                         penalty="quadratic", constraint="none")
 
 
 def test_build_problem_custom_linear(tmp_path):
@@ -175,9 +175,8 @@ def test_build_problem_custom_linear(tmp_path):
     assert np.array_equal(loaded, truth)
     data = np.concatenate([problem.data(i) for i in range(2)])
     assert np.allclose(data, matrix @ truth.ravel(), atol=1e-15)
-    with pytest.raises(ConfigError):
-        build_problem(ExperimentConfig(problem="custom-linear",
-                                       penalty="quadratic", constraint="none"))
+    with pytest.raises(ConfigError):  # a config rule: the constructor refuses it
+        ExperimentConfig(problem="custom-linear", penalty="quadratic", constraint="none")
 
 
 def test_summary_delta_abs_is_the_noise_level_of_the_run_problem(monkeypatch, tmp_path):

@@ -91,6 +91,15 @@ def test_dual_value_outside_ball_is_minus_infinity():
     assert dual_value(prob, lam) == -math.inf
 
 
+def test_dual_value_with_a_nan_entry_is_minus_infinity():
+    prob = DenoiseProblem(xi=np.zeros((3, 3)), mu=1.0)
+    lam = GradientField(np.zeros((3, 3)), np.zeros((3, 3)))
+    lam.u[0, 1] = np.nan
+    assert dual_value(prob, lam) == -math.inf
+    lam.v[2, 2] = 5.0  # np.max returns the nan, not this length
+    assert dual_value(prob, lam) == -math.inf
+
+
 def test_dual_value_against_brute_force():
     mu = 1.3
     prob = DenoiseProblem(

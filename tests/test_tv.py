@@ -257,6 +257,47 @@ def test_norm_and_l21_match_plain_expression(field):
     assert l21_norm(field) == float(np.sum(want))
 
 
+def _field(entries):
+    u, v = np.array(entries, dtype=float).T
+    return GradientField(u.reshape(1, -1).copy(), v.reshape(1, -1).copy())
+
+
+_ULP = 2.0 ** -52
+# (u, v) pairs whose squared length is at most 1 + 2^-52, so whose computed
+# length is at most 1.0: (1, 2^-26) has squared length exactly 1 + 2^-52
+_ON_THE_CIRCLE = [(1.0, 2.0 ** -26), (-1.0, 2.0 ** -26), (1.0, 0.0), (0.0, -1.0),
+                  (1.0 - _ULP / 2, 0.0), (0.6, 0.8), (-0.8, 0.6), (0.25, 0.5)]
+# just outside: each squared length rounds to 1 + 2^-51
+_PAST_THE_CIRCLE = [(1.0 + _ULP, 0.0), (1.0, 1.5 * 2.0 ** -26), (0.0, -(1.0 + _ULP))]
+_NAN_ENTRIES = [(np.nan, 0.3), (-0.7, np.nan), (np.nan, np.nan)]
+
+
+@pytest.mark.parametrize("entries", [
+    _ON_THE_CIRCLE,
+    _ON_THE_CIRCLE + _PAST_THE_CIRCLE,
+    _NAN_ENTRIES + [(0.1, -0.2)],
+    _NAN_ENTRIES + _PAST_THE_CIRCLE + [(3.0, 4.0)],
+], ids=["on-circle", "across-circle", "nan-inside", "nan-and-outside"])
+def test_projection_at_the_unit_circle_matches_reference_bit_for_bit(entries):
+    field = _field(entries)
+    before = field.u.tobytes(), field.v.tobytes()
+    want = roll_projection(field)
+    out = GradientField(np.full(field.shape, 7.0), np.full(field.shape, 7.0))
+    in_place = GradientField(field.u.copy(), field.v.copy())
+    fresh = project_dual_ball(field)
+    assert project_dual_ball(field, out=out) is out
+    assert project_dual_ball(in_place, out=in_place) is in_place
+    for got in (fresh, out, in_place):
+        assert got.u.tobytes() == want.u.tobytes() and got.v.tobytes() == want.v.tobytes()
+    # a new field even where nothing leaves the ball, and the input is only read
+    assert not np.shares_memory(fresh.u, field.u) and not np.shares_memory(fresh.v, field.v)
+    assert (field.u.tobytes(), field.v.tobytes()) == before
+    # entries that stay in the ball, nan components included, pass unchanged
+    kept = [i for i, e in enumerate(entries) if e not in _PAST_THE_CIRCLE and e != (3.0, 4.0)]
+    assert fresh.u[0, kept].tobytes() == field.u[0, kept].tobytes()
+    assert fresh.v[0, kept].tobytes() == field.v[0, kept].tobytes()
+
+
 def test_overflowing_entries_project_to_zero_and_l21_is_inf():
     big = GradientField(np.array([[3e154, 0.5]]), np.array([[-2e200, 0.5]]))
     with np.errstate(over="ignore"):
