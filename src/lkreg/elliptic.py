@@ -40,6 +40,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .engine import ForwardProblem
+from .penalty import norm
 
 
 @dataclass(frozen=True)
@@ -142,10 +143,10 @@ class PcgOperator:
         above the tolerance after the iteration cap, or if b is not finite.
         """
         b = np.asarray(b, dtype=float).ravel()
-        norm = np.linalg.norm(b)
-        if not math.isfinite(norm):
+        b_norm = norm(b)
+        if not math.isfinite(b_norm):
             return np.full(self.shape, np.nan)
-        if norm == 0.0:
+        if b_norm == 0.0:
             return np.zeros(self.shape)  # cg would hand back b itself
         if x0 is not None and not np.all(np.isfinite(x0)):
             x0 = None

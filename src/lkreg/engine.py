@@ -30,7 +30,7 @@ from numbers import Integral
 import numpy as np
 
 from .pdhg import inner_solver
-from .penalty import PrimalDualPair, bregman_eps_distance, duality_map, power
+from .penalty import PrimalDualPair, bregman_eps_distance, duality_map, norm, power
 
 
 class ForwardProblem:
@@ -223,6 +223,9 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
     noisy = delta > 0.0
     threshold = power(cfg.tau * delta, cfg.p)  # inf on overflow, which stops step 0
 
+    if truth is not None:  # run constants of the diagnostics
+        truth_norm, truth_value = norm(truth), penalty.value(truth)
+
     shape = problem.domain_shape
     pair = PrimalDualPair(x=np.zeros(shape), xi=np.zeros(shape), eps=0.0)
     prev = pair
@@ -240,7 +243,7 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
             x_eval, xi_eval = pair.x, pair.xi
 
         r = problem.residual(i, x_eval)
-        r_norm = float(np.linalg.norm(r))
+        r_norm = norm(r)
         eps_n = max(pair.eps, cfg.eps_floor)
         held = noisy and _discrepancy(r_norm, eps_n, cfg) <= threshold
         q = q + 1 if held else 0
@@ -250,8 +253,7 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
             eps_n=eps_n, inner_iterations=0, q_n=q,
         )
         if truth is not None and n % diag_every == 0:
-            rec.rel_error = _relative_error(pair.x, truth)
-            rec.bregman_to_truth = _bregman(penalty, pair, truth, eps_n)
+            _diagnose(rec, pair, penalty, truth, truth_norm, truth_value)
         trace.records.append(rec)
         if not (math.isfinite(r_norm) and math.isfinite(threshold)):
             trace.terminated_by = "non-finite"
@@ -266,7 +268,7 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
 
         jr = duality_map(r, cfg.s)
         g = problem.adjoint(i, x_eval, jr)
-        g_norm = float(np.linalg.norm(g))
+        g_norm = norm(g)
         rec.mu_tilde, rec.mu = step_size(r_norm, g_norm, eps_n, cfg)
         if not (math.isfinite(g_norm) and math.isfinite(rec.mu)):
             trace.terminated_by = "non-finite"
@@ -299,21 +301,26 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
     # record, so an off-cadence final iterate gets its diagnostics here.
     last = trace.records[-1]
     if truth is not None and last.rel_error is None:
-        last.rel_error = _relative_error(pair.x, truth)
-        last.bregman_to_truth = _bregman(penalty, pair, truth, last.eps_n)
+        _diagnose(last, pair, penalty, truth, truth_norm, truth_value)
     return pair, trace
 
 
-def _relative_error(x, truth):
-    denom = float(np.linalg.norm(truth))
+def _relative_error(x, truth, truth_norm=None):
+    """||x - truth|| / ||truth||, or ||x|| for a zero truth; truth_norm is ||truth|| if known."""
+    denom = norm(truth) if truth_norm is None else truth_norm
     if denom == 0.0:
-        return float(np.linalg.norm(x))
-    return float(np.linalg.norm(x - truth)) / denom
+        return norm(x)
+    return norm(x - truth) / denom
 
 
-def _bregman(penalty, pair, truth, eps_n):
-    inflated = PrimalDualPair(x=pair.x, xi=pair.xi, eps=eps_n)
-    return bregman_eps_distance(penalty, inflated, truth)
+def _diagnose(rec, pair, penalty, truth, truth_norm, truth_value):
+    """Fill rec's distances from pair.x to the truth, given ||truth|| and Theta(truth).
+
+    The Bregman distance is the eps-inflated one, with rec's floored eps_n.
+    """
+    rec.rel_error = _relative_error(pair.x, truth, truth_norm)
+    inflated = PrimalDualPair(x=pair.x, xi=pair.xi, eps=rec.eps_n)
+    rec.bregman_to_truth = bregman_eps_distance(penalty, inflated, truth, truth_value)
 
 
 @dataclass

@@ -13,7 +13,8 @@ errors become `ConfigError` in one helper, `_as_config_error`.
 The ``ct`` and ``custom-linear`` problems share one block operator,
 `tomo.MatrixProblem`: CT splits its rows into runs of whole angles, a custom
 matrix into runs of rows as even as possible.  A run writes into its output
-directory, through one CSV writer for both tables:
+directory; each metrics row is formatted once, and trace.csv streams the
+rows of metrics.csv back and extends them:
 
 * ``metrics.csv``   one row per outer iterate with the exact column set
   ``n, i_n, residual_norm, mu_tilde, mu, eps_n, inner_iterations,
@@ -25,11 +26,12 @@ directory, through one CSV writer for both tables:
 Runs are deterministic: the only randomness is the seeded portable noise
 stream, so identical config plus seed reproduces metrics.csv byte for byte
 with the same BLAS thread count: the BLAS reductions behind `np.vdot` and
-`np.linalg.norm` round differently across thread counts.
+`penalty.norm` round differently across thread counts.
 """
 
 import dataclasses
 import json
+import operator
 import os
 import time
 from contextlib import contextmanager
@@ -261,34 +263,58 @@ def build_problem(cfg):
 
 
 def _csv_cell(value):
+    kind = type(value)
+    if kind is float:
+        return repr(value)
+    if kind is int:
+        return str(value)
     if value is None:
         return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return repr(float(value))  # inf, -inf and nan included
+    return repr(float(value))  # numpy 2's repr of np.float64 names the type
 
 
 METRICS_COLUMNS = (
     "n", "i_n", "residual_norm", "mu_tilde", "mu", "eps_n",
     "inner_iterations", "rel_error", "q_n",
 )
+_metrics_cells = operator.attrgetter(*METRICS_COLUMNS)
 
 
-def _write_csv(path, records, columns):
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for rec in records:
-            fh.write(",".join(_csv_cell(getattr(rec, c)) for c in columns) + "\n")
+def _metrics_rows(records):
+    """Each record's metrics.csv row, without its line end."""
+    for rec in records:
+        yield ",".join(map(_csv_cell, _metrics_cells(rec)))
+
+
+def _written_rows(path):
+    """The rows of the CSV table at `path` below its header, without line ends."""
+    with open(path, newline="") as fh:
+        next(fh)
+        for line in fh:
+            yield line[:-1]
 
 
 def write_metrics(path, trace):
     """Write the per-iterate metrics table with its fixed column set."""
-    _write_csv(path, trace.records, METRICS_COLUMNS)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(METRICS_COLUMNS) + "\n")
+        for row in _metrics_rows(trace.records):
+            fh.write(row + "\n")
 
 
-def write_trace(path, trace):
-    """Write the metrics columns plus the Bregman distance to the truth."""
-    _write_csv(path, trace.records, METRICS_COLUMNS + ("bregman_to_truth",))
+def write_trace(path, trace, metrics_path=None):
+    """Write the metrics columns plus the Bregman distance to the truth.
+
+    Given `metrics_path`, the table `write_metrics` wrote for this trace,
+    each row is streamed from that file instead of being formatted again.
+    """
+    rows = _metrics_rows(trace.records) if metrics_path is None else _written_rows(metrics_path)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(METRICS_COLUMNS) + ",bregman_to_truth\n")
+        for rec, row in zip(trace.records, rows, strict=True):
+            fh.write(f"{row},{_csv_cell(rec.bregman_to_truth)}\n")
 
 
 def write_pgm(path, grid):
@@ -340,8 +366,9 @@ def run_experiment(cfg, out_dir=None):
         "records": len(trace.records),
         "seed": cfg.seed,
     }
-    write_metrics(os.path.join(out, "metrics.csv"), trace)
-    write_trace(os.path.join(out, "trace.csv"), trace)
+    metrics_path = os.path.join(out, "metrics.csv")
+    write_metrics(metrics_path, trace)
+    write_trace(os.path.join(out, "trace.csv"), trace, metrics_path)
     write_pgm(os.path.join(out, "recon.pgm"), pair.x)
     with open(os.path.join(out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

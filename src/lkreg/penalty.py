@@ -31,6 +31,18 @@ def power(base, exponent):
         return math.inf
 
 
+def norm(a):
+    """Euclidean (Frobenius) norm of a real array, as a float.
+
+    The package's one norm.  It is the arithmetic of numpy.linalg's `norm`
+    with its defaults, the square root of the K-order ravel's dot with
+    itself, so it gives the same bits, without that wrapper's checks and
+    dispatch.
+    """
+    a = a.ravel(order="K")
+    return math.sqrt(a.dot(a))
+
+
 def duality_map(r, s):
     """Power-type duality map J_s(r) = ||r||^(s-2) r, with J_s(0) = 0.
 
@@ -39,10 +51,11 @@ def duality_map(r, s):
     """
     if s <= 1:
         raise ValueError("duality map exponent must satisfy s > 1")
-    nrm = float(np.linalg.norm(r))
+    r = np.asarray(r, dtype=float)
+    nrm = norm(r)
     if nrm == 0.0:
-        return np.zeros_like(r, dtype=float)
-    return power(nrm, s - 2.0) * np.asarray(r, dtype=float)
+        return np.zeros_like(r)
+    return power(nrm, s - 2.0) * r
 
 
 class NonnegativityConstraint:
@@ -52,7 +65,7 @@ class NonnegativityConstraint:
         return np.maximum(z, 0.0, out=out)
 
     def contains(self, z, tol=0.0):
-        return bool(np.min(z) >= -tol)
+        return bool(z.min() >= -tol)
 
     def scaled(self, factor):
         """The set {factor * z : z in C}; a cone, so itself."""
@@ -79,7 +92,7 @@ class BoxConstraint:
         return np.clip(z, self.lower, self.upper, out=out)
 
     def contains(self, z, tol=0.0):
-        return bool(np.min(z) >= self.lower - tol and np.max(z) <= self.upper + tol)
+        return bool(z.min() >= self.lower - tol and z.max() <= self.upper + tol)
 
     def scaled(self, factor):
         """The set {factor * z : z in C}, another box."""
@@ -163,13 +176,15 @@ def solve_quadratic_exact(xi, penalty):
     return PrimalDualPair(x=x, xi=np.array(xi, dtype=float, copy=True), eps=0.0)
 
 
-def bregman_eps_distance(theta, pair, xbar):
+def bregman_eps_distance(theta, pair, xbar, val_bar=None):
     """eps-Bregman distance Theta(xbar) - Theta(x) - <xi, xbar - x> + eps.
 
     Returns inf when xbar is infeasible for theta.  Nonnegative whenever the
-    pair really certifies an eps-subgradient.
+    pair really certifies an eps-subgradient.  A caller that already holds
+    Theta(xbar) passes it as `val_bar`.
     """
-    val_bar = theta.value(xbar)
+    if val_bar is None:
+        val_bar = theta.value(xbar)
     if math.isinf(val_bar):
         return math.inf
     val_x = theta.value(pair.x)

@@ -20,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .engine import ForwardProblem
+from .penalty import norm
 from .rng import normals
 
 
@@ -227,11 +228,11 @@ def add_relative_gaussian_noise(g, delta_rel, seed):
         raise ValueError("relative noise level must be nonnegative")
     if delta_rel == 0.0:
         return g.copy(), 0.0
-    g_norm = float(np.linalg.norm(g))
+    g_norm = norm(g)
     if g_norm == 0.0:
         raise ValueError("cannot scale noise relative to zero data")
     e = normals(seed, g.size).reshape(g.shape)
-    e_norm = float(np.linalg.norm(e))
+    e_norm = norm(e)
     if e_norm == 0.0:  # pragma: no cover - measure-zero draw
         raise ValueError("degenerate zero noise draw")
     delta_abs = delta_rel * g_norm

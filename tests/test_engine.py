@@ -454,3 +454,35 @@ def test_run_refuses_a_gap_schedule_leaving_the_unit_interval_before_step_0(monk
     with pytest.raises(ValueError, match=r"gap target at n = n_max = 20 must lie in \(0, 1\)"):
         run(problem, pen, cfg)
     assert calls == []
+
+
+@pytest.mark.parametrize("mode", ["plain", "accelerated"])
+@pytest.mark.parametrize("kind", [QuadraticPenalty, TotalVariationPenalty])
+def test_every_record_matches_the_reference_diagnostics(monkeypatch, mode, kind):
+    problem, _, truth = tiny_linear_problem(233, n_blocks=2)
+    truth_values = []
+
+    class CountingPenalty(kind):
+        def value(self, z):
+            if z is truth:
+                truth_values.append(z)
+            return super().value(z)
+
+    pairs = [PrimalDualPair(x=np.zeros(truth.shape), xi=np.zeros(truth.shape), eps=0.0)]
+    real_inner_solver = engine.inner_solver
+
+    def recording(xi, penalty, **kw):
+        pair, info = real_inner_solver(xi, penalty, **kw)
+        pairs.append(pair)
+        return pair, info
+
+    monkeypatch.setattr(engine, "inner_solver", recording)
+    pen = CountingPenalty(mu=1.0)
+    _, trace = run(problem, pen, cfg_with(n_max=9), mode=mode, truth=truth, diag_every=1)
+    assert len(truth_values) == 1  # Theta(truth) is a run constant
+    assert len(pairs) == len(trace.records)  # one solve per step but the capped last
+    reference = kind(mu=1.0)
+    for rec, pair in zip(trace.records, pairs):
+        assert rec.rel_error == engine._relative_error(pair.x, truth)
+        inflated = PrimalDualPair(x=pair.x, xi=pair.xi, eps=rec.eps_n)
+        assert rec.bregman_to_truth == bregman_eps_distance(reference, inflated, truth)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lkreg.penalty import (
     BoxConstraint,
@@ -14,6 +16,7 @@ from lkreg.penalty import (
     bregman_eps_distance,
     check_eps_subgradient,
     duality_map,
+    norm,
     solve_quadratic_exact,
 )
 from lkreg.pdhg import inner_solver
@@ -227,3 +230,41 @@ def test_only_the_quadratic_penalty_has_a_dual_bound():
     for cls in (QuadraticPenalty, TotalVariationPenalty):
         with pytest.raises(ValueError, match="mu"):
             cls(mu=0.0)
+
+
+# Any float64, plus magnitudes from 1e155 up, whose squares overflow.
+_norm_entries = st.one_of(
+    st.floats(width=64),
+    st.builds(lambda sign, x: sign * x, st.sampled_from([-1.0, 1.0]), st.floats(1e155, 1.7e308)),
+)
+_views = {
+    "C": lambda a: a,
+    "F": np.asfortranarray,
+    "transposed": lambda a: a.T,
+    "every other row": lambda a: a[::2],
+    "reversed last axis": lambda a: a[..., ::-1],
+    "every third entry": lambda a: a.ravel()[::3],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=9),
+                  elements=_norm_entries),
+       st.sampled_from(sorted(_views)))
+def test_norm_has_the_bits_of_numpy_norm(a, view):
+    a = _views[view](a)
+    with np.errstate(over="ignore", invalid="ignore"):  # both warn alike on overflow
+        got, want = norm(a), float(np.linalg.norm(a))
+    assert type(got) is float
+    assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), (got, want)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+def test_norm_special_values():
+    assert norm(np.zeros((0, 3))) == 0.0
+    assert norm(np.array([-0.0])) == 0.0
+    assert norm(np.array([3.0, -4.0])) == 5.0
+    assert norm(np.array([5e-324, 5e-324])) == 0.0  # the squares underflow, as numpy's do
+    assert norm(np.array([1e155, 1.0])) == math.inf
+    assert norm(np.array([-math.inf, 1.0])) == math.inf
+    assert math.isnan(norm(np.array([math.nan, math.inf])))
