@@ -6,9 +6,11 @@ Subcommands:
 * ``validate``       print the admissibility report for a configuration
 * ``export-matrix``  write the configured CT system matrix as text
 
-Exit codes: 0 success, 2 configuration, input or output-path error (a
-problem too large for memory included), 3 solver failure (the inner
-solver missed its gap target, or the run's numbers went non-finite).
+Exit codes: 0 success, 2 configuration, input or output-path error or
+memory exhausted (a matrix too large to load or build is a configuration
+error; running out anywhere else prints ``out of memory``), 3 solver
+failure (the inner solver missed its gap target, or the run's numbers went
+non-finite).
 """
 
 import argparse
@@ -82,14 +84,16 @@ def main(argv=None):
             cfg = _load_config(args)
             if cfg.problem != "ct":
                 raise harness.ConfigError("export-matrix requires a CT configuration")
-            geom = harness.ct_geometry(cfg)
-            matrix = tomo.build_parallel_tomo(geom)
+            matrix = harness.ct_matrix(harness.ct_geometry(cfg))
             tomo.save_matrix_coo(args.out, matrix)
             print(f"wrote {matrix.shape[0]}x{matrix.shape[1]} matrix "
                   f"({matrix.nnz} entries) to {args.out}")
             return 0
-    except (harness.ConfigError, MemoryError) as exc:  # a problem too large for memory
+    except harness.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)

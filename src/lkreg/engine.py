@@ -266,7 +266,7 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
             prev = pair  # idle step: iterate frozen, momentum collapses
             continue
 
-        jr = duality_map(r, cfg.s)
+        jr = duality_map(r, cfg.s, r_norm)
         g = problem.adjoint(i, x_eval, jr)
         g_norm = norm(g)
         rec.mu_tilde, rec.mu = step_size(r_norm, g_norm, eps_n, cfg)

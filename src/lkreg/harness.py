@@ -8,7 +8,8 @@ config is made: the subclass appends its choice, count and problem rules
 to the base class's finiteness and solver rules, and raises `ConfigError`.
 The problem rules hold the relations between fields too (one block for the
 PDE problem, both input paths for ``custom-linear``); read and assembly
-errors become `ConfigError` in one helper, `_as_config_error`.
+errors, an input too large for memory included, become `ConfigError` in one
+helper, `_as_config_error`.
 
 The ``ct`` and ``custom-linear`` problems share one block operator,
 `tomo.MatrixProblem`: CT splits its rows into runs of whole angles, a custom
@@ -51,10 +52,14 @@ class ConfigError(Exception):
 
 @contextmanager
 def _as_config_error(prefix=""):
-    """Re-raise read and parse errors (`OSError`, `ValueError`) as `ConfigError`."""
+    """Re-raise read, parse and allocation errors as `ConfigError`.
+
+    These are `OSError`, `ValueError` and `MemoryError`, the last for an
+    input too large to hold.
+    """
     try:
         yield
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         raise ConfigError(prefix + str(exc)) from exc
 
 
@@ -202,6 +207,12 @@ def ct_geometry(cfg):
         )
 
 
+def ct_matrix(geom):
+    """The CT system matrix of a geometry; one too large for memory is a `ConfigError`."""
+    with _as_config_error("cannot build the CT matrix: "):
+        return tomo.build_parallel_tomo(geom)
+
+
 def load_grid(path):
     """Read a dense grid: header ``rows cols`` then row-major values."""
     with open(path) as fh:
@@ -241,7 +252,7 @@ def build_problem(cfg):
         return problem, truth
     if cfg.problem == "ct":
         geom = ct_geometry(cfg)
-        matrix = tomo.build_parallel_tomo(geom)
+        matrix = ct_matrix(geom)
         truth = tomo.shepp_logan(cfg.ct_q)
         operator, layout = tomo.TomoProblem, geom
     else:  # custom-linear

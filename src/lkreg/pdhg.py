@@ -45,6 +45,17 @@ sequence live in buffers allocated once per solve, so the loop allocates
 little beyond the mask and scale of the projection; the floats are the ones the
 plain expressions give, operation for operation.  The TV primitives are
 called through this module's names so that a caller can wrap them.
+
+Early in a run the exact inner minimizer is often a constant image.
+Without a constraint, w = mean(xi) minimizes the normal form exactly when
+some dual field lam in the unit balls has div* lam = xi - mean(xi) (Meyer's
+test); with one, the same lam gives P_C(mean(xi)) a zero gap.  While its
+warm start is constant, `inner_solver` builds the least-norm field with that
+divergence in closed form, by a periodic Poisson solve with two FFTs.  When
+that field stays in the balls (sufficient, not necessary), it hands PDHG
+this pair as the start, whose gap at iterate 0 is at the rounding floor, so
+the solve returns a normal report after 0 iterations; `pdhg_solve` itself
+knows nothing of it.
 """
 
 import math
@@ -264,13 +275,36 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     )
 
 
+def _constant_regime_field(centered):
+    """The dual field D phi, with D^T D phi = `centered`, a grid of zero mean.
+
+    D is `discrete_gradient`, so `divergence_adjoint` of the result is
+    `centered` up to rounding.  The periodic D^T D is diagonal under the 2-D
+    DFT, with eigenvalues (2 - 2 cos 2 pi k / n0) + (2 - 2 cos 2 pi l / n1);
+    only the zero mode's is 0, and that mode is set to 0.  This is the
+    least-norm field of Meyer's test (see the module docstring; Chambolle,
+    JMIV 20, 2004).
+    """
+    n0, n1 = centered.shape
+    spectrum = np.fft.rfft2(centered)
+    along0 = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n0) / n0)
+    along1 = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(spectrum.shape[1]) / n1)
+    eigenvalues = along0[:, None] + along1[None, :]
+    eigenvalues[0, 0] = 1.0
+    spectrum /= eigenvalues
+    spectrum[0, 0] = 0.0
+    return discrete_gradient(np.fft.irfft2(spectrum, s=centered.shape))
+
+
 @dataclass(frozen=True)
 class InnerInfo:
     """What the outer iteration needs to know about one inner solve.
 
     `report` is the full PdhgReport of a TV solve (None for the exact
-    quadratic solve).  Nothing in the package reads it; the benchmark in
-    `benchmarks/worker.py` reads its `dual_value` and `gap_rel`.
+    quadratic solve); a solve certified by its constant-regime start is a
+    report like any other, with 0 iterations.  Nothing in the package reads
+    it; the benchmark in `benchmarks/worker.py` reads its `dual_value` and
+    `gap_rel`.
     """
 
     iterations: int
@@ -287,6 +321,17 @@ def inner_solver(xi, penalty, gap_target=None, warm_x=None, warm_lam=None, max_i
     started from (warm_x, warm_lam); the certificate is the achieved absolute
     gap, which transfers from the denoising objective to Theta - <xi, .>
     because the two differ by a constant.
+
+    While warm_x is constant (or None, meaning zeros), as on a run's first
+    steps, the solve first tries the constant regime (see the module
+    docstring): with c = mean(xi) and lam = `_constant_regime_field(xi - c)`,
+    max |lam| <= 1 makes (c, lam), c projected onto C / mu, an exact
+    primal-dual pair of the normal form, so PDHG starts from (mu c, lam)
+    instead (`pdhg_solve` projects any start).  Its gap at iterate 0 is at
+    the rounding floor, so the solve returns after 0 iterations; should the
+    gap miss the target, PDHG iterates from there.  A try costs two FFTs;
+    the first solve that leaves the regime normally returns a non-constant
+    x, and that ends the tries.  A non-finite xi fails the test.
     """
     if penalty.kind == "quadratic":
         return solve_quadratic_exact(xi, penalty), InnerInfo(iterations=0, converged=True)
@@ -295,6 +340,14 @@ def inner_solver(xi, penalty, gap_target=None, warm_x=None, warm_lam=None, max_i
     if gap_target is None:
         raise ValueError("a TV inner solve needs an explicit gap target")
     prob = DenoiseProblem(xi=np.asarray(xi, dtype=float), mu=penalty.mu, constraint=penalty.constraint)
+    if warm_x is None or warm_x.min() == warm_x.max():
+        # non-finite or huge xi overflows here, and its field fails the test
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = prob.xi.mean()
+            lam = _constant_regime_field(prob.xi - c)
+            certified = float(np.max(pointwise_norm(lam))) <= 1.0
+        if certified:
+            warm_x, warm_lam = np.full(prob.xi.shape, prob.mu * c), lam
     report = pdhg_solve(prob, z0=warm_x, lam0=warm_lam, eta=gap_target, max_iter=max_iter)
     pair = PrimalDualPair(
         x=report.x, xi=np.array(xi, dtype=float, copy=True), eps=report.eps_certificate

@@ -43,16 +43,18 @@ def norm(a):
     return math.sqrt(a.dot(a))
 
 
-def duality_map(r, s):
+def duality_map(r, s, r_norm=None):
     """Power-type duality map J_s(r) = ||r||^(s-2) r, with J_s(0) = 0.
 
     Defined for s > 1 on arrays of any shape; norms are Euclidean
     (Frobenius).  Satisfies <J_s(r), r> = ||r||^s and ||J_s(r)|| = ||r||^(s-1).
+    `r_norm`, when given, is `norm(r)` of a float array r, taken by the
+    caller; the map then skips taking it again.
     """
     if s <= 1:
         raise ValueError("duality map exponent must satisfy s > 1")
     r = np.asarray(r, dtype=float)
-    nrm = norm(r)
+    nrm = norm(r) if r_norm is None else r_norm
     if nrm == 0.0:
         return np.zeros_like(r)
     return power(nrm, s - 2.0) * r

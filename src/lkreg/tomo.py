@@ -221,21 +221,28 @@ def add_relative_gaussian_noise(g, delta_rel, seed):
     A standard normal vector from the seeded portable stream is rescaled to
     the prescribed length, which makes the absolute noise level
     delta_abs = delta_rel * ||g|| exact rather than merely expected.
-    Returns (g_noisy, delta_abs).
+    Returns (g_noisy, delta_abs).  ValueError for a negative or non-finite
+    delta_rel and, unless delta_rel is 0, for data that is zero, not finite
+    or so large that delta_abs overflows.
     """
     g = np.asarray(g, dtype=float)
-    if delta_rel < 0.0:
-        raise ValueError("relative noise level must be nonnegative")
+    if not (math.isfinite(delta_rel) and delta_rel >= 0.0):
+        raise ValueError(f"relative noise level must be finite and nonnegative; got {delta_rel!r}")
     if delta_rel == 0.0:
         return g.copy(), 0.0
-    g_norm = norm(g)
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        g_norm = norm(g)
+    if not math.isfinite(g_norm):
+        raise ValueError("cannot scale noise relative to data whose norm is not finite")
     if g_norm == 0.0:
         raise ValueError("cannot scale noise relative to zero data")
+    delta_abs = delta_rel * g_norm
+    if not math.isfinite(delta_abs):
+        raise ValueError(f"the absolute noise level {delta_rel!r} * {g_norm!r} overflows")
     e = normals(seed, g.size).reshape(g.shape)
     e_norm = norm(e)
     if e_norm == 0.0:  # pragma: no cover - measure-zero draw
         raise ValueError("degenerate zero noise draw")
-    delta_abs = delta_rel * g_norm
     return g + (delta_abs / e_norm) * e, delta_abs
 
 

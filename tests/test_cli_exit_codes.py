@@ -6,6 +6,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lkreg import harness
 from lkreg.cli import main
 
 CT = "problem = ct\nct_q = 8\nct_angles = 30\nn_max = 10\n"
@@ -21,6 +22,7 @@ CASES = {
     "negative-angle-step": "problem = ct\nct_q = 8\nct_angles = 4\nct_angle_step = -4\n",
     "blocks-past-the-angles": CT + "n_blocks = 1000\n",
     "zero-detector-spacing": CT + "ct_detector_spacing = 0\n",
+    "noise-level-overflows": CT + "noise_rel = 1e308\n",
     "pde-with-two-blocks": "problem = pde\npde_m = 6\nn_blocks = 2\n",
     "custom-with-missing-files": CUSTOM,
     "custom-with-header-only-truth": CUSTOM,
@@ -74,6 +76,18 @@ def test_unreadable_or_oversized_inputs_exit_2_with_one_stderr_line(tmp_path, ca
         assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1, err
         assert "truth-" not in case or str(tmp_path / "truth.txt") in err, err
     assert not out.exists()
+
+
+def test_memory_running_out_in_a_run_exits_2_and_says_so(tmp_path, capsys, monkeypatch):
+    def exhausted(cfg):
+        raise MemoryError("Unable to allocate 7.11 PiB")
+
+    monkeypatch.setattr(harness, "run_experiment", exhausted)
+    cfg_path = tmp_path / "case.cfg"
+    cfg_path.write_text(CT)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "out of memory: Unable to allocate 7.11 PiB\n", err
 
 
 @settings(max_examples=50, deadline=None)

@@ -14,6 +14,8 @@ from lkreg.penalty import (
     QuadraticPenalty,
     TotalVariationPenalty,
     bregman_eps_distance,
+    duality_map,
+    norm,
 )
 
 from conftest import rand_grid, tiny_linear_problem
@@ -183,12 +185,22 @@ def test_mu_zero_exactly_when_test_holds():
 
 
 def test_inner_failure_terminates_run():
-    problem, _, _ = tiny_linear_problem(210)
+    # data large enough that the first subproblem leaves the constant regime,
+    # which the closed form would certify with 0 iterations
+    _, A, truth = tiny_linear_problem(210)
+    problem, _, _ = tiny_linear_problem(210, data=100 * (A @ truth.ravel()))
     pen = TotalVariationPenalty(mu=1.0, constraint=NonnegativityConstraint())
     cfg = cfg_with(n_max=50, eta0=1e-3, inner_max_iter=1)
     pair, trace = run(problem, pen, cfg, mode="plain")
     assert trace.terminated_by == "inner-failure"
     assert trace.n_final == 0 and len(trace.records) == 1
+
+
+@pytest.mark.parametrize("s", [1.5, 2.0, 3.7])
+def test_duality_map_given_the_residual_norm_keeps_its_bits(s):
+    # `run` hands duality_map the norm it took for the discrepancy test
+    for r in (rand_grid(61, (5, 3)), np.zeros(4), 1e-160 * rand_grid(62, (92,))):
+        assert np.array_equal(duality_map(r, s, norm(r)), duality_map(r, s))
 
 
 class PoisonedProblem(ForwardProblem):

@@ -313,6 +313,7 @@ def test_cli_inner_failure_exit_code(tmp_path, capsys):
     cfg_path.write_text(
         "problem = ct\nct_q = 16\nct_angles = 5\npenalty = quadratic+TV\n"
         "constraint = nonneg\nn_max = 5\ninner_max_iter = 1\neta0 = 0.001\n"
+        "beta0 = 10.0\n"  # a first step long enough to leave the constant regime
     )
     rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 3

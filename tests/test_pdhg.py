@@ -1,5 +1,6 @@
 """PDHG inner solver: values, schedule, convergence, certificates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,13 +18,15 @@ from lkreg.penalty import (
 )
 from lkreg.pdhg import (
     DenoiseProblem,
+    PdhgReport,
+    _constant_regime_field,
     dual_value,
     inner_solver,
     pdhg_solve,
     primal_value,
     step_sizes,
 )
-from lkreg.tv import GradientField, project_dual_ball
+from lkreg.tv import GradientField, divergence_adjoint, pointwise_norm, project_dual_ball
 
 from conftest import (
     rand_field,
@@ -525,3 +528,63 @@ def test_one_gradient_per_iteration(mu, monkeypatch):
     report = pdhg_solve(prob, eta=1e-7)
     assert report.iterations > 10
     assert calls == {"gradient": report.iterations + 1, "field_dot": 0}
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (5, 7), (6, 3), (1, 6), (7, 1), (1, 1)])
+def test_constant_regime_field_inverts_the_divergence(shape):
+    xi = 3.0 + rand_grid(50, shape)
+    centered = xi - xi.mean()
+    lam = _constant_regime_field(centered)
+    assert lam.shape == shape
+    assert np.allclose(divergence_adjoint(lam), centered, rtol=0.0, atol=1e-13)
+
+
+@st.composite
+def constant_regime_case(draw):
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=8))
+    # small scales stay in the constant regime, large ones leave it
+    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
+    xi = draw(st.floats(-2.0, 2.0)) + scale * rand_grid(draw(st.integers(0, 2**16)), shape)
+    pen = TotalVariationPenalty(mu=draw(st.sampled_from([1.0, 2.5, 20.0])),
+                                constraint=draw(_constraints))
+    warm = draw(st.sampled_from(["none", "constant", "varying"]))
+    warm_x = {"none": None, "constant": np.full(shape, 0.25),
+              "varying": np.arange(float(np.prod(shape))).reshape(shape)}[warm]
+    warm_lam = None if warm == "none" else project_dual_ball(rand_field(51, shape))
+    return xi, pen, warm_x, warm_lam
+
+
+def _same_report(a, b):
+    for f in dataclasses.fields(PdhgReport):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, GradientField):
+            assert np.array_equal(x.u, y.u) and np.array_equal(x.v, y.v), f.name
+        elif isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(constant_regime_case())
+def test_constant_regime_start_property(case):
+    xi, pen, warm_x, warm_lam = case
+    prob = DenoiseProblem(xi=xi, mu=pen.mu, constraint=pen.constraint)
+    tried = warm_x is None or warm_x.min() == warm_x.max()
+    inside = float(np.max(pointwise_norm(_constant_regime_field(xi - xi.mean())))) <= 1.0
+    pair, info = inner_solver(xi, pen, gap_target=1e-6, warm_x=warm_x, warm_lam=warm_lam,
+                              max_iter=300)
+    assert pair.eps == info.report.eps_certificate
+    if not (tried and inside):
+        want = pdhg_solve(prob, z0=warm_x, lam0=warm_lam, eta=1e-6, max_iter=300)
+        _same_report(info.report, want)
+        return
+    assert info.iterations == 0 and info.converged
+    bound = info.report.dual_value - pen.mu * float(np.vdot(xi, xi)) / 2.0
+    assert check_eps_subgradient(pair, pen, bound)
+    # Psi_P is (1/mu)-strongly convex, so a pair with gap g lies within
+    # sqrt(2 mu g) of the minimizer; floor is the gap's rounding floor
+    long = pdhg_solve(prob, eta=1e-10, max_iter=5000)
+    floor = pen.mu * 16.0 * np.finfo(float).eps * (1.0 + 0.5 * float(np.vdot(xi, xi)))
+    tol = sum(math.sqrt(2.0 * pen.mu * (eps + floor)) for eps in (pair.eps, long.eps_certificate))
+    assert float(np.linalg.norm(pair.x - long.x)) <= tol

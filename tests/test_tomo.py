@@ -206,6 +206,19 @@ def test_noise_edge_cases():
         add_relative_gaussian_noise(g, -0.1, seed=1)
 
 
+@pytest.mark.parametrize("g,delta_rel", [
+    (np.ones(10), math.nan),
+    (np.ones(10), math.inf),
+    (np.ones(10), 1e308),  # finite, but delta_abs = 1e308 * ||g|| overflows
+    (np.array([1.0, math.inf]), 0.1),
+    (np.array([1.0, math.nan]), 0.1),
+    (np.full(4, 1e200), 0.1),  # finite entries whose norm overflows
+])
+def test_noise_refuses_non_finite_levels_and_data(g, delta_rel):
+    with pytest.raises(ValueError):
+        add_relative_gaussian_noise(g, delta_rel, seed=1)
+
+
 def test_problem_blocks_partition_the_matrix():
     geom = TomoGeometry(q=8, angles=evenly_spaced_angles(6, start=2.0))
     mat = build_parallel_tomo(geom)
