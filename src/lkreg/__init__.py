@@ -5,66 +5,7 @@ where each outer step recovers the primal iterate from the dual variable
 through an inexact proximal subproblem with a certified accuracy (an
 eps-subgradient certificate from a primal-dual duality gap).  Ships with a
 TV-denoising inner solver, parallel-beam tomography and elliptic-coefficient
-forward problems, and a reproducible experiment harness.
+forward problems, and a reproducible experiment harness.  Each name is
+imported from its module, such as `lkreg.harness`; the version lives in
+pyproject.toml.
 """
-
-from .engine import (
-    ForwardProblem,
-    RunTrace,
-    SolverConfig,
-    StepRecord,
-    run,
-    step_size,
-    validate_config,
-)
-from .penalty import (
-    BoxConstraint,
-    NonnegativityConstraint,
-    PrimalDualPair,
-    QuadraticPenalty,
-    TotalVariationPenalty,
-    bregman_eps_distance,
-    check_eps_subgradient,
-    duality_map,
-    solve_quadratic_exact,
-)
-from .pdhg import DenoiseProblem, PdhgReport, inner_solver, pdhg_solve
-from .tv import (
-    GradientField,
-    discrete_gradient,
-    divergence_adjoint,
-    l21_norm,
-    project_dual_ball,
-    tv_value,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BoxConstraint",
-    "DenoiseProblem",
-    "ForwardProblem",
-    "GradientField",
-    "NonnegativityConstraint",
-    "PdhgReport",
-    "PrimalDualPair",
-    "QuadraticPenalty",
-    "RunTrace",
-    "SolverConfig",
-    "StepRecord",
-    "TotalVariationPenalty",
-    "bregman_eps_distance",
-    "check_eps_subgradient",
-    "discrete_gradient",
-    "divergence_adjoint",
-    "duality_map",
-    "inner_solver",
-    "l21_norm",
-    "pdhg_solve",
-    "project_dual_ball",
-    "run",
-    "solve_quadratic_exact",
-    "step_size",
-    "tv_value",
-    "validate_config",
-]

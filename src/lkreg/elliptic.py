@@ -22,8 +22,8 @@ match the textbook loop operation for operation.  The preconditioner is
 basis diagonalizes (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).  Any
 cbar in [min c, max c] bounds the preconditioned condition number by
 (lambda_min + max c) / (lambda_min + min c), lambda_min ~ 2 pi^2, so a
-handful of iterations reach the fixed relative residual.  A solve that hits the iteration cap returns NaN, which
-the outer loop's non-finite stop ends.
+handful of iterations reach the fixed relative residual.  A solve that hits
+the iteration cap returns NaN, which the outer loop's non-finite stop ends.
 
 `solve_state` stays exact: it factors A(c) with a sparse LU, the unknowns
 ordered by multiple minimum degree on A + A^T.  It runs once per experiment,

@@ -72,6 +72,7 @@ class TomoGeometry:
         return (k - (self.n_rays - 1) / 2.0) * self.detector_spacing
 
 
+@np.errstate(over="ignore")  # an angle past the float range is refused by TomoGeometry
 def evenly_spaced_angles(count, start=0.0, step=None):
     """`count` angles from `start` with spacing `step` (default 180/count)."""
     if step is None:
@@ -125,12 +126,14 @@ def _entry_bounds(dx, dy, t_lo, t_hi, inside):
     return np.where(inside, bound, 0.0).astype(np.int64)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # from rays that miss the grid
 def build_parallel_tomo(geom):
     """Assemble the sparse system matrix for a parallel-beam geometry.
 
     Returns a CSR matrix of shape (n_angles * n_rays, q * q); row order is
     angle-major.  Entries are exact intersection lengths, so each row sums to
-    the chord length its ray cuts through the square [0, q]^2.
+    the chord length its ray cuts through the square [0, q]^2.  A ray offset so
+    far that its start or span overflows misses the grid, so its row is zero.
 
     A first pass computes every ray's span [t_lo, t_hi] inside the square
     from the two boundary lines of each axis and bounds its entry count

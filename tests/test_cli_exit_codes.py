@@ -1,7 +1,11 @@
 """`lkreg validate` and `lkreg run` reject the same configs, with exit 2."""
 
+import contextlib
+import dataclasses
+import io
 import os
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +27,9 @@ CASES = {
     "blocks-past-the-angles": CT + "n_blocks = 1000\n",
     "zero-detector-spacing": CT + "ct_detector_spacing = 0\n",
     "noise-level-overflows": CT + "noise_rel = 1e308\n",
+    # angles or ray offsets past the float range, with no numpy warning on stderr
+    "angle-step-overflows": CT + "ct_angle_step = 1e308\n",
+    "every-ray-misses-the-grid": CT + "noise_rel = 0.01\nct_detector_spacing = 1e308\n",
     "pde-with-two-blocks": "problem = pde\npde_m = 6\nn_blocks = 2\n",
     "custom-with-missing-files": CUSTOM,
     "custom-with-header-only-truth": CUSTOM,
@@ -98,3 +105,62 @@ def test_any_config_bytes_validate_to_0_or_2(data):
         with open(path, "wb") as fh:
             fh.write(data)
         assert main(["validate", "--config", path]) in (0, 2)
+
+
+CT_TINY = "problem = ct\nct_q = 8\nct_angles = 4\nn_max = 2\n"
+
+
+def test_far_rays_miss_the_grid_with_nothing_on_stderr(tmp_path, capsys):
+    cfg_path = tmp_path / "case.cfg"
+    cfg_path.write_text(CT_TINY + "noise_rel = 0.01\nct_detector_spacing = 3e307\nct_rays = 11\n")
+    for args in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main([*args, "--config", str(cfg_path)]) == 0, args
+        assert capsys.readouterr().err == ""
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(harness.ExperimentConfig) if f.type is float]
+EXTREMES = (0.0, 5e-324, 1e-300, 1e300, 1e308, -1e308)
+TINY_BASES = {"ct": CT_TINY, "pde": "problem = pde\npde_m = 4\nn_max = 2\n"}
+
+
+def _main_with_stderr(args):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(args)
+    return code, err.getvalue()
+
+
+def _assert_cli_contract(base, fields):
+    """Exit 0, 2 or 3; `validate` exits 2 exactly when `run` does, with one stderr line.
+
+    Overflow warnings of a run that then stops `non-finite` (exit 3) are
+    ignored: the arithmetic that raises them is on the per-step path.
+    """
+    text = TINY_BASES[base] + "".join(f"{key} = {value!r}\n" for key, value in fields.items())
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        path = os.path.join(tmp, "case.cfg")
+        with open(path, "w") as fh:
+            fh.write(text)
+        results = [_main_with_stderr(["validate", "--config", path]),
+                   _main_with_stderr(["run", "--config", path, "--out", os.path.join(tmp, "out")])]
+    (validate_code, _), (run_code, _) = results
+    assert validate_code in (0, 2) and run_code in (0, 2, 3), (text, results)
+    assert (validate_code == 2) == (run_code == 2), (text, results)
+    for code, err in results:
+        assert code != 2 or len(err.strip().splitlines()) == 1, (text, results)
+
+
+def test_each_float_field_at_each_extreme_keeps_the_cli_contract():
+    assert {"mu", "noise_rel", "ct_detector_spacing"} <= set(FLOAT_FIELDS)
+    for base in TINY_BASES:
+        for key in FLOAT_FIELDS:
+            for value in EXTREMES:
+                _assert_cli_contract(base, {key: value})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(TINY_BASES)),
+       st.dictionaries(st.sampled_from(FLOAT_FIELDS), st.sampled_from(EXTREMES), min_size=2))
+def test_float_fields_at_extremes_together_keep_the_cli_contract(base, fields):
+    _assert_cli_contract(base, fields)

@@ -74,6 +74,21 @@ def test_geometry_refuses_non_finite_angles_and_spacing(angles, spacing):
         TomoGeometry(q=4, angles=np.array(angles), detector_spacing=spacing)
 
 
+def test_rays_past_the_float_range_miss_the_grid_without_a_warning():
+    # warnings are errors under pytest, so a numpy overflow here fails the test
+    angles = evenly_spaced_angles(4)
+    centre = build_parallel_tomo(TomoGeometry(q=8, angles=angles, n_rays=1)).toarray()
+    far = build_parallel_tomo(
+        TomoGeometry(q=8, angles=angles, n_rays=11, detector_spacing=3e307)).toarray()
+    assert far.shape == (44, 64)
+    rows = far.reshape(4, 11, 64)
+    assert np.array_equal(rows[:, 5], centre)
+    assert not np.delete(rows, 5, axis=1).any()
+    # the outer offsets overflow to inf, and no ray meets the grid
+    overflowing = TomoGeometry(q=8, angles=angles, detector_spacing=1e308)
+    assert build_parallel_tomo(overflowing).nnz == 0
+
+
 def test_geometry_defaults_and_offsets():
     geom = TomoGeometry(q=32, angles=evenly_spaced_angles(10))
     assert geom.n_rays == 46 and geom.n_rows == 460
