@@ -63,17 +63,23 @@ class ForwardProblem:
         return self.apply(i, x) - self.data(i)
 
 
-@dataclass
-class SolverConfig:
-    """Scalar knobs of the outer iteration.
+MODES = ("plain", "accelerated")
 
-    Inner gap targets follow eta0 * (n+1)^(-gap_exponent) for the solve
-    that produces iterate n, and certified eps values are floored at
-    eps_floor wherever the step size or the discrepancy test consumes them.
-    Every float field, a subclass's included, must be finite, and every int
-    field must hold an integer; `run` refuses a gap target outside (0, 1) at
-    n = n_max.  `run` takes the block count and the noise level from the
-    problem and the mode, one of `MODES`, as an argument; none is a field.
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Settings of the outer iteration, checked once, when the config is made.
+
+    mode, one of `MODES`, picks plain or Nesterov-accelerated steps, and
+    metric_every >= 1 is the cadence of the distances to the truth.  Inner
+    gap targets follow eta0 * (n+1)^(-gap_exponent) for the solve that
+    produces iterate n and must lie in (0, 1) at n = 1 and at n = n_max;
+    certified eps values are floored at eps_floor wherever the step size or
+    the discrepancy test consumes them.  Every float field, a subclass's
+    included, must be finite, and every int field must hold an integer.
+    The config is frozen, so one that exists has passed these rules.  The
+    block count and the noise level belong to the problem; neither is a
+    field.
     """
 
     p: float = 2.0
@@ -88,6 +94,8 @@ class SolverConfig:
     eps_floor: float = 1e-14
     n_max: int = 10000
     inner_max_iter: int = 5000
+    mode: str = "plain"
+    metric_every: int = 1
 
     _error = ValueError  # the exception type `__post_init__` raises
 
@@ -115,16 +123,15 @@ class SolverConfig:
         yield self.eps_floor > 0.0, "eps_floor must be positive"
         yield self.n_max >= 0, "n_max must be nonnegative"
         yield self.inner_max_iter >= 1, "inner_max_iter must be at least 1"
-        yield self.gap_rule()
+        yield self.mode in MODES, f"mode must be one of {', '.join(MODES)}; got {self.mode!r}"
+        yield self.metric_every >= 1, "metric_every is out of range"
+        # the target is monotone in n, so its ends bound every target a run hands out
+        for n, where in ((1, "n = 1"), (max(self.n_max, 1), f"n = n_max = {self.n_max}")):
+            yield 0.0 < self.gap_target(n) < 1.0, f"gap target at {where} must lie in (0, 1)"
 
     def gap_target(self, n):
         """Relative duality-gap target for the inner solve producing iterate n."""
         return self.eta0 * power(float(n + 1), -self.gap_exponent)
-
-    def gap_rule(self, at_cap=False):
-        """(holds, message): the gap target, monotone in n, is in (0, 1) at n = 1 or n_max."""
-        n, where = (max(self.n_max, 1), f"n = n_max = {self.n_max}") if at_cap else (1, "n = 1")
-        return 0.0 < self.gap_target(n) < 1.0, f"gap target at {where} must lie in (0, 1)"
 
 
 def _discrepancy(r_norm, eps_n, cfg):
@@ -180,10 +187,8 @@ class RunTrace:
         return self.records[-1].n
 
 
-MODES = ("plain", "accelerated")
-
-
-def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
+@np.errstate(over="ignore", invalid="ignore")  # overflow ends the run `non-finite`, silently
+def run(problem, penalty, cfg, truth=None):
     """Drive the outer iteration to termination.
 
     Parameters
@@ -193,33 +198,26 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
         delta of the discrepancy test; no config repeats either.
     penalty : QuadraticPenalty or TotalVariationPenalty
     cfg : SolverConfig
-    mode : str, one of MODES ("plain", "accelerated")
-        Accelerated mode applies Nesterov extrapolation with weight
-        n / (n + alpha) to both x and xi before each step; at n = 0 the two
-        modes coincide.
+        Already checked when made.  cfg.mode "accelerated" applies Nesterov
+        extrapolation with weight n / (n + alpha) to both x and xi before
+        each step; at n = 0 the two modes coincide.
     truth : ndarray, optional
         Ground-truth grid; when given, records carry the relative error and
         the eps-Bregman distance from the iterate to the truth, evaluated
-        every `diag_every` >= 1 outer steps (and always at the final iterate).
+        every cfg.metric_every outer steps (and always at the final iterate).
 
     Returns (pair, trace) with the final certified PrimalDualPair.  A
-    negative or non-finite noise level, like a gap schedule leaving (0, 1),
-    is refused with ValueError before step 0.
+    negative or non-finite noise level is refused with ValueError before
+    step 0.  Float overflow and invalid operations raise no warning: the
+    run stops `non-finite` where they show.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode: {mode!r}")
-    if diag_every < 1:
-        raise ValueError("diag_every must be at least 1")
     n_blocks = problem.num_blocks
     if n_blocks < 1:
         raise ValueError("forward problem must expose at least one block")
-    targets_ok, message = cfg.gap_rule(at_cap=True)
-    if not targets_ok:
-        raise ValueError(message)
     delta = problem.noise_level
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ValueError(f"noise_level must be finite and nonnegative; got {delta!r}")
-    accel = mode == "accelerated"
+    accel = cfg.mode == "accelerated"
     noisy = delta > 0.0
     threshold = power(cfg.tau * delta, cfg.p)  # inf on overflow, which stops step 0
 
@@ -252,7 +250,7 @@ def run(problem, penalty, cfg, mode="plain", truth=None, diag_every=1):
             n=n, i_n=i, residual_norm=r_norm, mu_tilde=0.0, mu=0.0,
             eps_n=eps_n, inner_iterations=0, q_n=q,
         )
-        if truth is not None and n % diag_every == 0:
+        if truth is not None and n % cfg.metric_every == 0:
             _diagnose(rec, pair, penalty, truth, truth_norm, truth_value)
         trace.records.append(rec)
         if not (math.isfinite(r_norm) and math.isfinite(threshold)):

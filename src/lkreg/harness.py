@@ -32,6 +32,7 @@ with the same BLAS thread count: the BLAS reductions behind `np.vdot` and
 
 import dataclasses
 import json
+import math
 import operator
 import os
 import time
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elliptic, tomo
-from .engine import MODES, SolverConfig, run, validate_config
+from .engine import SolverConfig, run, validate_config
 from .penalty import NonnegativityConstraint, QuadraticPenalty, TotalVariationPenalty
 from .tomo import MatrixProblem
 
@@ -63,25 +64,27 @@ def _as_config_error(prefix=""):
         raise ConfigError(prefix + str(exc)) from exc
 
 
+# float64 cells that fit in the machine's physical memory
+_MEMORY_CELLS = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
+
 _CHOICES = {
     "problem": ("ct", "pde", "custom-linear"),
-    "mode": MODES,
     "penalty": ("quadratic", "quadratic+TV"),
     "constraint": ("none", "nonneg"),
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig(SolverConfig):
     """Typed experiment description; fields double as the config-file keys.
 
     Solver fields and checks are inherited, with another default for n_max.
     n_blocks and noise_rel are problem fields, like ct_q: they set the block
-    count and the noise level of the built problem.
+    count and the noise level of the built problem.  A grid side or a
+    sinogram with more float64 cells than physical memory holds is refused.
     """
 
     problem: str = "ct"
-    mode: str = "plain"
     penalty: str = "quadratic+TV"
     constraint: str = "nonneg"
     mu: float = 1.0
@@ -99,7 +102,6 @@ class ExperimentConfig(SolverConfig):
     matrix_path: str = ""
     truth_path: str = ""
     out_dir: str = "out"
-    metric_every: int = 1
 
     _error = ConfigError
 
@@ -109,11 +111,15 @@ class ExperimentConfig(SolverConfig):
             value = getattr(self, key)
             yield value in allowed, f"{key} must be one of {', '.join(allowed)}; got {value!r}"
         yield self.mu > 0.0, "mu must be positive"
-        yield self.gap_rule(at_cap=True)
         yield self.noise_rel >= 0.0, "noise_rel must be nonnegative"
         yield self.ct_angle_step >= 0.0, "ct_angle_step must be nonnegative (0 means 180/ct_angles)"
-        for key in ("n_blocks", "metric_every", "ct_q", "ct_angles", "ct_rays", "pde_m"):
+        for key in ("n_blocks", "ct_q", "ct_angles", "ct_rays", "pde_m"):
             yield getattr(self, key) >= (0 if key == "ct_rays" else 1), f"{key} is out of range"
+        too_big = "{} needs {} float64 cells; physical memory holds " + str(_MEMORY_CELLS)
+        for key, cells in (("ct_q", self.ct_q ** 2), ("pde_m", self.pde_m ** 2)):
+            yield cells <= _MEMORY_CELLS, too_big.format(key, cells)
+        cells = self.ct_angles * (self.ct_rays or tomo.default_ray_count(self.ct_q))  # ct_q fits
+        yield cells <= _MEMORY_CELLS, too_big.format("ct_angles x ct_rays", cells)
         yield self.problem != "pde" or self.n_blocks == 1, "the PDE problem needs n_blocks = 1"
         yield (self.problem != "custom-linear" or bool(self.matrix_path and self.truth_path),
                "custom-linear needs matrix_path and truth_path")
@@ -346,10 +352,16 @@ def write_pgm(path, grid):
         fh.write(data.tobytes())
 
 
+def _json_value(value):
+    """value for strict JSON: a non-finite float becomes its metrics.csv string, "inf" say."""
+    return _csv_cell(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def run_experiment(cfg, out_dir=None):
     """Execute one configured run and write its artifacts.
 
-    Returns (pair, trace, summary).  Output goes to `out_dir` (default
+    Returns (pair, trace, summary); summary.json writes the summary's
+    non-finite floats as strings.  Output goes to `out_dir` (default
     cfg.out_dir), which is created if missing once the problem is built, so
     a configuration error leaves no directory behind.
     """
@@ -358,10 +370,7 @@ def run_experiment(cfg, out_dir=None):
     os.makedirs(out, exist_ok=True)
     pen = cfg.penalty_object()
     started = time.perf_counter()
-    pair, trace = run(
-        problem, pen, cfg, mode=cfg.mode, truth=truth,
-        diag_every=cfg.metric_every,
-    )
+    pair, trace = run(problem, pen, cfg, truth=truth)
     elapsed = time.perf_counter() - started
     last = trace.records[-1]
     summary = {
@@ -382,7 +391,8 @@ def run_experiment(cfg, out_dir=None):
     write_trace(os.path.join(out, "trace.csv"), trace, metrics_path)
     write_pgm(os.path.join(out, "recon.pgm"), pair.x)
     with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump({key: _json_value(value) for key, value in summary.items()},
+                  fh, indent=2, sort_keys=True)
         fh.write("\n")
     return pair, trace, summary
 

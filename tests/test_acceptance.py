@@ -1,5 +1,6 @@
 """End-to-end acceptance runs; one verdict line per criterion (visible with -s)."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -51,7 +52,7 @@ def ct_config(n_max):
 
 def timed_run(problem, pen, cfg, mode, truth):
     started = time.perf_counter()
-    pair, trace = run(problem, pen, cfg, mode=mode, truth=truth, diag_every=1)
+    pair, trace = run(problem, pen, dataclasses.replace(cfg, mode=mode), truth=truth)
     return pair, trace, time.perf_counter() - started
 
 
@@ -227,8 +228,8 @@ def test_criterion_07_accelerated_rollout():
     want = (mu_pen * xi).reshape(2, 5)
 
     cfg = SolverConfig(p=2.0, s=2.0, beta0=0.1, beta1=10.0, sigma=1e-3,
-                       tau=1.01, alpha=alpha, n_max=2)
-    pair, trace = run(problem, QuadraticPenalty(mu=mu_pen), cfg, mode="accelerated")
+                       tau=1.01, alpha=alpha, n_max=2, mode="accelerated")
+    pair, trace = run(problem, QuadraticPenalty(mu=mu_pen), cfg)
     diff = float(np.max(np.abs(pair.x - want)))
     ok = diff <= 1e-10
     verdict(7, "accelerated two-step rollout", ok, f"max deviation {diff:.2e}")

@@ -173,3 +173,28 @@ def test_readme_preset_table_matches_each_preset():
             size = f"{cfg.pde_m} x {cfg.pde_m} mesh"
         noise = f"{cfg.noise_rel * 100:g}% relative" if cfg.noise_rel else "none"
         assert row == (size, noise, cfg.constraint, str(cfg.n_max)), name
+
+
+def test_configs_are_frozen_and_replace_checks_again():
+    for cfg, error in ((SolverConfig(), ValueError), (make_config(preset="ct-desk"), ConfigError)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.mode = "accelerated"
+        assert dataclasses.replace(cfg, mode="accelerated").mode == "accelerated"
+        for bad, message in ((dict(mode="x"), "mode must be one of plain, accelerated; got 'x'"),
+                             (dict(metric_every=0), "metric_every is out of range"),
+                             (dict(gap_exponent=-1.0, eta0=0.1, n_max=20),
+                              r"gap target at n = n_max = 20 must lie in \(0, 1\)")):
+            with pytest.raises(error, match=message):
+                dataclasses.replace(cfg, **bad)
+
+
+@pytest.mark.parametrize("settings, field", [
+    (dict(ct_q=10**9), "ct_q"),
+    (dict(problem="pde", pde_m=10**9), "pde_m"),
+    (dict(ct_rays=10**15), "ct_angles x ct_rays"),
+    (dict(ct_angles=10**14), "ct_angles x ct_rays"),  # with the automatic ray count
+])
+def test_grids_beyond_physical_memory_are_refused_by_the_config(settings, field):
+    # 8 bytes a cell puts each of these past an exabyte or a petabyte
+    with pytest.raises(ConfigError, match=f"^{field} needs .* float64 cells; physical memory"):
+        make_config(**settings)

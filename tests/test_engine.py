@@ -101,7 +101,7 @@ def test_two_plain_steps_match_hand_rollout():
         mu_t = min(0.1 * np.linalg.norm(r) ** 2 / np.linalg.norm(g) ** 2, 10.0)
         x = x - pen.mu * mu_t * g  # xi-space step mapped through x = mu xi
 
-    pair, trace = run(problem, pen, cfg, mode="plain")
+    pair, trace = run(problem, pen, cfg)
     assert trace.terminated_by == "cap"
     assert np.max(np.abs(pair.x - x)) <= 1e-12 * (1.0 + np.max(np.abs(x)))
 
@@ -110,15 +110,15 @@ def test_first_accelerated_step_equals_plain():
     problem, _, truth = tiny_linear_problem(202)
     pen = QuadraticPenalty(mu=1.0)
     cfg = cfg_with(n_max=1)
-    plain, tp = run(problem, pen, cfg, mode="plain")
-    accel, ta = run(problem, pen, cfg, mode="accelerated")
+    plain, tp = run(problem, pen, cfg)
+    accel, ta = run(problem, pen, cfg_with(n_max=1, mode="accelerated"))
     assert np.array_equal(plain.x, accel.x)
     assert tp.records[0].residual_norm == ta.records[0].residual_norm
 
 
 def test_zero_data_keeps_iterate_at_zero():
     problem, _, truth = tiny_linear_problem(203, data=np.zeros(8))
-    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg_with(n_max=10), mode="plain")
+    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg_with(n_max=10))
     assert not np.any(pair.x)
     assert all(rec.residual_norm == 0.0 for rec in trace.records)
     # degenerate direction: the cap shows up in mu_tilde but nothing moves
@@ -127,7 +127,7 @@ def test_zero_data_keeps_iterate_at_zero():
 
 def test_trace_structure_under_cap():
     problem, _, _ = tiny_linear_problem(204)
-    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg_with(n_max=5), mode="plain")
+    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg_with(n_max=5))
     assert trace.terminated_by == "cap" and trace.n_final == 5
     assert [rec.n for rec in trace.records] == list(range(6))
     assert trace.records[-1].inner_iterations == 0
@@ -137,14 +137,14 @@ def test_trace_structure_under_cap():
 
 def test_single_record_run():
     problem, _, _ = tiny_linear_problem(205)
-    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg_with(n_max=0), mode="plain")
+    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg_with(n_max=0))
     assert len(trace.records) == 1 and trace.n_final == 0
 
 
 def test_immediate_discrepancy_stop():
     problem, _, _ = tiny_linear_problem(206)
     problem.noise_level = 1e6
-    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg_with(n_max=50), mode="plain")
+    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg_with(n_max=50))
     assert trace.terminated_by == "discrepancy" and trace.n_final == 0
     assert not np.any(pair.x)
     rec = trace.records[0]
@@ -154,7 +154,7 @@ def test_immediate_discrepancy_stop():
 def test_kaczmarz_cycling_and_block_residuals():
     problem, matrix, truth = tiny_linear_problem(207, rows=9, n_blocks=3)
     pen = QuadraticPenalty(mu=1.0)
-    pair, trace = run(problem, pen, cfg_with(n_max=7), mode="plain")
+    pair, trace = run(problem, pen, cfg_with(n_max=7))
     assert [rec.i_n for rec in trace.records] == [0, 1, 2, 0, 1, 2, 0, 1]
     # first record sees block 0's data with x = 0
     want = float(np.linalg.norm(problem.data(0)))
@@ -166,7 +166,7 @@ def test_partial_discrepancy_resets_counter():
     data = np.concatenate([np.zeros(4), 50.0 * np.ones(4)])
     problem, _, _ = tiny_linear_problem(208, rows=8, n_blocks=2, data=data)
     problem.noise_level = 1.0
-    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg_with(n_max=6), mode="plain")
+    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg_with(n_max=6))
     qs = [rec.q_n for rec in trace.records]
     assert qs[0] == 1 and qs[1] == 0  # held on block 0, reset on block 1
     assert trace.records[0].mu == 0.0 and trace.records[1].mu > 0.0
@@ -176,7 +176,7 @@ def test_mu_zero_exactly_when_test_holds():
     problem, matrix, truth = tiny_linear_problem(209, rows=8)
     problem.noise_level = 0.4 * float(np.linalg.norm(problem.data(0)))
     cfg = cfg_with(n_max=200)
-    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg, mode="plain")
+    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg)
     assert trace.terminated_by == "discrepancy"
     thr = (cfg.tau * problem.noise_level) ** cfg.p
     for rec in trace.records:
@@ -191,7 +191,7 @@ def test_inner_failure_terminates_run():
     problem, _, _ = tiny_linear_problem(210, data=100 * (A @ truth.ravel()))
     pen = TotalVariationPenalty(mu=1.0, constraint=NonnegativityConstraint())
     cfg = cfg_with(n_max=50, eta0=1e-3, inner_max_iter=1)
-    pair, trace = run(problem, pen, cfg, mode="plain")
+    pair, trace = run(problem, pen, cfg)
     assert trace.terminated_by == "inner-failure"
     assert trace.n_final == 0 and len(trace.records) == 1
 
@@ -241,7 +241,7 @@ def test_non_finite_residual_or_update_stops_run(where, value, mode):
     base, _, _ = tiny_linear_problem(212)
     k = 6
     problem = PoisonedProblem(base, k, where, value)
-    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg_with(n_max=500), mode=mode)
+    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg_with(n_max=500, mode=mode))
     assert_stopped_non_finite_at(trace, k)
     assert problem.step == k  # no residual evaluated after the stop
     # a non-finite residual stops the run before its adjoint is spent
@@ -264,7 +264,7 @@ def test_non_finite_certificate_stops_run(monkeypatch):
 
     monkeypatch.setattr(engine, "inner_solver", poisoned_inner_solver)
     pen = TotalVariationPenalty(mu=1.0, constraint=NonnegativityConstraint())
-    pair, trace = run(problem, pen, cfg_with(n_max=500), mode="plain")
+    pair, trace = run(problem, pen, cfg_with(n_max=500))
     assert_stopped_non_finite_at(trace, k)
     assert len(calls) == k + 1 and pair is calls[k - 1]
 
@@ -272,8 +272,8 @@ def test_non_finite_certificate_stops_run(monkeypatch):
 def test_truth_diagnostics_and_cadence():
     problem, _, truth = tiny_linear_problem(211)
     pair, trace = run(
-        problem, QuadraticPenalty(mu=1.0), cfg_with(n_max=7), mode="plain",
-        truth=truth, diag_every=3,
+        problem, QuadraticPenalty(mu=1.0), cfg_with(n_max=7, metric_every=3),
+        truth=truth,
     )
     recs = trace.records
     assert recs[0].rel_error == pytest.approx(1.0)  # x0 = 0
@@ -287,10 +287,10 @@ def test_truth_diagnostics_and_cadence():
 def test_final_record_diagnosed_off_cadence(monkeypatch, stop, n_final):
     problem, _, truth = tiny_linear_problem(211)
     pen = QuadraticPenalty(mu=1.0)
-    cfg = cfg_with(n_max=7)
+    cfg = cfg_with(n_max=7, metric_every=3)
     if stop == "discrepancy":
         # a noise level whose test first holds at step 4 of the noiseless run
-        _, free = run(problem, pen, cfg, mode="plain")
+        _, free = run(problem, pen, cfg)
         problem.noise_level = 1.001 * free.records[n_final].residual_norm / 1.01
     if stop == "inner-failure":
         real_inner_solver = engine.inner_solver
@@ -304,7 +304,7 @@ def test_final_record_diagnosed_off_cadence(monkeypatch, stop, n_final):
             return pair, info
 
         monkeypatch.setattr(engine, "inner_solver", failing_at_n_final)
-    pair, trace = run(problem, pen, cfg, mode="plain", truth=truth, diag_every=3)
+    pair, trace = run(problem, pen, cfg, truth=truth)
     assert trace.terminated_by == stop and trace.n_final == n_final
     last = trace.records[-1]
     assert last.rel_error == engine._relative_error(pair.x, truth)
@@ -319,7 +319,7 @@ def test_final_record_diagnosed_off_cadence(monkeypatch, stop, n_final):
 def test_run_rejects_bad_inputs():
     problem, _, _ = tiny_linear_problem(212)
     with pytest.raises(ValueError):
-        run(problem, QuadraticPenalty(mu=1.0), cfg_with(), mode="sideways")
+        run(problem, QuadraticPenalty(mu=1.0), cfg_with(mode="sideways"))
 
 
 def test_validate_kappa_values():
@@ -372,7 +372,7 @@ def test_scalar_power_overflow_gives_inf_not_an_exception():
 
     assert power(1e10, 400.0) == math.inf and power(2.0, 3.0) == 8.0
     assert not math.isfinite(step_size(10.0, 10.0, 1e-14, cfg_with(p=400.0))[1])
-    assert cfg_with(gap_exponent=-100.0, eta0=1e-40).gap_target(10**4) == math.inf
+    assert cfg_with(gap_exponent=-100.0, eta0=1e-40, n_max=0).gap_target(10**4) == math.inf
     assert np.all(np.isinf(duality_map(np.array([1e10, 1.0]), 400.0)))
 
 
@@ -420,8 +420,8 @@ def test_kappa_for_a_huge_s_is_inf_with_a_warning():
 
 def test_run_rejects_a_diagnostic_stride_below_one():
     problem, _, truth = tiny_linear_problem(215)
-    with pytest.raises(ValueError, match="diag_every"):
-        run(problem, QuadraticPenalty(mu=1.0), cfg_with(), truth=truth, diag_every=0)
+    with pytest.raises(ValueError, match="metric_every"):
+        run(problem, QuadraticPenalty(mu=1.0), cfg_with(metric_every=0), truth=truth)
 
 
 def test_block_count_and_modes_have_one_owner():
@@ -429,7 +429,9 @@ def test_block_count_and_modes_have_one_owner():
 
     with pytest.raises(TypeError):
         SolverConfig(n_blocks=2)
-    assert harness._CHOICES["mode"] is engine.MODES
+    with pytest.raises(ValueError, match="mode must be one of plain, accelerated; got 'x'"):
+        SolverConfig(mode="x")
+    assert "mode" not in harness._CHOICES
 
 
 def test_the_noise_level_belongs_to_the_problem():
@@ -453,7 +455,6 @@ def test_run_refuses_a_bad_noise_level_before_step_0(monkeypatch, level):
 ], ids=["tv", "quadratic"])
 def test_run_refuses_a_gap_schedule_leaving_the_unit_interval_before_step_0(monkeypatch, pen):
     # 0.1 * (n + 1) reaches 1 at n = 9, inside the cap of 20
-    cfg = SolverConfig(gap_exponent=-1.0, eta0=0.1, n_max=20)
     real_inner_solver = engine.inner_solver
     calls = []
 
@@ -464,7 +465,7 @@ def test_run_refuses_a_gap_schedule_leaving_the_unit_interval_before_step_0(monk
     monkeypatch.setattr(engine, "inner_solver", counting_inner_solver)
     problem, _, _ = tiny_linear_problem(215)
     with pytest.raises(ValueError, match=r"gap target at n = n_max = 20 must lie in \(0, 1\)"):
-        run(problem, pen, cfg)
+        run(problem, pen, SolverConfig(gap_exponent=-1.0, eta0=0.1, n_max=20))
     assert calls == []
 
 
@@ -490,7 +491,7 @@ def test_every_record_matches_the_reference_diagnostics(monkeypatch, mode, kind)
 
     monkeypatch.setattr(engine, "inner_solver", recording)
     pen = CountingPenalty(mu=1.0)
-    _, trace = run(problem, pen, cfg_with(n_max=9), mode=mode, truth=truth, diag_every=1)
+    _, trace = run(problem, pen, cfg_with(n_max=9, mode=mode, metric_every=1), truth=truth)
     assert len(truth_values) == 1  # Theta(truth) is a run constant
     assert len(pairs) == len(trace.records)  # one solve per step but the capped last
     reference = kind(mu=1.0)

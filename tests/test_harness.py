@@ -211,7 +211,7 @@ def test_write_pgm_bytes(tmp_path):
 def test_metrics_files(tmp_path):
     problem, _, _ = tiny_linear_problem(303)
     _, trace = run(problem, QuadraticPenalty(mu=1.0),
-                   ExperimentConfig(**small_ct_kwargs()), mode="plain")
+                   ExperimentConfig(**small_ct_kwargs()))
     mpath, tpath = tmp_path / "metrics.csv", tmp_path / "trace.csv"
     write_metrics(mpath, trace)
     write_trace(tpath, trace)

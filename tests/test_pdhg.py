@@ -424,7 +424,7 @@ def test_nan_inner_solve_ends_the_run_non_finite(monkeypatch):
     pen = TotalVariationPenalty(mu=1.0, constraint=NonnegativityConstraint())
     cfg = SolverConfig(beta0=0.1, beta1=10.0, sigma=1e-3, tau=1.01, n_max=50)
     with np.errstate(invalid="ignore"):
-        _, trace = run(problem, pen, cfg, mode="plain")
+        _, trace = run(problem, pen, cfg)
     assert not infos[k].converged  # an unconverged solve whose certificate is inf
     assert trace.terminated_by == "non-finite" and trace.n_final == k
 

@@ -1,5 +1,6 @@
 """One CSV writer: trace.csv extends metrics.csv column for column."""
 
+import json
 import math
 
 import numpy as np
@@ -52,3 +53,17 @@ def test_trace_rows_are_the_same_whether_formatted_or_streamed(tmp_path):
     harness.write_metrics(tmp_path / "short.csv", RunTrace(records=trace.records[:-1]))
     with pytest.raises(ValueError):  # a table of another trace cannot be streamed
         harness.write_trace(tmp_path / "t.csv", trace, tmp_path / "short.csv")
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_a_non_finite_run_writes_strict_json(tmp_path):
+    cfg = ExperimentConfig(problem="ct", ct_q=8, ct_angles=4, n_max=2, noise_rel=0.01, mu=1e300)
+    _, trace, summary = run_experiment(cfg, out_dir=tmp_path)
+    assert trace.terminated_by == "non-finite"
+    written = json.loads((tmp_path / "summary.json").read_text(), parse_constant=_refuse)
+    assert written["residual_final"] == written["rel_error_final"] == "inf"
+    assert written["eps_final"] == summary["eps_final"]  # a finite float stays a number
+    assert summary["residual_final"] == math.inf  # the returned summary keeps its floats
