@@ -24,6 +24,7 @@ to the trace; runs end by `discrepancy`, by the iteration `cap`, by
 """
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from numbers import Integral
 
@@ -130,8 +131,13 @@ class SolverConfig:
             yield 0.0 < self.gap_target(n) < 1.0, f"gap target at {where} must lie in (0, 1)"
 
     def gap_target(self, n):
-        """Relative duality-gap target for the inner solve producing iterate n."""
-        return self.eta0 * power(float(n + 1), -self.gap_exponent)
+        """Relative duality-gap target for the inner solve producing iterate n.
+
+        An n past the float range counts as inf, so the target's rules see
+        its limit instead of an OverflowError.
+        """
+        base = float(n + 1) if n < sys.float_info.max else math.inf
+        return self.eta0 * power(base, -self.gap_exponent)
 
 
 def _discrepancy(r_norm, eps_n, cfg):

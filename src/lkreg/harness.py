@@ -115,11 +115,12 @@ class ExperimentConfig(SolverConfig):
         yield self.ct_angle_step >= 0.0, "ct_angle_step must be nonnegative (0 means 180/ct_angles)"
         for key in ("n_blocks", "ct_q", "ct_angles", "ct_rays", "pde_m"):
             yield getattr(self, key) >= (0 if key == "ct_rays" else 1), f"{key} is out of range"
-        too_big = "{} needs {} float64 cells; physical memory holds " + str(_MEMORY_CELLS)
+        # a power of two, since a count past 4,300 digits has no decimal string
+        too_big = "{} needs at least 2^{} float64 cells; physical memory holds " + str(_MEMORY_CELLS)
         for key, cells in (("ct_q", self.ct_q ** 2), ("pde_m", self.pde_m ** 2)):
-            yield cells <= _MEMORY_CELLS, too_big.format(key, cells)
+            yield cells <= _MEMORY_CELLS, too_big.format(key, cells.bit_length() - 1)
         cells = self.ct_angles * (self.ct_rays or tomo.default_ray_count(self.ct_q))  # ct_q fits
-        yield cells <= _MEMORY_CELLS, too_big.format("ct_angles x ct_rays", cells)
+        yield cells <= _MEMORY_CELLS, too_big.format("ct_angles x ct_rays", cells.bit_length() - 1)
         yield self.problem != "pde" or self.n_blocks == 1, "the PDE problem needs n_blocks = 1"
         yield (self.problem != "custom-linear" or bool(self.matrix_path and self.truth_path),
                "custom-linear needs matrix_path and truth_path")
@@ -384,6 +385,7 @@ def run_experiment(cfg, out_dir=None):
         "rel_error_final": last.rel_error,
         "runtime_seconds": elapsed,
         "records": len(trace.records),
+        "inner_iterations": sum(r.inner_iterations for r in trace.records),
         "seed": cfg.seed,
     }
     metrics_path = os.path.join(out, "metrics.csv")

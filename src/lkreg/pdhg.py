@@ -40,11 +40,24 @@ gradient's transpose, the normal form's Lagrangian at lam is
 
 separable in w and minimized by w* = P_C(xi - div_lam); the dual value is
 this very expression at w*.  The primal step already forms xi - div_lam, so
-the dual value reuses it.  The iterates and every temporary of that fixed
-sequence live in buffers allocated once per solve, so the loop allocates
-little beyond the mask and scale of the projection; the floats are the ones the
-plain expressions give, operation for operation.  The TV primitives are
-called through this module's names so that a caller can wrap them.
+the dual value reuses it.
+
+Everything the loop touches is allocated and bound once per solve.  The
+dual fields of the two iterate slots, the gradient and the field scratch
+are stacked (2, n0, n1) arrays (`GradientField.empty`), so the dual step
+lam + tau grad and the squared lengths of the projection and the l21 norm
+take one ufunc call for both components.  Each slot binds its projection,
+with its mask, and its divergence, with its slices, flat views and
+first-column scratch, through `tv.projection_into` and `tv.divergence_into`,
+the binders that `project_dual_ball` and `divergence_adjoint` call too.  An
+iteration allocates nothing but the projection's scale, and only when an
+entry leaves the ball; the floats are the ones the plain expressions give,
+operation for operation.  Three calls per iterate stay hooks, looked up
+through this module's names so that a caller can wrap them:
+`discrete_gradient`, `_primal_value_at` and `_dual_value_at`.  The bound
+projection and divergence are not looked up, so a wrapper on
+`project_dual_ball` or `divergence_adjoint` here sees only the calls made
+outside the loop.
 
 Early in a run the exact inner minimizer is often a constant image.
 Without a constraint, w = mean(xi) minimizes the normal form exactly when
@@ -68,10 +81,12 @@ from .tv import (
     GradientField,
     discrete_gradient,
     divergence_adjoint,
+    divergence_into,
     field_dot,  # noqa: F401  unused here; benchmarks/tracer.py wraps it by this name
     l21_norm,
     pointwise_norm,
     project_dual_ball,
+    projection_into,
 )
 
 
@@ -122,8 +137,8 @@ def _primal_value_at(prob, w, grad, work=None):
     and the scratch of the l21 norm instead of fresh arrays.
     """
     d, scratch = (None, None) if work is None else work
-    d = np.subtract(w, prob.xi, out=d)
-    return float(np.vdot(d, d)) / 2.0 + l21_norm(grad, scratch)
+    d = np.subtract(w, prob.xi, out=d).ravel()
+    return float(d.dot(d)) / 2.0 + l21_norm(grad, scratch)
 
 
 def dual_value(prob, lam, feas_tol=1e-12):
@@ -149,9 +164,9 @@ def _dual_value_at(prob, xi_minus_div, div_lam, work=None):
     wstar = xi_minus_div
     if prob.constraint is not None:
         wstar = prob.constraint.project(wstar, out=work)
-    linear = float(np.vdot(div_lam, wstar))
-    d = np.subtract(wstar, prob.xi, out=work)
-    return float(np.vdot(d, d)) / 2.0 + linear
+    linear = float(div_lam.ravel().dot(wstar.ravel()))
+    d = np.subtract(wstar, prob.xi, out=work).ravel()
+    return float(d.dot(d)) / 2.0 + linear
 
 
 @dataclass
@@ -208,25 +223,35 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
         raise ValueError("relative gap target must lie in (0, 1)")
     mu, xi = prob.mu, prob.xi
     prob = normal_form(prob)  # mu only scales the report from here on
-    z = np.zeros(xi.shape) if z0 is None else np.asarray(z0, dtype=float) / mu
-    if prob.constraint is not None:
-        prob.constraint.project(z, out=z)
-    lam = GradientField.zeros(z.shape) if lam0 is None else project_dual_ball(lam0)
+    constraint, shape = prob.constraint, xi.shape
+    z = np.zeros(shape) if z0 is None else np.asarray(z0, dtype=float) / mu
+    if constraint is not None:
+        constraint.project(z, out=z)
+    # work is scratch for the primal value, the dual value, the projection
+    # and the z step in turn; nothing in it outlives the step that writes it.
+    work = (np.empty(shape), GradientField.empty(shape))
+    lam = GradientField.zeros(shape)
+    if lam0 is not None:
+        project_dual_ball(lam0, out=lam, work=work[1])
     gap_floor = 16.0 * np.finfo(float).eps * (1.0 + 0.5 * float(np.vdot(xi, xi)))
 
-    # Two iterate slots: a step overwrites the current (z, lam) in place
-    # unless it is the best pair so far, which must survive for the report.
-    slots = [(z, lam), (np.empty(z.shape), GradientField.empty(z.shape))]
-    cur = best_slot = 0
+    # Up to two iterate slots: a step overwrites the current (z, lam) in
+    # place unless it is the best pair so far, which must survive for the
+    # report.  The second slot is made at the first step that needs it, so a
+    # solve certified at iterate 0 binds no more than its start.
     # grad holds the gradient of the current z: the primal value uses it and
     # the next dual step scales it in place.  xi_minus_div holds xi - div_lam:
     # the z step scales it and the dual value projects it.
-    grad = GradientField.empty(z.shape)
-    div_lam = divergence_adjoint(lam)
-    xi_minus_div = np.subtract(xi, div_lam)
-    # work is scratch for the primal value, the dual value, the projection
-    # and the z step in turn; nothing in it outlives the step that writes it.
-    work = (np.empty(z.shape), GradientField.empty(z.shape))
+    grad, div_lam, xi_minus_div = GradientField.empty(shape), np.empty(shape), np.empty(shape)
+
+    def slot(z, lam):
+        """(z, lam, lam's projection in place, lam's divergence into div_lam)."""
+        return z, lam, projection_into(lam, lam, work[1]), divergence_into(lam.u, lam.v, div_lam)
+
+    slots = [slot(z, lam)]
+    divergence = slots[0][3]
+    np.subtract(xi, divergence(), out=xi_minus_div)
+    cur = best_slot = 0
     iters = 0
     while True:
         discrete_gradient(z, out=grad)
@@ -243,25 +268,26 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
 
         tau, theta = step_sizes(iters)
         nxt = 1 - cur if cur == best_slot else cur
-        z_next, lam_next = slots[nxt]
-        np.multiply(grad.u, tau, out=grad.u)
-        np.multiply(grad.v, tau, out=grad.v)
-        np.add(lam.u, grad.u, out=lam_next.u)
-        np.add(lam.v, grad.v, out=lam_next.v)
-        lam = project_dual_ball(lam_next, out=lam_next, work=work[1])
-        divergence_adjoint(lam, out=div_lam)
+        if nxt == len(slots):
+            slots.append(slot(np.empty(shape), GradientField.empty(shape)))
+        z_next, lam_next, project, divergence = slots[nxt]
+        np.multiply(grad.stacked, tau, out=grad.stacked)
+        np.add(lam.stacked, grad.stacked, out=lam_next.stacked)
+        lam = lam_next
+        project()
+        divergence()
         np.subtract(xi, div_lam, out=xi_minus_div)
         np.multiply(xi_minus_div, theta, out=work[0])
         np.multiply(z, 1.0 - theta, out=z_next)
         np.add(z_next, work[0], out=z_next)
         z = z_next
-        if prob.constraint is not None:
-            prob.constraint.project(z, out=z)
+        if constraint is not None:
+            constraint.project(z, out=z)
         cur = nxt
         iters += 1
 
     gap_b, rel_b, p_b, d_b = best
-    z_b, lam_b = slots[best_slot]
+    z_b, lam_b = slots[best_slot][:2]
     return PdhgReport(
         x=mu * z_b,
         lam=lam_b,

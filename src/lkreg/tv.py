@@ -5,30 +5,42 @@ divergence below is the exact (negative-free) matrix transpose of the
 gradient, so adjoint identities hold to rounding error.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class GradientField:
-    """Pair of component arrays (u, v), one per grid direction."""
+    """Pair of component arrays (u, v), one per grid direction.
+
+    A field made by `zeros` or `empty` keeps u and v as the two halves of
+    one (2, *shape) array, `stacked`, so that one ufunc call can treat both
+    components; a field made from two arrays has `stacked` None.  Kernels
+    read `stacked` in place of u and v whenever it is set, so it must never
+    be set to anything but the array whose halves u and v are.
+    """
 
     u: np.ndarray
     v: np.ndarray
+    stacked: np.ndarray = _field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.u.shape != self.v.shape:
             raise ValueError("gradient components must share a shape")
 
     @classmethod
+    def _halves(cls, stacked):
+        return cls(stacked[0], stacked[1], stacked)
+
+    @classmethod
     def zeros(cls, shape):
-        return cls(np.zeros(shape), np.zeros(shape))
+        return cls._halves(np.zeros((2, *shape)))
 
     @classmethod
     def empty(cls, shape):
         """A field of uninitialized float arrays, to be written into."""
-        return cls(np.empty(shape), np.empty(shape))
+        return cls._halves(np.empty((2, *shape)))
 
     @property
     def shape(self):
@@ -63,33 +75,59 @@ def divergence_adjoint(field, out=None):
     wrapping around, evaluated in that order.  With `out`, a C-contiguous
     grid of the field's shape not overlapping it, the result is written there.
     """
-    u, v = field.u, field.v
     if out is None:
-        out = np.empty(u.shape)
-    flat = _flat_view(out)
-    np.subtract(u[-1:], u[:1], out=out[:1])
-    np.subtract(u[:-1], u[1:], out=out[1:])
-    # column 0 takes v from the last column; the contiguous pass below
-    # would add the previous row's last entry there instead
-    first = np.add(out[:, :1], v[:, -1:])
-    np.add(flat[1:], v.ravel()[:-1], out=flat[1:])
-    out[:, :1] = first
-    np.subtract(out, v, out=out)
-    return out
+        out = np.empty(field.shape)
+    return divergence_into(field.u, np.ascontiguousarray(field.v), out)()
+
+
+def divergence_into(u, v, out):
+    """Bind `divergence_adjoint` of the field (u, v) into `out`.
+
+    Returns a function of no arguments that writes the divergence of the
+    values u and v hold at the time of the call into `out` and returns
+    `out`.  The views it works on and its column scratch are made here,
+    once; v and `out` must be C-contiguous, and `out` must not overlap u
+    or v.
+    """
+    flat, v_flat = _flat_view(out), _flat_view(v)
+    u_last, u_first, u_head, u_tail = u[-1:], u[:1], u[:-1], u[1:]
+    out_first_row, out_rest = out[:1], out[1:]
+    out_col0, v_col_last = out[:, :1], v[:, -1:]
+    flat_tail, v_head = flat[1:], v_flat[:-1]
+    first = np.empty(out_col0.shape)
+
+    def divergence():
+        np.subtract(u_last, u_first, out=out_first_row)
+        np.subtract(u_head, u_tail, out=out_rest)
+        # column 0 takes v from the last column; the contiguous pass below
+        # would add the previous row's last entry there instead
+        np.add(out_col0, v_col_last, out=first)
+        np.add(flat_tail, v_head, out=flat_tail)
+        out_col0[...] = first
+        np.subtract(out, v, out=out)
+        return out
+
+    return divergence
 
 
 def _flat_view(a):
-    """A 1-D view of `a` for writing; ValueError unless `a` is C-contiguous."""
+    """A 1-D view of `a`; ValueError unless `a` is C-contiguous."""
     if not a.flags.c_contiguous:
         raise ValueError("out arrays must be C-contiguous")
     return a.reshape(-1)
 
 
 def _squared_length(field, work):
-    """Write u*u + v*v into `work.u`, with `work.v` as scratch; return `work.u`."""
+    """Write u*u + v*v into `work.u`, with `work.v` as scratch; return `work.u`.
+
+    When both fields are stacked, one call squares both components.
+    """
     sq, scratch = work.u, work.v
-    np.multiply(field.u, field.u, out=sq)
-    np.multiply(field.v, field.v, out=scratch)
+    if field.stacked is not None and work.stacked is not None:
+        np.multiply(field.stacked, field.stacked, out=work.stacked)
+    else:
+        np.multiply(field.u, field.u, out=sq)
+        np.multiply(field.v, field.v, out=scratch)
     return np.add(sq, scratch, out=sq)
 
 
@@ -112,7 +150,7 @@ def l21_norm(field, work=None):
 
     `work` is passed on to `pointwise_norm`.
     """
-    return float(np.sum(pointwise_norm(field, work)))
+    return float(pointwise_norm(field, work).sum())
 
 
 def tv_value(z):
@@ -154,20 +192,38 @@ def project_dual_ball(field, out=None, work=None):
     """
     if work is None:
         work = GradientField.empty(field.shape)
-    sq = _squared_length(field, work)
-    outside = np.greater(sq, _ONE_UP)
     if out is None:
         out = GradientField.empty(field.shape)
-    if not outside.any():
-        if out is not field:
-            np.copyto(out.u, field.u)
-            np.copyto(out.v, field.v)
+    return projection_into(field, out, work)()
+
+
+def projection_into(field, out, work):
+    """Bind `project_dual_ball(field, out, work)`.
+
+    Returns a function of no arguments that projects the values `field`
+    holds at the time of the call into `out` and returns `out`; the mask of
+    entries that leave the ball is allocated here, once, so a call
+    allocates only the scale of the entries that do.
+    """
+    u, v, out_u, out_v, scratch = field.u, field.v, out.u, out.v, work.v
+    outside = np.empty(field.shape, dtype=bool)
+    copy = out is not field
+
+    def projection():
+        sq = _squared_length(field, work)
+        np.greater(sq, _ONE_UP, out=outside)
+        if not np.count_nonzero(outside):
+            if copy:
+                np.copyto(out_u, u)
+                np.copyto(out_v, v)
+            return out
+        norm = np.sqrt(sq, out=sq)
+        scale = np.where(outside, np.multiply(norm, _INWARD, out=scratch), 1.0)
+        np.divide(u, scale, out=out_u)
+        np.divide(v, scale, out=out_v)
         return out
-    norm = np.sqrt(sq, out=sq)
-    scale = np.where(outside, np.multiply(norm, _INWARD, out=work.v), 1.0)
-    np.divide(field.u, scale, out=out.u)
-    np.divide(field.v, scale, out=out.v)
-    return out
+
+    return projection
 
 
 def field_dot(a, b):

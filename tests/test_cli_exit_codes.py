@@ -21,6 +21,10 @@ CASES = {
     "eta0-underflows": CT + "eta0 = 5e-324\n",
     "gap-exponent-underflows": CT + "gap_exponent = 1100\n",
     "gap-target-grows-past-1": CT + "gap_exponent = -1\neta0 = 0.1\n",
+    # an n_max past the float range: its gap target is 0, not an OverflowError
+    "n-max-past-the-float-range": "problem = ct\nct_q = 8\nct_angles = 30\nn_max = 1" + "0" * 400 + "\n",
+    # a grid whose cell count has too many digits for a decimal string
+    "ct-q-with-2201-digits": "problem = ct\nct_q = 1" + "0" * 2200 + "\n",
     # problems that `build_problem` refuses
     "angles-past-180": CT + "ct_angle_step = 10\n",
     "negative-angle-step": "problem = ct\nct_q = 8\nct_angles = 4\nct_angle_step = -4\n",
@@ -164,3 +168,38 @@ def test_each_float_field_at_each_extreme_keeps_the_cli_contract():
        st.dictionaries(st.sampled_from(FLOAT_FIELDS), st.sampled_from(EXTREMES), min_size=2))
 def test_float_fields_at_extremes_together_keep_the_cli_contract(base, fields):
     _assert_cli_contract(base, fields)
+
+
+INT_FIELDS = [f.name for f in dataclasses.fields(harness.ExperimentConfig) if f.type is int]
+INT_EXTREMES = (0, -1, 2**63, 10**400)
+
+
+def test_each_int_field_at_each_extreme_keeps_the_cli_contract():
+    """`validate` exits 0, or 2 with one stderr line; a cheap run keeps the contract too.
+
+    Each integer field alone takes each extreme on the tiny bases, with noisy
+    data so that the seed is used.  Where `validate` exits 0 and the run
+    stays tiny (n_max <= 2, grid sides <= 8), `run` exits 0 or 3, with one
+    stderr line on 3.  Every warning is raised as an error.
+    """
+    assert set(INT_FIELDS) == {"n_max", "inner_max_iter", "metric_every", "n_blocks", "seed",
+                               "ct_q", "ct_angles", "ct_rays", "pde_m"}
+    for base, text in TINY_BASES.items():
+        for key in INT_FIELDS:
+            for value in INT_EXTREMES:
+                fields = {**harness.parse_config_text(text), "noise_rel": "0.01", key: value}
+                with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    path = os.path.join(tmp, "case.cfg")
+                    with open(path, "w") as fh:
+                        fh.write("".join(f"{k} = {v}\n" for k, v in fields.items()))
+                    code, err = _main_with_stderr(["validate", "--config", path])
+                    assert code in (0, 2), (base, key, value, code, err)
+                    assert code == 0 or len(err.strip().splitlines()) == 1, (base, key, value, err)
+                    cheap = int(fields["n_max"]) <= 2 and all(
+                        int(fields.get(side, 8)) <= 8 for side in ("ct_q", "pde_m"))
+                    if code == 0 and cheap:
+                        run = _main_with_stderr(["run", "--config", path,
+                                                 "--out", os.path.join(tmp, "out")])
+                        assert run[0] in (0, 3), (base, key, value, run)
+                        assert run[0] == 0 or len(run[1].strip().splitlines()) == 1, run

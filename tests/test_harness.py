@@ -245,6 +245,15 @@ def test_run_experiment_artifacts(tmp_path):
     assert a != (tmp_path / "c" / "metrics.csv").read_bytes()
 
 
+def test_summary_counts_the_runs_inner_iterations(tmp_path):
+    cfg = ExperimentConfig(**small_ct_kwargs(penalty="quadratic+TV", noise_rel=0.01, seed=5, n_max=100))
+    _, trace, summary = run_experiment(cfg, out_dir=tmp_path)
+    total = sum(r.inner_iterations for r in trace.records)
+    assert total > 0 and summary["inner_iterations"] == total
+    with open(tmp_path / "summary.json") as fh:
+        assert json.load(fh)["inner_iterations"] == total
+
+
 def test_run_experiment_zero_iterations(tmp_path):
     cfg = ExperimentConfig(**small_ct_kwargs(n_max=0))
     _, trace, summary = run_experiment(cfg, out_dir=tmp_path)

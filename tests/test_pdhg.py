@@ -375,6 +375,33 @@ def test_solver_reproduces_reference_loop_exactly(mu, constraint):
     assert not capped.converged and gaps[-1] > gaps.min()
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2)])
+@pytest.mark.parametrize(
+    "constraint", [None, NonnegativityConstraint(), BoxConstraint(-0.5, 2.0)],
+    ids=["none", "nonneg", "box"],
+)
+def test_solver_matches_the_oracle_where_the_bound_slices_degenerate(shape, constraint):
+    # one row or column: a wrap-around slice is the whole grid and a shifted
+    # one is empty; both must still be exactly the oracle's arithmetic
+    xi = 2.0 * rand_grid(60 + shape[0], shape)
+    for mu in (1.0, 20.0):
+        prob = DenoiseProblem(xi=xi, mu=mu, constraint=constraint)
+        cold, _, _ = solve_like_the_oracle(prob, eta=1e-9, max_iter=200)
+        moved = DenoiseProblem(xi=xi + rand_grid(70 + shape[1], shape), mu=mu, constraint=constraint)
+        solve_like_the_oracle(moved, z0=cold.x, lam0=cold.lam, eta=1e-9, max_iter=200)
+
+
+def test_solver_matches_the_oracle_on_a_warm_64x64_solve_that_leaves_the_ball():
+    xi = 3.0 * rand_grid(80, (64, 64))
+    prob = DenoiseProblem(xi=xi, mu=1.0, constraint=NonnegativityConstraint())
+    cold = pdhg_solve(prob, eta=1e-3, max_iter=30)
+    moved = DenoiseProblem(xi=xi + rand_grid(81, (64, 64)), mu=1.0, constraint=prob.constraint)
+    warm, _, _ = solve_like_the_oracle(moved, z0=cold.x, lam0=cold.lam, eta=1e-9, max_iter=40)
+    # entries the projection pulled back sit just inside the unit circle
+    assert warm.iterations == 40
+    assert np.count_nonzero(pointwise_norm(warm.lam) > 1.0 - 2.0 ** -40) > 100
+
+
 @pytest.mark.parametrize("mu", [1.0, 20.0])
 def test_reports_own_their_arrays(mu):
     constraint = NonnegativityConstraint()
