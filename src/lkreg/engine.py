@@ -180,6 +180,7 @@ class StepRecord:
     q_n: int
     rel_error: float = None
     bregman_to_truth: float = None
+    inner_gap_evaluations: int = 0  # duality gaps the inner solve took; not a metrics.csv column
 
 
 @dataclass
@@ -290,7 +291,7 @@ def run(problem, penalty, cfg, truth=None):
             warm_x=pair.x, warm_lam=lam_warm,
             max_iter=cfg.inner_max_iter,
         )
-        rec.inner_iterations = info.iterations
+        rec.inner_iterations, rec.inner_gap_evaluations = info.iterations, info.gap_evaluations
         if not math.isfinite(new_pair.eps):
             trace.terminated_by = "non-finite"
             break

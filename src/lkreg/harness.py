@@ -43,7 +43,7 @@ import numpy as np
 
 from . import elliptic, tomo
 from .engine import SolverConfig, run, validate_config
-from .penalty import NonnegativityConstraint, QuadraticPenalty, TotalVariationPenalty
+from .penalty import NonnegativityConstraint, QuadraticPenalty, TotalVariationPenalty, power
 from .tomo import MatrixProblem
 
 
@@ -243,13 +243,26 @@ def save_grid(path, grid):
 
 
 def _noisy(clean, cfg):
-    """Noisy data and its absolute level; zero data cannot take relative noise."""
+    """Noisy data and its absolute level delta; zero data cannot take relative noise.
+
+    Nor can a delta whose discrepancy threshold (tau delta)^p overflows:
+    `engine.run` could only stop `non-finite` before step 0.
+    """
     with _as_config_error(f"noise_rel = {cfg.noise_rel:g}: "):
-        return tomo.add_relative_gaussian_noise(clean, cfg.noise_rel, cfg.seed)
+        data, delta_abs = tomo.add_relative_gaussian_noise(clean, cfg.noise_rel, cfg.seed)
+    if not math.isfinite(power(cfg.tau * delta_abs, cfg.p)):
+        raise ConfigError(f"the discrepancy threshold (tau * delta)^p overflows with tau = "
+                          f"{cfg.tau:g}, noise_rel = {cfg.noise_rel:g} (delta = {delta_abs:g}) "
+                          f"and p = {cfg.p:g}")
+    return data, delta_abs
 
 
 def build_problem(cfg):
-    """Assemble (problem, truth); the problem's noise_level is the data's exact one."""
+    """Assemble (problem, truth); the problem's noise_level is the data's exact one.
+
+    Raises `ConfigError` for noise that `_noisy` refuses, so that
+    `validate` and `run` refuse the same configs.
+    """
     if cfg.problem == "pde":
         mesh, f, g, truth = elliptic.default_problem(cfg.pde_m)
         clean = elliptic.solve_state(truth, mesh, f, g)
@@ -386,6 +399,7 @@ def run_experiment(cfg, out_dir=None):
         "runtime_seconds": elapsed,
         "records": len(trace.records),
         "inner_iterations": sum(r.inner_iterations for r in trace.records),
+        "inner_gap_evaluations": sum(r.inner_gap_evaluations for r in trace.records),
         "seed": cfg.seed,
     }
     metrics_path = os.path.join(out, "metrics.csv")

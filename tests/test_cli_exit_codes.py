@@ -31,6 +31,10 @@ CASES = {
     "blocks-past-the-angles": CT + "n_blocks = 1000\n",
     "zero-detector-spacing": CT + "ct_detector_spacing = 0\n",
     "noise-level-overflows": CT + "noise_rel = 1e308\n",
+    # a discrepancy threshold (tau delta)^p that is inf before step 0
+    "discrepancy-threshold-overflows-by-noise": CT + "noise_rel = 1e170\n",
+    "discrepancy-threshold-overflows-by-tau": CT + "noise_rel = 0.01\ntau = 1e200\n",
+    "discrepancy-threshold-overflows-by-p": CT + "noise_rel = 0.1\np = 1e6\n",
     # angles or ray offsets past the float range, with no numpy warning on stderr
     "angle-step-overflows": CT + "ct_angle_step = 1e308\n",
     "every-ray-misses-the-grid": CT + "noise_rel = 0.01\nct_detector_spacing = 1e308\n",
@@ -53,6 +57,18 @@ def test_validate_and_run_both_exit_2_with_one_stderr_line(tmp_path, capsys, cas
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", ["noise_rel = 0.01\nmu = 1e300\n", "noise_rel = 0.01\np = 1e6\n"],
+                         ids=["mu-1e300", "threshold-underflows"])
+def test_a_run_that_goes_non_finite_after_a_finite_threshold_exits_3(tmp_path, capsys, extra):
+    # mu = 1e300 overflows at step 1; with p = 1e6, tau * delta < 1 and the
+    # threshold underflows to 0: neither is a config error
+    cfg_path = tmp_path / "case.cfg"
+    cfg_path.write_text(CT + extra)
+    assert main(["validate", "--config", str(cfg_path)]) == 0
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+    assert "terminated_by=non-finite" in capsys.readouterr().out
 
 
 ROWS_1E15 = 10**15  # 7.11 PiB of int64 or float64: the allocation fails at once

@@ -245,6 +245,30 @@ def test_run_experiment_artifacts(tmp_path):
     assert a != (tmp_path / "c" / "metrics.csv").read_bytes()
 
 
+def test_summary_counts_the_runs_gap_evaluations_as_value_kernel_calls(tmp_path, monkeypatch):
+    from lkreg import pdhg
+
+    calls = {"primal": 0, "dual": 0}
+
+    def counting(name, kernel):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pdhg, "_primal_value_at", counting("primal", pdhg._primal_value_at))
+    monkeypatch.setattr(pdhg, "_dual_value_at", counting("dual", pdhg._dual_value_at))
+    cfg = ExperimentConfig(**small_ct_kwargs(penalty="quadratic+TV", noise_rel=0.01, seed=5, n_max=100))
+    _, trace, summary = run_experiment(cfg, out_dir=tmp_path)
+    total = summary["inner_gap_evaluations"]
+    assert calls == {"primal": total, "dual": total}
+    assert total == sum(r.inner_gap_evaluations for r in trace.records)
+    # fewer than one per iteration, and at least one per solve
+    assert summary["inner_iterations"] > total >= sum(r.inner_iterations > 0 for r in trace.records)
+    with open(tmp_path / "summary.json") as fh:
+        assert json.load(fh)["inner_gap_evaluations"] == total
+
+
 def test_summary_counts_the_runs_inner_iterations(tmp_path):
     cfg = ExperimentConfig(**small_ct_kwargs(penalty="quadratic+TV", noise_rel=0.01, seed=5, n_max=100))
     _, trace, summary = run_experiment(cfg, out_dir=tmp_path)
@@ -443,12 +467,15 @@ def test_cli_scalar_power_overflow_exits_non_finite(tmp_path, capsys):
     assert "terminated_by=non-finite" in capsys.readouterr().out
 
 
-def test_cli_overflowing_discrepancy_bound_exits_non_finite(tmp_path, capsys):
+def test_cli_overflowing_discrepancy_bound_is_a_config_error(tmp_path, capsys):
     # noise_rel = 0.5 gives tau * delta of about 9.6 here, and 9.6 ** 400 overflows
     cfg_path = tmp_path / "p400.cfg"
     cfg_path.write_text("problem = ct\nct_q = 16\nct_angles = 4\nnoise_rel = 0.5\np = 400\n")
-    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
-    assert "terminated_by=non-finite" in capsys.readouterr().out
+    for args in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main([*args, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "(tau * delta)^p" in err and "p = 400" in err and "noise_rel = 0.5" in err, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_warns_about_an_unconstrained_pde(tmp_path, capsys):

@@ -17,6 +17,7 @@ from lkreg.penalty import (
     PrimalDualPair,
 )
 from lkreg.pdhg import (
+    _GAP_STRIDE,
     DenoiseProblem,
     PdhgReport,
     _constant_regime_field,
@@ -196,7 +197,8 @@ def test_report_is_consistent_in_original_variables():
         assert abs(d - rep.dual_value) <= 1e-9 * (1.0 + abs(d))
         assert rep.eps_certificate == max(rep.gap_abs, 0.0)
         assert rep.gap_abs >= -1e-9 * (1.0 + abs(p))
-        assert len(p_hist) == len(d_hist) == rep.iterations + 1
+        checked = checked_iterates(rep.iterations, max_iter=5000)
+        assert len(p_hist) == len(d_hist) == rep.gap_evaluations == len(checked)
 
 
 def test_tight_solution_self_consistency():
@@ -277,12 +279,20 @@ def test_inner_pair_passes_its_own_certificate():
     assert not check_eps_subgradient(off, pen, bound)
 
 
+def checked_iterates(iterations, max_iter):
+    """The iterates 0..iterations whose gap the solver takes: the stride's and the cap."""
+    return [k for k in range(iterations + 1) if k % _GAP_STRIDE == 0 or k == max_iter]
+
+
 def oracle_pdhg(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     """The solver loop as first written, over the np.roll reference primitives.
 
     Every iterate is a fresh array and the primal value differentiates z
     again; the dual value's linear term is <div_lam, z*>, as in the solver.
-    Returns (x, lam, iterations, primal_history, dual_history).
+    The gap is taken, and the stop tested, at every `_GAP_STRIDE`-th iterate
+    and at the cap only, and the best pair is the best of those.  Returns
+    (x, lam, iterations, primal_history, dual_history), the histories over
+    the checked iterates.
     """
     mu, xi, c = prob.mu, prob.xi, prob.constraint
     if mu != 1.0:
@@ -332,6 +342,8 @@ def oracle_pdhg(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
         if c is not None:
             z = c.project(z)
         iters += 1
+        if iters % _GAP_STRIDE and iters < max_iter:
+            continue
         p_val, d_val = primal(z), dual(lam, div_lam)
         p_hist.append(p_val)
         d_hist.append(d_val)
@@ -342,7 +354,7 @@ def oracle_pdhg(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
 
 
 def solve_like_the_oracle(prob, **kwargs):
-    """Solve, assert the report and every iterate's values equal the oracle's.
+    """Solve, assert the report and every checked iterate's values equal the oracle's.
 
     Returns (report, primal values, dual values).
     """
@@ -352,6 +364,7 @@ def solve_like_the_oracle(prob, **kwargs):
     assert np.array_equal(rep.lam.u, lam.u) and np.array_equal(rep.lam.v, lam.v)
     assert rep.iterations == iters
     assert got_p == p_hist and got_d == d_hist
+    assert rep.gap_evaluations == len(got_p)
     return rep, got_p, got_d
 
 
@@ -367,9 +380,9 @@ def test_solver_reproduces_reference_loop_exactly(mu, constraint):
     # warm start at a moved xi, as the outer iteration does
     moved = DenoiseProblem(xi=xi + 0.5 * rand_grid(41, (12, 9)), mu=mu, constraint=constraint)
     solve_like_the_oracle(moved, z0=cold.x, lam0=cold.lam, eta=1e-7)
-    # a capped run whose best iterate is not the last
+    # a capped run whose best checked iterate is not the last
     capped, p_hist, d_hist = solve_like_the_oracle(
-        moved, z0=cold.x, lam0=cold.lam, eta=1e-12, max_iter=82
+        moved, z0=cold.x, lam0=cold.lam, eta=1e-12, max_iter=205
     )
     gaps = np.subtract(p_hist, d_hist)
     assert not capped.converged and gaps[-1] > gaps.min()
@@ -475,7 +488,9 @@ def test_each_iterate_is_evaluated_once(monkeypatch, mu, eta, max_iter):
     prob = DenoiseProblem(xi=rand_grid(41, (8, 8)), mu=mu, constraint=NonnegativityConstraint())
     report = pdhg_solve(prob, z0=np.ones((8, 8)), eta=eta, max_iter=max_iter)
     assert report.iterations > 0 and report.converged == (max_iter == 5000)
-    assert calls["primal"] == calls["dual"] == calls["gradient"] == report.iterations + 1
+    assert calls["gradient"] == report.iterations + 1
+    checked = checked_iterates(report.iterations, max_iter)
+    assert calls["primal"] == calls["dual"] == report.gap_evaluations == len(checked)
     assert calls["primal_value"] == 0
 
 
@@ -535,6 +550,83 @@ def test_dual_value_equals_its_gradient_form_property(case):
     want = quadratic + float(np.vdot(lam.u, g.u) + np.vdot(lam.v, g.v))
     scale = quadratic + float(np.sum(np.abs(zstar)))
     assert abs(dual_value(prob, lam) - want) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(denoise_case(), st.integers(0, 90))
+def test_strided_certificate_is_the_exact_gap_of_the_returned_pair_property(case, max_iter):
+    # the report's gap is the one recomputed at its pair, and weak duality
+    # holds at every checked iterate, whichever iterates the stride skips
+    prob, z0, lam0 = case
+    if prob.constraint is not None:
+        z0 = prob.constraint.project(z0)
+    rep, p_hist, d_hist = solve_with_histories(prob, z0=z0, lam0=lam0, eta=1e-4,
+                                               max_iter=max_iter)
+    assert rep.gap_evaluations == len(p_hist) == len(checked_iterates(rep.iterations, max_iter))
+    for p_val, d_val in zip(p_hist, d_hist):
+        assert d_val <= p_val + 1e-12 * (1.0 + abs(p_val) + abs(d_val))
+    p_val, d_val = primal_value(prob, rep.x), dual_value(prob, rep.lam)
+    scale = 1.0 + abs(p_val) + abs(d_val)
+    assert abs(rep.gap_abs - (p_val - d_val)) <= 1e-12 * scale
+    assert rep.eps_certificate == max(rep.gap_abs, 0.0)
+
+
+@pytest.mark.parametrize("max_iter", [3, 82])
+@pytest.mark.parametrize(
+    "constraint", [None, NonnegativityConstraint(), BoxConstraint(-0.5, 2.0)],
+    ids=["none", "nonneg", "box"],
+)
+def test_capped_solve_checks_its_last_iterate_and_returns_the_best_checked_pair(
+        max_iter, constraint):
+    assert max_iter % _GAP_STRIDE  # a cap the stride does not reach
+    xi = rand_grid(45, (10, 8))
+    prob = DenoiseProblem(xi=xi, mu=2.0, constraint=constraint)
+    rep, p_hist, d_hist = solve_like_the_oracle(prob, eta=1e-12, max_iter=max_iter)
+    assert not rep.converged and rep.iterations == max_iter
+    # 0, _GAP_STRIDE, ... up to the cap, and the cap itself
+    assert rep.gap_evaluations == max_iter // _GAP_STRIDE + 2
+    gaps = np.subtract(p_hist, d_hist)
+    best = int(np.argmin(gaps))
+    assert (rep.primal_value, rep.dual_value) == (p_hist[best], d_hist[best])
+    assert rep.gap_abs == p_hist[best] - d_hist[best]
+    # the unchecked iterates left the returned pair alone
+    assert abs(primal_value(prob, rep.x) - p_hist[best]) <= 1e-12 * (1.0 + abs(p_hist[best]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_xi_stops_within_the_stride_with_infinite_eps(bad):
+    xi = rand_grid(46, (6, 5))
+    xi[2, 3] = bad
+    prob = DenoiseProblem(xi=xi, mu=1.5, constraint=NonnegativityConstraint())
+    warm = np.abs(rand_grid(47, (6, 5)))
+    for z0, lam0 in ((None, None), (warm, project_dual_ball(rand_field(48, (6, 5))))):
+        with np.errstate(invalid="ignore", over="ignore"):
+            rep = pdhg_solve(prob, z0=z0, lam0=lam0, eta=1e-6, max_iter=50)
+        assert not rep.converged and rep.iterations < _GAP_STRIDE
+        assert rep.eps_certificate == math.inf
+
+
+def test_a_nan_mid_solve_stops_at_the_next_checked_iterate(monkeypatch):
+    # a nan dual step at k = 5 makes iterate 6 nan; the solve stops at the
+    # next checked iterate and returns the best earlier checked pair, with
+    # its own finite gap
+    from lkreg import pdhg
+
+    def nan_at_5(k):
+        tau, theta = step_sizes(k)
+        return (math.nan, theta) if k == 5 else (tau, theta)
+
+    monkeypatch.setattr(pdhg, "step_sizes", nan_at_5)
+    prob = DenoiseProblem(xi=rand_grid(49, (7, 7)), mu=1.0)
+    with np.errstate(invalid="ignore"):
+        rep, p_hist, d_hist = solve_with_histories(prob, eta=1e-12, max_iter=50)
+    stop = 6 + (-6) % _GAP_STRIDE
+    assert rep.iterations == stop and not rep.converged
+    assert len(p_hist) == len(checked_iterates(stop, 50)) and math.isnan(p_hist[-1] - d_hist[-1])
+    assert rep.gap_abs == np.subtract(p_hist[:-1], d_hist[:-1]).min()
+    assert math.isfinite(rep.eps_certificate)
+    assert abs(primal_value(prob, rep.x) - dual_value(prob, rep.lam) - rep.gap_abs) <= 1e-12 * (
+        1.0 + abs(rep.primal_value) + abs(rep.dual_value))
 
 
 @pytest.mark.parametrize("mu", [1.0, 20.0])
