@@ -10,72 +10,30 @@ Completing the square turns that into the denoising objective
     Psi_P(z) = ||z - mu xi||^2 / (2 mu) + TV(z) + indicator of C,
 
 which differs from Theta(z) - <xi, z> only by the constant mu ||xi||^2 / 2.
-The saddle formulation dualizes TV over pointwise unit balls Z; running the
-primal-dual iteration with growing dual steps tau_k and matching primal
-relaxations theta_k gives iterates whose duality gap we can evaluate exactly:
-the dual value is obtained constructively by minimizing the Lagrangian over z
-at the current dual variable.  Weak duality then holds by construction and
-the gap Psi_P - Psi_D is a sound eps certificate for the pair (x, xi),
-because the constant shift cancels in the gap.
 
-TV and the constraint indicator are positively homogeneous, so substituting
-z = mu w turns the weight-mu objective into mu times the weight-1 objective
-with the same xi (boxes scale their bounds; cones are unchanged).  The step
-schedule is tuned for that unit-weight regime, so the solver iterates on
-this normal form, and the value functions evaluate on it too: no value
-kernel sees mu != 1.  Mapping back is exact: x = mu w, values and absolute
-gaps pick up a factor mu, and the relative gap is invariant.
-
-The loop takes the duality gap on a stride: at iterate k it evaluates the
-gap, at one site, only when k is a multiple of `_GAP_STRIDE` or k is the
-cap max_iter, records it and tests for a stop there, and then takes the
-step to the next iterate.  Iterate 0 and the cap are always checked, the
-stop tests run only at checked iterates, and the best pair is chosen among
-them, so every certificate is the exactly evaluated gap of the pair it
-comes with; a solve may run up to `_GAP_STRIDE` - 1 iterations past the
-first iterate that meets its target, and a nan gap stops it at the next
-checked iterate.  One inner iteration costs one discrete gradient (of the
-current iterate, which the dual step and, at a checked iterate, the primal
-value share), one divergence and one dual-ball projection; a checked one
-adds the l21 norm and the two value kernels.  The projection and the l21
-norm each form the squared length u*u + v*v, and the projection stops
-there when no entry leaves the ball.  The dual value needs no gradient of
-its own.  Since the divergence is the gradient's transpose, the normal
-form's Lagrangian at lam is
+The duality gap is a sound certificate.  The saddle formulation dualizes TV
+over pointwise unit balls.  Since the divergence is the gradient's
+transpose, the unit-weight Lagrangian at a feasible dual field lam is
 
     ||w - xi||^2 / 2 + <div_lam, w> + indicator of C,
 
-separable in w and minimized by w* = P_C(xi - div_lam); the dual value is
-this very expression at w*.  The primal step already forms xi - div_lam, so
-the dual value reuses it.
+separable in w and minimized by w* = P_C(xi - div_lam).  The dual value is
+this very expression at w*, so it is a true lower bound on min Psi_P by
+construction, whatever the iterate, and the gap Psi_P - Psi_D bounds the
+primal iterate's suboptimality.  The constant shift cancels in the gap, so
+the gap is also the eps of the pair (x, xi).
 
-Everything the loop touches is allocated and bound once per solve.  The
-dual fields of the two iterate slots, the gradient and the field scratch
-are stacked (2, n0, n1) arrays (`GradientField.empty`), so the dual step
-lam + tau grad and the squared lengths of the projection and the l21 norm
-take one ufunc call for both components.  Each slot binds its projection,
-with its mask, and its divergence, with its slices, flat views and
-first-column scratch, through `tv.projection_into` and `tv.divergence_into`,
-the binders that `project_dual_ball` and `divergence_adjoint` call too.  An
-iteration allocates nothing but the projection's scale, and only when an
-entry leaves the ball; the floats are the ones the plain expressions give,
-operation for operation.  Three calls stay hooks, looked up through this
-module's names so that a caller can wrap them: `discrete_gradient`, once
-per iterate, and `_primal_value_at` and `_dual_value_at`, once per checked
-iterate.  The bound projection and divergence are not looked up, so a
-wrapper on `project_dual_ball` or `divergence_adjoint` here sees only the
-calls made outside the loop.
+TV is positively homogeneous and C (none, or the nonnegative orthant) is a
+cone, so substituting z = mu w turns the weight-mu objective into mu times
+the weight-1 objective with the same xi and the same C.  The step schedule
+is tuned for unit weight, so the loop and the value kernels work on w: mu
+divides the warm start on entry and multiplies x, the values and the
+absolute gaps on exit, and the relative gap is invariant.  A constraint
+that is not a cone would change under this substitution.
 
-Early in a run the exact inner minimizer is often a constant image.
-Without a constraint, w = mean(xi) minimizes the normal form exactly when
-some dual field lam in the unit balls has div* lam = xi - mean(xi) (Meyer's
-test); with one, the same lam gives P_C(mean(xi)) a zero gap.  While its
-warm start is constant, `inner_solver` builds the least-norm field with that
-divergence in closed form, by a periodic Poisson solve with two FFTs.  When
-that field stays in the balls (sufficient, not necessary), it hands PDHG
-this pair as the start, whose gap at iterate 0 is at the rounding floor, so
-the solve returns a normal report after 0 iterations; `pdhg_solve` itself
-knows nothing of it.
+README, "Cost model", gives what one iteration costs and allocates.
+`discrete_gradient`, `_primal_value_at` and `_dual_value_at` are looked up
+through this module's names at each call, so a caller can wrap them.
 """
 
 import math
@@ -101,6 +59,9 @@ from .tv import (
 # 2 and 8 cost 0.4 % and 2.9 % more.
 _GAP_STRIDE = 4
 
+# Slack of the dual value's unit-ball test, for lengths rounded above 1.
+_FEAS_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class DenoiseProblem:
@@ -113,14 +74,6 @@ class DenoiseProblem:
     def __post_init__(self):
         if not self.mu > 0.0:
             raise ValueError("mu must be positive")
-
-
-def normal_form(prob):
-    """The unit-weight problem in w = z / mu: same xi, constraint scaled by 1/mu."""
-    if prob.mu == 1.0:
-        return prob
-    scaled = None if prob.constraint is None else prob.constraint.scaled(1.0 / prob.mu)
-    return DenoiseProblem(xi=prob.xi, mu=1.0, constraint=scaled)
 
 
 def step_sizes(k):
@@ -143,7 +96,7 @@ def primal_value(prob, z):
 
 
 def _primal_value_at(prob, w, grad, work=None):
-    """Normal-form Psi_P(w) for a feasible w, given its gradient; reads only `prob.xi`.
+    """Unit-weight Psi_P(w) for a feasible w, given its gradient; reads only `prob.xi`.
 
     `work`, an optional (grid, field) pair of w's shape, receives w - xi
     and the scratch of the l21 norm instead of fresh arrays.
@@ -153,21 +106,21 @@ def _primal_value_at(prob, w, grad, work=None):
     return float(d.dot(d)) / 2.0 + l21_norm(grad, scratch)
 
 
-def dual_value(prob, lam, feas_tol=1e-12):
+def dual_value(prob, lam):
     """Constructive dual value Psi_D(lam); -inf when lam leaves the unit balls or holds a nan.
 
-    For feasible lam the normal form's Lagrangian is minimized in closed form
-    (w* = P_{C/mu}(xi - div* lam)), evaluated there and scaled by mu, so the
+    For feasible lam the unit-weight Lagrangian is minimized in closed form
+    (w* = P_C(xi - div* lam)), evaluated there and scaled by mu, so the
     value is a true lower bound on min Psi_P regardless of rounding.
     """
-    if not float(np.max(pointwise_norm(lam))) <= 1.0 + feas_tol:  # a nan max fails too
+    if not float(np.max(pointwise_norm(lam))) <= 1.0 + _FEAS_TOL:  # a nan max fails too
         return -math.inf
     div_lam = divergence_adjoint(lam)
-    return prob.mu * _dual_value_at(normal_form(prob), np.subtract(prob.xi, div_lam), div_lam)
+    return prob.mu * _dual_value_at(prob, np.subtract(prob.xi, div_lam), div_lam)
 
 
 def _dual_value_at(prob, xi_minus_div, div_lam, work=None):
-    """Normal-form Psi_D(lam) given div_lam = divergence_adjoint(lam) and xi - div_lam.
+    """Unit-weight Psi_D(lam) given div_lam = divergence_adjoint(lam) and xi - div_lam.
 
     The Lagrangian at its minimizer w* = P_C(xi - div_lam), with no gradient
     taken; `work`, an optional grid of lam's shape, receives w* and then
@@ -236,15 +189,10 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     (non-finite xi, say) certifies nothing: the solve stops at the checked
     iterate that sees it, unconverged, and reports the best earlier checked
     pair, or an eps of inf when the nan came at the initial point.
-
-    The loop iterates on `normal_form(prob)`; the report is in the original
-    variables.
     """
     if not (0.0 < eta < 1.0):
         raise ValueError("relative gap target must lie in (0, 1)")
-    mu, xi = prob.mu, prob.xi
-    prob = normal_form(prob)  # mu only scales the report from here on
-    constraint, shape = prob.constraint, xi.shape
+    mu, xi, constraint, shape = prob.mu, prob.xi, prob.constraint, prob.xi.shape
     z = np.zeros(shape) if z0 is None else np.asarray(z0, dtype=float) / mu
     if constraint is not None:
         constraint.project(z, out=z)
@@ -255,6 +203,8 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     if lam0 is not None:
         project_dual_ball(lam0, out=lam, work=work[1])
     gap_floor = 16.0 * np.finfo(float).eps * (1.0 + 0.5 * float(np.vdot(xi, xi)))
+    if math.isinf(gap_floor):  # ||xi||^2 overflowed: every gap would count as closed
+        gap_floor = 0.0
 
     # Up to two iterate slots: a step overwrites the current (z, lam) in
     # place unless it is the best checked pair so far, which must survive
@@ -334,8 +284,11 @@ def _constant_regime_field(centered):
     `centered` up to rounding.  The periodic D^T D is diagonal under the 2-D
     DFT, with eigenvalues (2 - 2 cos 2 pi k / n0) + (2 - 2 cos 2 pi l / n1);
     only the zero mode's is 0, and that mode is set to 0.  This is the
-    least-norm field of Meyer's test (see the module docstring; Chambolle,
-    JMIV 20, 2004).
+    least-norm field of Meyer's test (Chambolle, JMIV 20, 2004): w = mean(xi)
+    minimizes the unit-weight objective without a constraint exactly when
+    some field in the unit balls has divergence xi - mean(xi), and with one
+    that field gives P_C(mean(xi)) a zero gap.  Staying in the balls is
+    sufficient, not necessary.
     """
     n0, n1 = centered.shape
     spectrum = np.fft.rfft2(centered)
@@ -377,10 +330,10 @@ def inner_solver(xi, penalty, gap_target=None, warm_x=None, warm_lam=None, max_i
     because the two differ by a constant.
 
     While warm_x is constant (or None, meaning zeros), as on a run's first
-    steps, the solve first tries the constant regime (see the module
-    docstring): with c = mean(xi) and lam = `_constant_regime_field(xi - c)`,
-    max |lam| <= 1 makes (c, lam), c projected onto C / mu, an exact
-    primal-dual pair of the normal form, so PDHG starts from (mu c, lam)
+    steps, the solve first tries the constant regime: with c = mean(xi) and
+    lam = `_constant_regime_field(xi - c)`, max |lam| <= 1 makes (c, lam), c
+    projected onto C, an exact primal-dual pair of the unit-weight problem,
+    so PDHG starts from (mu c, lam)
     instead (`pdhg_solve` projects any start).  Its gap at iterate 0 is at
     the rounding floor, so the solve returns after 0 iterations; should the
     gap miss the target, PDHG iterates from there.  A try costs two FFTs;

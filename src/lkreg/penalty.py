@@ -5,8 +5,8 @@ A penalty here is a 2-convex functional on 2-D grids of one of two kinds:
 * ``quadratic``:     Theta(z) = ||z||^2 / (2 mu) + indicator of C
 * ``quadratic+TV``:  Theta(z) = ||z||^2 / (2 mu) + TV(z) + indicator of C
 
-with C an optional nonnegativity or box constraint containing 0.  Both have
-convexity constant c0 = 1 / (2 mu) with exponent p = 2.
+with C an optional nonnegativity constraint.  Both have convexity constant
+c0 = 1 / (2 mu) with exponent p = 2.
 
 The outer iteration never works with exact minimizers.  Its currency is the
 `PrimalDualPair` (x, xi, eps): a certificate that xi is an eps-subgradient of
@@ -66,41 +66,11 @@ class NonnegativityConstraint:
     def project(self, z, out=None):
         return np.maximum(z, 0.0, out=out)
 
-    def contains(self, z, tol=0.0):
-        return bool(z.min() >= -tol)
-
-    def scaled(self, factor):
-        """The set {factor * z : z in C}; a cone, so itself."""
-        if not factor > 0.0:
-            raise ValueError("scaling factor must be positive")
-        return self
+    def contains(self, z):
+        return bool(z.min() >= 0.0)
 
     def __repr__(self):
         return "NonnegativityConstraint()"
-
-
-@dataclass(frozen=True)
-class BoxConstraint:
-    """The set {z : lower <= z <= upper}; must contain 0."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not (self.lower <= 0.0 <= self.upper):
-            raise ValueError("constraint box must contain 0")
-
-    def project(self, z, out=None):
-        return np.clip(z, self.lower, self.upper, out=out)
-
-    def contains(self, z, tol=0.0):
-        return bool(z.min() >= self.lower - tol and z.max() <= self.upper + tol)
-
-    def scaled(self, factor):
-        """The set {factor * z : z in C}, another box."""
-        if not factor > 0.0:
-            raise ValueError("scaling factor must be positive")
-        return BoxConstraint(self.lower * factor, self.upper * factor)
 
 
 @dataclass(frozen=True)

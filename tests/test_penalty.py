@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lkreg.penalty import (
-    BoxConstraint,
     NonnegativityConstraint,
     PrimalDualPair,
     QuadraticPenalty,
@@ -19,6 +18,7 @@ from lkreg.penalty import (
     norm,
     solve_quadratic_exact,
 )
+from lkreg.harness import _CHOICES, ExperimentConfig
 from lkreg.pdhg import inner_solver
 from lkreg.tv import tv_value
 
@@ -56,23 +56,24 @@ def test_nonnegativity_constraint():
     assert np.array_equal(c.project(z), [[0.0, 2.0], [0.0, 0.0]])
     assert not c.contains(z)
     assert c.contains(c.project(z))
-    assert c.contains(np.array([-1e-12]), tol=1e-9)
-    assert c.scaled(0.25) is c
-    with pytest.raises(ValueError):
-        c.scaled(0.0)
 
 
-def test_box_constraint():
-    c = BoxConstraint(-1.0, 3.0)
-    assert np.array_equal(c.project(np.array([-5.0, 0.5, 9.0])), [-1.0, 0.5, 3.0])
-    assert c.contains(np.array([-1.0, 3.0]))
-    assert not c.contains(np.array([3.1]))
-    s = c.scaled(0.5)
-    assert (s.lower, s.upper) == (-0.5, 1.5)
-    with pytest.raises(ValueError):
-        BoxConstraint(0.5, 2.0)  # must contain 0
-    with pytest.raises(ValueError):
-        c.scaled(-1.0)
+_config_constraints = [
+    c for c in (ExperimentConfig(constraint=name).penalty_object().constraint
+                for name in _CHOICES["constraint"])
+    if c is not None
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_config_constraints),
+    hnp.arrays(np.float64, (3, 4), elements=st.floats(-1e3, 1e3)),
+    st.floats(1e-3, 1e3),
+)
+def test_every_config_constraint_is_a_cone_property(c, z, t):
+    # pdhg_solve scales z = mu w with C unchanged, which only a cone allows
+    assert np.allclose(c.project(t * z), t * c.project(z), rtol=1e-12, atol=0.0)
 
 
 def test_pair_validation():
