@@ -13,8 +13,10 @@ i = n mod N it
 3. otherwise takes the dual step xi <- xi - mu L_i(x)* J_s(r) with the
    capped adaptive step size mu from `step_size`,
 4. recovers the next primal iterate from xi through the inner solver,
-   warm started and driven to a summable relative-gap target, which
-   certifies the new eps.
+   driven to a summable relative-gap target, which certifies the new eps.
+   The run keeps the (x, lam) pairs of the last two inner solves, and a
+   TV solve starts from their linear extrapolation 2 (x, lam)_n -
+   (x, lam)_{n-1}, or from the last pair while fewer than two exist.
 
 Every iterate visited, including the final one, contributes one StepRecord
 to the trace; runs end by `discrepancy`, by the iteration `cap`, by
@@ -234,7 +236,10 @@ def run(problem, penalty, cfg, truth=None):
     shape = problem.domain_shape
     pair = PrimalDualPair(x=np.zeros(shape), xi=np.zeros(shape), eps=0.0)
     prev = pair
+    # the dual field of the last inner solve, and the (x, lam) of the solve
+    # before it: the inner solver extrapolates its start from the two
     lam_warm = None
+    before = (None, None)
 
     trace = RunTrace()
     q = 0
@@ -290,6 +295,7 @@ def run(problem, penalty, cfg, truth=None):
             gap_target=cfg.gap_target(n + 1),
             warm_x=pair.x, warm_lam=lam_warm,
             max_iter=cfg.inner_max_iter,
+            prev_x=before[0], prev_lam=before[1],
         )
         rec.inner_iterations, rec.inner_gap_evaluations = info.iterations, info.gap_evaluations
         if not math.isfinite(new_pair.eps):
@@ -298,6 +304,7 @@ def run(problem, penalty, cfg, truth=None):
         if not info.converged:
             trace.terminated_by = "inner-failure"
             break
+        before = (pair.x, lam_warm)
         lam_warm = info.lam
         prev = pair
         pair = new_pair

@@ -157,11 +157,11 @@ class PdhgReport:
 def _rel_gap(gap, p_val, d_val, floor):
     # Gaps at the rounding floor of the objective count as closed; otherwise
     # instances whose optimal value is exactly zero (constant xi, say) would
-    # stall at a relative gap of 1 with both values at machine noise.  A nan
-    # gap stays nan, so it never counts as converged.  A gap above the floor
-    # is p_val - d_val > 0, so |p_val| + |d_val| > 0.
-    if math.isnan(gap):
-        return gap
+    # stall at a relative gap of 1 with both values at machine noise.  A
+    # non-finite gap gives nan, so it never counts as converged.  A gap above
+    # the floor is p_val - d_val > 0, so |p_val| + |d_val| > 0.
+    if not math.isfinite(gap):
+        return math.nan
     if gap <= floor:
         return 0.0
     return gap / (abs(p_val) + abs(d_val))
@@ -185,10 +185,11 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     The gap is evaluated only at checked iterates: every `_GAP_STRIDE`-th
     one, the initial point and the cap included, and the stop tests run
     there too.  Returns the report for the smallest-absolute-gap checked
-    iterate, whose eps is that pair's exactly evaluated gap.  A nan gap
-    (non-finite xi, say) certifies nothing: the solve stops at the checked
-    iterate that sees it, unconverged, and reports the best earlier checked
-    pair, or an eps of inf when the nan came at the initial point.
+    iterate, whose eps is that pair's exactly evaluated gap.  A gap that is
+    not finite (nan from a non-finite xi, inf from a value that overflows)
+    certifies nothing: the solve stops at the checked iterate that sees it,
+    unconverged, and reports the best earlier checked pair, or an eps of inf
+    when it came at the initial point.
     """
     if not (0.0 < eta < 1.0):
         raise ValueError("relative gap target must lie in (0, 1)")
@@ -234,11 +235,11 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
             evaluations += 1
             gap = p_val - d_val
             rel = _rel_gap(gap, p_val, d_val, gap_floor)
-            if iters == 0 or gap < best[0]:
+            if iters == 0 or -math.inf < gap < best[0]:
                 best = (gap, rel, p_val, d_val)
                 best_slot = cur
             converged = rel <= eta
-            if converged or iters >= max_iter or math.isnan(gap):
+            if converged or iters >= max_iter or not math.isfinite(gap):
                 break
 
         tau, theta = step_sizes(iters)
@@ -271,7 +272,7 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
         converged=converged,
         gap_abs=mu * gap_b,
         gap_rel=rel_b,
-        eps_certificate=mu * (math.inf if math.isnan(gap_b) else max(gap_b, 0.0)),
+        eps_certificate=mu * (max(gap_b, 0.0) if math.isfinite(gap_b) else math.inf),
         primal_value=mu * p_b,
         dual_value=mu * d_b,
     )
@@ -320,14 +321,24 @@ class InnerInfo:
     report: object = None
 
 
-def inner_solver(xi, penalty, gap_target=None, warm_x=None, warm_lam=None, max_iter=5000):
+def inner_solver(xi, penalty, gap_target=None, warm_x=None, warm_lam=None, max_iter=5000,
+                 prev_x=None, prev_lam=None):
     """Produce a certified pair for Theta - <xi, .>, dispatching on penalty kind.
 
     Quadratic penalties are solved exactly (eps = 0, gap target ignored).
-    Quadratic+TV penalties run PDHG to the requested relative gap, warm
-    started from (warm_x, warm_lam); the certificate is the achieved absolute
-    gap, which transfers from the denoising objective to Theta - <xi, .>
-    because the two differ by a constant.
+    Quadratic+TV penalties run PDHG to the requested relative gap; the
+    certificate is the achieved absolute gap, which transfers from the
+    denoising objective to Theta - <xi, .> because the two differ by a
+    constant.
+
+    (warm_x, warm_lam) is the last solve's pair and (prev_x, prev_lam), given
+    only with both of those, the one before it.  Consecutive subproblems
+    differ by one small dual step, so their solutions follow a smooth path,
+    and PDHG starts from its linear extrapolation (2 warm_x - prev_x,
+    2 warm_lam - prev_lam).  Without prev_lam it starts from (warm_x,
+    warm_lam).  `pdhg_solve` projects any start onto C and the unit balls,
+    and the eps it returns is the exact gap of the pair it returns, wherever
+    it started.
 
     While warm_x is constant (or None, meaning zeros), as on a run's first
     steps, the solve first tries the constant regime: with c = mean(xi) and
@@ -338,7 +349,8 @@ def inner_solver(xi, penalty, gap_target=None, warm_x=None, warm_lam=None, max_i
     the rounding floor, so the solve returns after 0 iterations; should the
     gap miss the target, PDHG iterates from there.  A try costs two FFTs;
     the first solve that leaves the regime normally returns a non-constant
-    x, and that ends the tries.  A non-finite xi fails the test.
+    x, and that ends the tries.  A non-finite xi fails the test.  A start
+    the closed form certifies is used as it is, not extrapolated.
     """
     if penalty.kind == "quadratic":
         return solve_quadratic_exact(xi, penalty), InnerInfo(iterations=0, converged=True)
@@ -347,14 +359,18 @@ def inner_solver(xi, penalty, gap_target=None, warm_x=None, warm_lam=None, max_i
     if gap_target is None:
         raise ValueError("a TV inner solve needs an explicit gap target")
     prob = DenoiseProblem(xi=np.asarray(xi, dtype=float), mu=penalty.mu, constraint=penalty.constraint)
+    certified = False
     if warm_x is None or warm_x.min() == warm_x.max():
         # non-finite or huge xi overflows here, and its field fails the test
         with np.errstate(over="ignore", invalid="ignore"):
             c = prob.xi.mean()
             lam = _constant_regime_field(prob.xi - c)
             certified = float(np.max(pointwise_norm(lam))) <= 1.0
-        if certified:
-            warm_x, warm_lam = np.full(prob.xi.shape, prob.mu * c), lam
+    if certified:
+        warm_x, warm_lam = np.full(prob.xi.shape, prob.mu * c), lam
+    elif prev_lam is not None:
+        warm_x = 2.0 * warm_x - prev_x
+        warm_lam = GradientField(2.0 * warm_lam.u - prev_lam.u, 2.0 * warm_lam.v - prev_lam.v)
     report = pdhg_solve(prob, z0=warm_x, lam0=warm_lam, eta=gap_target, max_iter=max_iter)
     pair = PrimalDualPair(
         x=report.x, xi=np.array(xi, dtype=float, copy=True), eps=report.eps_certificate

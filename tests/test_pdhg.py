@@ -171,6 +171,37 @@ def test_an_overflowing_rounding_floor_closes_no_gap():
     assert not rep.converged and rep.gap_rel != 0.0
 
 
+def test_an_infinite_gap_stops_the_solve_within_the_stride():
+    # the primal value overflows at iterate 0: a gap of inf certifies nothing
+    xi = 3e153 * normals(1, 64).reshape(8, 8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = pdhg_solve(DenoiseProblem(xi=xi, mu=1.0), z0=xi, eta=1e-6)
+    assert rep.iterations < _GAP_STRIDE
+    assert rep.eps_certificate == math.inf and rep.converged is False
+
+
+def test_an_overflowing_dual_value_mid_solve_certifies_nothing(monkeypatch):
+    # a dual value of +inf makes the gap -inf, which must neither close the
+    # solve nor displace the best earlier checked pair
+    from lkreg import pdhg
+
+    real = pdhg._dual_value_at
+    seen = []
+
+    def inf_at_third_check(*args, **kwargs):
+        seen.append(None)
+        return math.inf if len(seen) == 3 else real(*args, **kwargs)
+
+    monkeypatch.setattr(pdhg, "_dual_value_at", inf_at_third_check)
+    prob = DenoiseProblem(xi=rand_grid(52, (7, 7)), mu=2.0)
+    rep = pdhg_solve(prob, eta=1e-12, max_iter=50)
+    assert rep.iterations == 2 * _GAP_STRIDE and rep.converged is False
+    assert math.isfinite(rep.gap_abs) and rep.eps_certificate == max(rep.gap_abs, 0.0)
+    monkeypatch.undo()
+    gap = primal_value(prob, rep.x) - dual_value(prob, rep.lam)
+    assert abs(rep.gap_abs - gap) <= 1e-12 * (1.0 + abs(rep.primal_value) + abs(rep.dual_value))
+
+
 def test_solver_requires_valid_target():
     prob = DenoiseProblem(xi=np.zeros((3, 3)), mu=1.0)
     with pytest.raises(ValueError):
@@ -711,3 +742,70 @@ def test_constant_regime_start_property(case):
     floor = pen.mu * 16.0 * np.finfo(float).eps * (1.0 + 0.5 * float(np.vdot(xi, xi)))
     tol = sum(math.sqrt(2.0 * pen.mu * (eps + floor)) for eps in (pair.eps, long.eps_certificate))
     assert float(np.linalg.norm(pair.x - long.x)) <= tol
+
+
+@pytest.mark.parametrize("mode", ["plain", "accelerated"])
+def test_each_solve_starts_from_the_extrapolation_of_the_last_two(monkeypatch, mode):
+    # a small CT run whose first solves the closed form certifies
+    from lkreg import pdhg
+    from lkreg.engine import run
+    from lkreg.harness import build_problem, make_config
+
+    calls = []
+    real = pdhg.pdhg_solve
+
+    def spy(prob, z0=None, lam0=None, **kwargs):
+        report = real(prob, z0=z0, lam0=lam0, **kwargs)
+        calls.append((prob, z0, lam0, report))
+        return report
+
+    monkeypatch.setattr(pdhg, "pdhg_solve", spy)
+    cfg = make_config(preset="ct-desk", ct_q=16, ct_angles=10, n_max=40, mode=mode)
+    problem, _ = build_problem(cfg)
+    run(problem, cfg.penalty_object(), cfg)
+    reports = [call[3] for call in calls]
+    closed, extrapolated = 0, 0
+    for k, (prob, z0, lam0, report) in enumerate(calls):
+        last = reports[k - 1] if k else None
+        c = prob.xi.mean()
+        field = _constant_regime_field(prob.xi - c)
+        tried = last is None or last.x.min() == last.x.max()
+        if tried and float(np.max(pointwise_norm(field))) <= 1.0:
+            assert np.array_equal(z0, np.full(prob.xi.shape, prob.mu * c))
+            assert np.array_equal(lam0.u, field.u) and np.array_equal(lam0.v, field.v)
+            assert report.iterations == 0 and report.converged
+            closed += 1
+        elif k >= 2:
+            before = reports[k - 2]
+            assert np.array_equal(z0, 2.0 * last.x - before.x)
+            assert np.array_equal(lam0.u, 2.0 * last.lam.u - before.lam.u)
+            assert np.array_equal(lam0.v, 2.0 * last.lam.v - before.lam.v)
+            extrapolated += 1
+    assert closed >= 2 and extrapolated >= 10
+    assert closed + extrapolated == len(calls)
+
+
+@st.composite
+def infeasible_start_case(draw):
+    # a start below 0 under nonneg, and a dual field of lengths up to 3
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6))
+    xi, z0 = (draw(hnp.arrays(np.float64, shape, elements=st.floats(-5.0, 5.0)))
+              for _ in range(2))
+    length = draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 3.0)))
+    angle = draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 2.0 * math.pi)))
+    prob = DenoiseProblem(xi=xi, mu=draw(_mus), constraint=draw(_constraints))
+    return prob, z0, GradientField(length * np.cos(angle), length * np.sin(angle))
+
+
+@settings(max_examples=60, deadline=None)
+@given(infeasible_start_case(), st.integers(0, 90))
+def test_a_start_outside_c_and_the_balls_keeps_the_certificate_exact_property(case, max_iter):
+    prob, z0, lam0 = case
+    rep, p_hist, d_hist = solve_with_histories(prob, z0=z0, lam0=lam0, eta=1e-4,
+                                               max_iter=max_iter)
+    for p_val, d_val in zip(p_hist, d_hist):
+        assert d_val <= p_val + 1e-12 * (1.0 + abs(p_val) + abs(d_val))
+    p_val, d_val = primal_value(prob, rep.x), dual_value(prob, rep.lam)
+    assert math.isfinite(p_val) and math.isfinite(d_val)
+    assert abs(rep.gap_abs - (p_val - d_val)) <= 1e-12 * (1.0 + abs(p_val) + abs(d_val))
+    assert rep.eps_certificate == max(rep.gap_abs, 0.0)
