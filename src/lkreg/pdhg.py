@@ -31,6 +31,31 @@ divides the warm start on entry and multiplies x, the values and the
 absolute gaps on exit, and the relative gap is invariant.  A constraint
 that is not a cone would change under this substitution.
 
+The loop searches in float32 and certifies in float64.  The outer method
+needs a certified eps for each pair, not float64 iterates, so only the
+certificate is float64:
+
+- Exact.  The start, projected onto C and the unit balls, is checked in
+  float64, so a start that meets eta (the closed form's, say) returns with
+  every byte of a float64 solve.  A certificate casts the float32 pair to
+  float64, re-projects lam with `projection_into`, and takes the gap with
+  `_primal_value_at` and `_dual_value_at`.  The report holds the best
+  certified pair, so its eps is the exact float64 gap of the x and lam it
+  returns.
+- Not exact.  Past the start the iterates are float32, the dual step uses
+  the plain projection `scaling_into` (a length may round just above 1),
+  and each checked iterate's gap is estimated in float32, with float32's
+  eps in the rounding floor.  An estimate certifies nothing; it only says
+  when to certify: when it meets eta, falls to its floor, is not finite,
+  or the cap is reached.
+- Promotion.  A certificate that misses eta continues the same loop in
+  float64 from the certified pair, and every later check is exact.  So a
+  target below float32's reach still converges, with no knob for when.
+- Range.  The search stays in float64 from the start when ||xi||^2 or
+  twice the start's primal value exceeds float32's largest value, where
+  its squares would overflow.  Below that, an overflowing estimate is inf,
+  and its certificate hands the solve to float64.
+
 README, "Cost model", gives what one iteration costs and allocates.
 `discrete_gradient`, `_primal_value_at` and `_dual_value_at` are looked up
 through this module's names at each call, so a caller can wrap them.
@@ -52,6 +77,7 @@ from .tv import (
     pointwise_norm,
     project_dual_ball,
     projection_into,
+    scaling_into,
 )
 
 # The gap is taken at every _GAP_STRIDE-th iterate and at the cap.  On ct-desk
@@ -136,10 +162,13 @@ def _dual_value_at(prob, xi_minus_div, div_lam, work=None):
 
 @dataclass
 class PdhgReport:
-    """Best-gap checked iterate of a PDHG run plus convergence bookkeeping.
+    """Best certified iterate of a PDHG run plus convergence bookkeeping.
 
-    `gap_evaluations` counts the checked iterates, the calls of each value
-    kernel; with `iterations` it tells fewer iterations from cheaper ones.
+    x and lam are float64 arrays of their own, and the values and gaps are
+    that pair's exactly evaluated ones.  `gap_evaluations` counts the calls
+    of each value kernel: one per checked iterate, and one more for the
+    certificate that ends a float32 search; with `iterations` it tells
+    fewer iterations from cheaper ones.
     """
 
     x: np.ndarray
@@ -167,8 +196,36 @@ def _rel_gap(gap, p_val, d_val, floor):
     return gap / (abs(p_val) + abs(d_val))
 
 
+def _rounding_floor(eps, xi_sq):
+    """16 eps (1 + ||xi||^2 / 2); 0 once that overflows, which would close every gap."""
+    floor = 16.0 * eps * (1.0 + 0.5 * xi_sq)
+    return 0.0 if math.isinf(floor) else floor
+
+
+def _buffers(prob, dtype, exact):
+    """The loop's state in one dtype, bound once.
+
+    Returns (problem over xi in that dtype, z, lam, grad, div_lam,
+    xi_minus_div, work, projection, divergence): lam's in-place projection,
+    `projection_into` when `exact` and the plain `scaling_into` otherwise,
+    and its divergence into div_lam.  grad holds the gradient of the current
+    z: the primal value uses it and the next dual step scales it in place.
+    xi_minus_div holds xi - div_lam: the z step scales it and the dual value
+    projects it.  work is scratch for the values, the projection and the z
+    step in turn.
+    """
+    xi, shape = prob.xi.astype(dtype, copy=False), prob.xi.shape
+    if xi is not prob.xi:
+        prob = DenoiseProblem(xi=xi, mu=prob.mu, constraint=prob.constraint)
+    lam, div_lam = GradientField.empty(shape, dtype), np.empty(shape, dtype)
+    work = (np.empty(shape, dtype), GradientField.empty(shape, dtype))
+    project = projection_into(lam, lam, work[1]) if exact else scaling_into(lam, work[1])
+    return (prob, np.empty(shape, dtype), lam, GradientField.empty(shape, dtype), div_lam,
+            np.empty(shape, dtype), work, project, divergence_into(lam.u, lam.v, div_lam))
+
+
 def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
-    """Run PDHG until the relative duality gap drops below eta.
+    """Run PDHG until the certified relative duality gap drops below eta.
 
     Parameters
     ----------
@@ -182,90 +239,95 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     max_iter : int
         Iteration cap; on hitting it the report carries converged=False.
 
-    The gap is evaluated only at checked iterates: every `_GAP_STRIDE`-th
-    one, the initial point and the cap included, and the stop tests run
-    there too.  Returns the report for the smallest-absolute-gap checked
-    iterate, whose eps is that pair's exactly evaluated gap.  A gap that is
-    not finite (nan from a non-finite xi, inf from a value that overflows)
-    certifies nothing: the solve stops at the checked iterate that sees it,
-    unconverged, and reports the best earlier checked pair, or an eps of inf
-    when it came at the initial point.
+    Every `_GAP_STRIDE`-th iterate and the cap are checked, the start in
+    float64 and later iterates as the module docstring says: estimated in
+    float32 until one is certified, exactly after that.
+
+    Returns the report of the smallest-gap certified pair, whose eps is that
+    pair's exactly evaluated gap.  A certified gap that is not finite (nan
+    from a non-finite xi, inf from a value that overflows) certifies
+    nothing: the solve stops there, unconverged, and reports the best
+    earlier certified pair, or an eps of inf when it came at the start.
     """
     if not (0.0 < eta < 1.0):
         raise ValueError("relative gap target must lie in (0, 1)")
-    mu, xi, constraint, shape = prob.mu, prob.xi, prob.constraint, prob.xi.shape
-    z = np.zeros(shape) if z0 is None else np.asarray(z0, dtype=float) / mu
+    mu, xi, constraint = prob.mu, prob.xi, prob.constraint
+    exact = _buffers(prob, np.float64, exact=True)
+    kprob, z, lam, grad, div_lam, xi_minus_div, work, project, divergence = exact
+    if z0 is None:
+        z.fill(0.0)
+    else:
+        np.divide(np.asarray(z0, dtype=float), mu, out=z)
     if constraint is not None:
         constraint.project(z, out=z)
-    # work is scratch for the primal value, the dual value, the projection
-    # and the z step in turn; nothing in it outlives the step that writes it.
-    work = (np.empty(shape), GradientField.empty(shape))
-    lam = GradientField.zeros(shape)
-    if lam0 is not None:
+    if lam0 is None:
+        lam.stacked.fill(0.0)
+    else:
         project_dual_ball(lam0, out=lam, work=work[1])
-    gap_floor = 16.0 * np.finfo(float).eps * (1.0 + 0.5 * float(np.vdot(xi, xi)))
-    if math.isinf(gap_floor):  # ||xi||^2 overflowed: every gap would count as closed
-        gap_floor = 0.0
-
-    # Up to two iterate slots: a step overwrites the current (z, lam) in
-    # place unless it is the best checked pair so far, which must survive
-    # for the report; an unchecked iterate is never that pair.  The second
-    # slot is made at the first step that needs it, so a solve certified at
-    # iterate 0 binds no more than its start.
-    # grad holds the gradient of the current z: the primal value uses it and
-    # the next dual step scales it in place.  xi_minus_div holds xi - div_lam:
-    # the z step scales it and the dual value projects it.
-    grad, div_lam, xi_minus_div = GradientField.empty(shape), np.empty(shape), np.empty(shape)
-
-    def slot(z, lam):
-        """(z, lam, lam's projection in place, lam's divergence into div_lam)."""
-        return z, lam, projection_into(lam, lam, work[1]), divergence_into(lam.u, lam.v, div_lam)
-
-    slots = [slot(z, lam)]
-    divergence = slots[0][3]
     np.subtract(xi, divergence(), out=xi_minus_div)
-    cur = best_slot = 0
-    iters = 0
-    evaluations = 0
-    while True:
-        discrete_gradient(z, out=grad)
-        if iters % _GAP_STRIDE == 0 or iters >= max_iter:
-            p_val = _primal_value_at(prob, z, grad, work)
-            d_val = _dual_value_at(prob, xi_minus_div, div_lam, work[0])
-            evaluations += 1
-            gap = p_val - d_val
-            rel = _rel_gap(gap, p_val, d_val, gap_floor)
-            if iters == 0 or -math.inf < gap < best[0]:
-                best = (gap, rel, p_val, d_val)
-                best_slot = cur
-            converged = rel <= eta
-            if converged or iters >= max_iter or not math.isfinite(gap):
-                break
+    xi_sq = float(np.vdot(xi, xi))
+    floor = _rounding_floor(np.finfo(float).eps, xi_sq)
+    floor32 = _rounding_floor(float(np.finfo(np.float32).eps), xi_sq)
+    f32_max = float(np.finfo(np.float32).max)
 
-        tau, theta = step_sizes(iters)
-        nxt = 1 - cur if cur == best_slot else cur
-        if nxt == len(slots):
-            slots.append(slot(np.empty(shape), GradientField.empty(shape)))
-        z_next, lam_next, project, divergence = slots[nxt]
-        np.multiply(grad.stacked, tau, out=grad.stacked)
-        np.add(lam.stacked, grad.stacked, out=lam_next.stacked)
-        lam = lam_next
-        project()
-        divergence()
-        np.subtract(xi, div_lam, out=xi_minus_div)
-        np.multiply(xi_minus_div, theta, out=work[0])
-        np.multiply(z, 1.0 - theta, out=z_next)
-        np.add(z_next, work[0], out=z_next)
-        z = z_next
-        if constraint is not None:
-            constraint.project(z, out=z)
-        cur = nxt
-        iters += 1
+    searching = False
+    best = None
+    iters = evaluations = 0
+    # an overflow gives a non-finite value, which the checks act on, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            discrete_gradient(z, out=grad)
+            checked = iters % _GAP_STRIDE == 0 or iters >= max_iter
+            if checked and searching:
+                p_val = _primal_value_at(kprob, z, grad, work)
+                d_val = _dual_value_at(kprob, xi_minus_div, div_lam, work[0])
+                evaluations += 1
+                # certify where the estimate meets eta or its floor, is nan, or at the cap
+                if not _rel_gap(p_val - d_val, p_val, d_val, floor32) > eta or iters >= max_iter:
+                    searching = False
+                    z32, lam32 = z, lam
+                    kprob, z, lam, grad, div_lam, xi_minus_div, work, project, divergence = exact
+                    np.copyto(z, z32)
+                    np.copyto(lam.stacked, lam32.stacked)
+                    project()
+                    np.subtract(xi, divergence(), out=xi_minus_div)
+                    discrete_gradient(z, out=grad)
+            if checked and not searching:
+                p_val = _primal_value_at(kprob, z, grad, work)
+                d_val = _dual_value_at(kprob, xi_minus_div, div_lam, work[0])
+                evaluations += 1
+                gap = p_val - d_val
+                rel = _rel_gap(gap, p_val, d_val, floor)
+                if best is None or -math.inf < gap < best[0]:
+                    best = (gap, rel, p_val, d_val, mu * z, lam.copy())
+                converged = rel <= eta
+                if converged or iters >= max_iter or not math.isfinite(gap):
+                    break
+                if iters == 0 and xi_sq < f32_max and 2.0 * p_val < f32_max:  # squares fit
+                    searching = True
+                    z64, lam64, grad64 = z, lam, grad
+                    kprob, z, lam, grad, div_lam, xi_minus_div, work, project, divergence = (
+                        _buffers(prob, np.float32, exact=False))
+                    np.copyto(z, z64)
+                    np.copyto(lam.stacked, lam64.stacked)
+                    np.copyto(grad.stacked, grad64.stacked)
 
-    gap_b, rel_b, p_b, d_b = best
-    z_b, lam_b = slots[best_slot][:2]
+            tau, theta = step_sizes(iters)
+            np.multiply(grad.stacked, tau, out=grad.stacked)
+            np.add(lam.stacked, grad.stacked, out=lam.stacked)
+            project()
+            divergence()
+            np.subtract(kprob.xi, div_lam, out=xi_minus_div)
+            np.multiply(xi_minus_div, theta, out=work[0])
+            np.multiply(z, 1.0 - theta, out=z)
+            np.add(z, work[0], out=z)
+            if constraint is not None:
+                constraint.project(z, out=z)
+            iters += 1
+
+    gap_b, rel_b, p_b, d_b, x_b, lam_b = best
     return PdhgReport(
-        x=mu * z_b,
+        x=x_b,
         lam=lam_b,
         iterations=iters,
         gap_evaluations=evaluations,

@@ -34,13 +34,20 @@ class GradientField:
         return cls(stacked[0], stacked[1], stacked)
 
     @classmethod
-    def zeros(cls, shape):
-        return cls._halves(np.zeros((2, *shape)))
+    def zeros(cls, shape, dtype=float):
+        return cls._halves(np.zeros((2, *shape), dtype))
 
     @classmethod
-    def empty(cls, shape):
-        """A field of uninitialized float arrays, to be written into."""
-        return cls._halves(np.empty((2, *shape)))
+    def empty(cls, shape, dtype=float):
+        """A field of uninitialized arrays, to be written into."""
+        return cls._halves(np.empty((2, *shape), dtype))
+
+    def copy(self):
+        """A stacked field holding a copy of this one's values."""
+        out = GradientField.empty(self.shape, self.u.dtype)
+        np.copyto(out.u, self.u)
+        np.copyto(out.v, self.v)
+        return out
 
     @property
     def shape(self):
@@ -86,15 +93,15 @@ def divergence_into(u, v, out):
     Returns a function of no arguments that writes the divergence of the
     values u and v hold at the time of the call into `out` and returns
     `out`.  The views it works on and its column scratch are made here,
-    once; v and `out` must be C-contiguous, and `out` must not overlap u
-    or v.
+    once, in `out`'s dtype; v and `out` must be C-contiguous, and `out`
+    must not overlap u or v.
     """
     flat, v_flat = _flat_view(out), _flat_view(v)
     u_last, u_first, u_head, u_tail = u[-1:], u[:1], u[:-1], u[1:]
     out_first_row, out_rest = out[:1], out[1:]
     out_col0, v_col_last = out[:, :1], v[:, -1:]
     flat_tail, v_head = flat[1:], v_flat[:-1]
-    first = np.empty(out_col0.shape)
+    first = np.empty(out_col0.shape, out.dtype)
 
     def divergence():
         np.subtract(u_last, u_first, out=out_first_row)
@@ -224,6 +231,28 @@ def projection_into(field, out, work):
         return out
 
     return projection
+
+
+def scaling_into(field, work):
+    """Bind the plain projection of a stacked field onto the unit balls, in place.
+
+    Returns a function of no arguments that divides every entry of `field`
+    by max(length, 1): squares, `max(., 1)`, a root and one broadcast
+    divide, with `work`, a stacked field of the same shape, as scratch.
+    Unlike `projection_into` it has no mask and no _INWARD margin, so a
+    length may round to just above 1; it serves iterates whose own values
+    are never certified.  An entry whose square overflows maps to 0.
+    """
+    stacked, length = field.stacked, work.u
+
+    def scaling():
+        _squared_length(field, work)
+        np.maximum(length, 1.0, out=length)
+        np.sqrt(length, out=length)
+        np.divide(stacked, length, out=stacked)
+        return field
+
+    return scaling
 
 
 def field_dot(a, b):

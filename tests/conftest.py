@@ -44,26 +44,32 @@ def tiny_linear_problem(seed, domain_shape=(3, 4), rows=8, n_blocks=1, data=None
     return problem, matrix, truth
 
 
-def solve_with_histories(prob, **kwargs):
-    """`pdhg_solve(prob, **kwargs)` and the primal and dual value of every iterate.
+def solve_with_histories(prob, estimates=None, **kwargs):
+    """`pdhg_solve(prob, **kwargs)` and the primal and dual value of every certified pair.
 
-    Records what the loop's value kernels return, in the order it evaluates
-    them, and scales them by mu into the original variables, as the report's
-    values are.  Returns (report, primal values, dual values).
+    Records what the loop's value kernels return for float64 iterates, the
+    certified ones, in the order it evaluates them, and scales them by mu
+    into the original variables, as the report's values are.  The float32
+    search's gap estimates, scaled alike, are appended to `estimates`, when
+    it is a list, as (primal, dual) pairs.  Returns (report, primal values,
+    dual values).
     """
-    p_hist, d_hist = [], []
+    values = {np.dtype(np.float64): ([], []), np.dtype(np.float32): ([], [])}
 
-    def recording(values, kernel):
+    def recording(side, kernel):
         def wrapper(*args, **kw):
             value = kernel(*args, **kw)
-            values.append(prob.mu * value)
+            values[args[1].dtype][side].append(prob.mu * value)
             return value
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pdhg, "_primal_value_at", recording(p_hist, pdhg._primal_value_at))
-        mp.setattr(pdhg, "_dual_value_at", recording(d_hist, pdhg._dual_value_at))
+        mp.setattr(pdhg, "_primal_value_at", recording(0, pdhg._primal_value_at))
+        mp.setattr(pdhg, "_dual_value_at", recording(1, pdhg._dual_value_at))
         report = pdhg.pdhg_solve(prob, **kwargs)
+    if estimates is not None:
+        estimates.extend(zip(*values[np.dtype(np.float32)]))
+    p_hist, d_hist = values[np.dtype(np.float64)]
     return report, p_hist, d_hist
 
 

@@ -499,3 +499,28 @@ def test_every_record_matches_the_reference_diagnostics(monkeypatch, mode, kind)
         assert rec.rel_error == engine._relative_error(pair.x, truth)
         inflated = PrimalDualPair(x=pair.x, xi=pair.xi, eps=rec.eps_n)
         assert rec.bregman_to_truth == bregman_eps_distance(reference, inflated, truth)
+
+
+def test_the_discrepancy_stop_nears_the_truth_as_the_noise_falls():
+    # The paper's regularization property on a CT config its theory covers:
+    # the ct-desk preset at 24 x 24, 16 angles and tau = 1.5, where c1 > 0
+    # for 1 < beta < 1.3043.  Accelerated at three noise levels, plain at the
+    # coarser two (the finest takes it 2,761 steps); 1.4 s in all on a
+    # 2-vCPU Xeon.
+    # The paper proves the plain mode; the accelerated one is as measured.
+    from lkreg.harness import build_problem, make_config
+
+    base = dict(preset="ct-desk", ct_q=24, ct_angles=16, tau=1.5)
+    cfg = make_config(**base)
+    assert validate_config(cfg, beta=1.2, c0=cfg.penalty_object().c0).c1 > 0.0
+    for mode, levels in (("accelerated", (0.04, 0.01, 0.0025)), ("plain", (0.04, 0.01))):
+        stops, errors = [], []
+        for noise_rel in levels:
+            cfg = make_config(**base, noise_rel=noise_rel, mode=mode)
+            problem, truth = build_problem(cfg)
+            _, trace = run(problem, cfg.penalty_object(), cfg, truth=truth)
+            assert trace.terminated_by == "discrepancy", (mode, noise_rel)
+            stops.append(trace.n_final)
+            errors.append(trace.records[-1].rel_error)
+        assert stops == sorted(stops), mode
+        assert all(coarse > fine for coarse, fine in zip(errors, errors[1:])), (mode, errors)

@@ -180,26 +180,34 @@ def test_an_infinite_gap_stops_the_solve_within_the_stride():
     assert rep.eps_certificate == math.inf and rep.converged is False
 
 
-def test_an_overflowing_dual_value_mid_solve_certifies_nothing(monkeypatch):
-    # a dual value of +inf makes the gap -inf, which must neither close the
-    # solve nor displace the best earlier checked pair
+def test_an_overflowing_dual_value_mid_solve_certifies_nothing():
+    # a certified dual value of +inf makes the gap -inf, which must neither
+    # close the solve nor displace the best earlier certified pair; the 2nd
+    # certificate ends the float32 search, the 3rd is the first check of the
+    # float64 loop that a certificate missing 1e-7 goes on with
     from lkreg import pdhg
 
     real = pdhg._dual_value_at
-    seen = []
-
-    def inf_at_third_check(*args, **kwargs):
-        seen.append(None)
-        return math.inf if len(seen) == 3 else real(*args, **kwargs)
-
-    monkeypatch.setattr(pdhg, "_dual_value_at", inf_at_third_check)
     prob = DenoiseProblem(xi=rand_grid(52, (7, 7)), mu=2.0)
-    rep = pdhg_solve(prob, eta=1e-12, max_iter=50)
-    assert rep.iterations == 2 * _GAP_STRIDE and rep.converged is False
-    assert math.isfinite(rep.gap_abs) and rep.eps_certificate == max(rep.gap_abs, 0.0)
-    monkeypatch.undo()
-    gap = primal_value(prob, rep.x) - dual_value(prob, rep.lam)
-    assert abs(rep.gap_abs - gap) <= 1e-12 * (1.0 + abs(rep.primal_value) + abs(rep.dual_value))
+    for eta, certificate in ((1e-3, 2), (1e-7, 3)):
+        certificates, estimates = [], []
+
+        def inf_at_a_certificate(*args, **kwargs):
+            value = real(*args, **kwargs)
+            if args[1].dtype == np.float32:
+                estimates.append(value)
+                return value
+            certificates.append(value)
+            return math.inf if len(certificates) == certificate else value
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pdhg, "_dual_value_at", inf_at_a_certificate)
+            rep = pdhg_solve(prob, eta=eta, max_iter=5000)
+        assert rep.iterations == _GAP_STRIDE * (len(estimates) + certificate - 2)
+        assert rep.converged is False and len(certificates) == certificate
+        assert math.isfinite(rep.gap_abs) and rep.eps_certificate == max(rep.gap_abs, 0.0)
+        gap = primal_value(prob, rep.x) - dual_value(prob, rep.lam)
+        assert abs(rep.gap_abs - gap) <= 1e-12 * (1.0 + abs(rep.primal_value) + abs(rep.dual_value))
 
 
 def test_solver_requires_valid_target():
@@ -227,7 +235,8 @@ def test_report_is_consistent_in_original_variables():
         prob = DenoiseProblem(
             xi=rand_grid(31, (8, 8)), mu=mu, constraint=NonnegativityConstraint()
         )
-        rep, p_hist, d_hist = solve_with_histories(prob, eta=1e-6)
+        estimates = []
+        rep, p_hist, d_hist = solve_with_histories(prob, estimates=estimates, eta=1e-6)
         assert rep.converged
         p = primal_value(prob, rep.x)
         d = dual_value(prob, rep.lam)
@@ -235,8 +244,11 @@ def test_report_is_consistent_in_original_variables():
         assert abs(d - rep.dual_value) <= 1e-9 * (1.0 + abs(d))
         assert rep.eps_certificate == max(rep.gap_abs, 0.0)
         assert rep.gap_abs >= -1e-9 * (1.0 + abs(p))
+        # one value pair per checked iterate, and one for the certificate
+        # that ends the float32 search
         checked = checked_iterates(rep.iterations, max_iter=5000)
-        assert len(p_hist) == len(d_hist) == rep.gap_evaluations == len(checked)
+        assert len(p_hist) == len(d_hist)
+        assert len(p_hist) + len(estimates) == rep.gap_evaluations == len(checked) + 1
 
 
 def test_tight_solution_self_consistency():
@@ -322,87 +334,123 @@ def checked_iterates(iterations, max_iter):
     return [k for k in range(iterations + 1) if k % _GAP_STRIDE == 0 or k == max_iter]
 
 
-def oracle_pdhg(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
-    """The solver loop as first written, over the np.roll reference primitives.
+def plain_projection(field):
+    """Reference plain projection: divide by max(length, 1), in the field's dtype."""
+    scale = np.sqrt(np.maximum(field.u * field.u + field.v * field.v, 1.0))
+    return GradientField(field.u / scale, field.v / scale)
 
-    Every iterate is a fresh array and the primal value differentiates z
+
+def cast(field, dtype):
+    return GradientField(field.u.astype(dtype), field.v.astype(dtype))
+
+
+def oracle_pdhg(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000, search=np.float32):
+    """The solver loop as specified, over the np.roll reference primitives.
+
+    Every iterate is a fresh array and each value differentiates its z
     again; the dual value's linear term is <div_lam, z*>, as in the solver.
-    The gap is taken, and the stop tested, at every `_GAP_STRIDE`-th iterate
-    and at the cap only, and the best pair is the best of those.  Returns
-    (x, lam, iterations, primal_history, dual_history), the histories over
-    the checked iterates.
+    Iterate 0 is certified in float64.  Past it the iterates are cast to
+    `search` and projected plainly, and at every `_GAP_STRIDE`-th iterate
+    and at the cap the gap is estimated in that dtype; the iterate whose
+    estimate meets eta, falls to its floor (float32's eps in the floor
+    formula), is not finite or reaches the cap is cast back to float64,
+    its lam reprojected with `roll_projection`, and certified.  From a
+    certificate that misses eta the loop goes on in float64, certifying
+    every checked iterate.  With `search=np.float64`, or when ||xi||^2 or
+    twice the start's primal value passes float32's range, it runs in
+    float64 throughout, as the loop before the float32 search did.  Returns
+    (x, lam, iterations, primal_history, dual_history, estimates), the
+    histories over the certified pairs and the estimates as (primal, dual).
     """
     mu, xi, c = prob.mu, prob.xi, prob.constraint
     if mu != 1.0:
         unit = DenoiseProblem(xi=xi, mu=1.0, constraint=c)
         w0 = None if z0 is None else np.asarray(z0, dtype=float) / mu
-        x, lam, iters, p_hist, d_hist = oracle_pdhg(unit, w0, lam0, eta, max_iter)
-        return mu * x, lam, iters, [mu * v for v in p_hist], [mu * v for v in d_hist]
+        x, lam, iters, p_hist, d_hist, est = oracle_pdhg(unit, w0, lam0, eta, max_iter, search)
+        return (mu * x, lam, iters, [mu * v for v in p_hist], [mu * v for v in d_hist],
+                [(mu * p, mu * d) for p, d in est])
 
-    def primal(z):
+    def primal(z, xi):
         if c is not None and not c.contains(z):
             return math.inf
-        d = z - mu * xi
-        g = roll_gradient(z)
-        return float(np.vdot(d, d)) / (2.0 * mu) + float(np.sum(reference_norm(g)))
+        d = z - xi
+        return float(np.vdot(d, d)) / 2.0 + float(np.sum(reference_norm(roll_gradient(z))))
 
-    def dual(lam, div_lam):
-        zstar = mu * (xi - div_lam)
+    def dual(div_lam, xi):
+        zstar = xi - div_lam
         if c is not None:
             zstar = c.project(zstar)
-        d = zstar - mu * xi
-        return float(np.vdot(d, d)) / (2.0 * mu) + float(np.vdot(div_lam, zstar))
+        d = zstar - xi
+        return float(np.vdot(d, d)) / 2.0 + float(np.vdot(div_lam, zstar))
 
-    def rel_gap(gap, p_val, d_val):
-        if gap <= gap_floor:
+    xi_sq, f32_max = float(np.vdot(xi, xi)), float(np.finfo(np.float32).max)
+
+    def rel_gap(gap, p_val, d_val, eps):
+        floor = 16.0 * eps * (1.0 + 0.5 * xi_sq)
+        if not math.isfinite(gap):
+            return math.nan
+        if gap <= (0.0 if math.isinf(floor) else floor):
             return 0.0
-        denom = abs(p_val) + abs(d_val)
-        return gap / denom if denom > 0.0 else 0.0
+        return gap / (abs(p_val) + abs(d_val))
 
     z = np.zeros_like(xi) if z0 is None else np.array(z0, dtype=float, copy=True)
     if c is not None:
         z = c.project(z)
     lam = GradientField.zeros(z.shape) if lam0 is None else roll_projection(lam0)
-    gap_floor = 16.0 * np.finfo(float).eps * (1.0 + 0.5 * mu * float(np.vdot(xi, xi)))
-    p_val, d_val = primal(z), dual(lam, roll_divergence(lam))
-    p_hist, d_hist = [p_val], [d_val]
-    best = (p_val - d_val, z, lam)
+    xi_search = xi.astype(search)
+    p_hist, d_hist, estimates = [], [], []
+    best = None
+    searching = False
     iters = 0
-    converged = rel_gap(p_val - d_val, p_val, d_val) <= eta
-    while not converged and iters < max_iter:
-        tau, theta = step_sizes(iters)
+    while True:
         grad_z = roll_gradient(z)
-        lam = roll_projection(
-            GradientField(lam.u + mu * tau * grad_z.u, lam.v + mu * tau * grad_z.v)
-        )
+        checked = iters % _GAP_STRIDE == 0 or iters == max_iter
+        if checked and searching:
+            p_val, d_val = primal(z, xi_search), dual(roll_divergence(lam), xi_search)
+            estimates.append((p_val, d_val))
+            if not rel_gap(p_val - d_val, p_val, d_val, 2.0 ** -23) > eta or iters == max_iter:
+                searching = False
+                z, lam = z.astype(float), roll_projection(cast(lam, float))
+                grad_z = roll_gradient(z)
+        if checked and not searching:
+            p_val, d_val = primal(z, xi), dual(roll_divergence(lam), xi)
+            p_hist.append(p_val)
+            d_hist.append(d_val)
+            gap = p_val - d_val
+            if best is None or -math.inf < gap < best[0]:
+                best = (gap, z, lam)
+            if (rel_gap(gap, p_val, d_val, np.finfo(float).eps) <= eta or iters == max_iter
+                    or not math.isfinite(gap)):
+                break
+            if iters == 0 and search is np.float32 and max(xi_sq, 2.0 * p_val) < f32_max:
+                searching = True
+                z, lam, grad_z = z.astype(search), cast(lam, search), cast(grad_z, search)
+        tau, theta = step_sizes(iters)
+        lam = GradientField(lam.u + tau * grad_z.u, lam.v + tau * grad_z.v)
+        lam = plain_projection(lam) if searching else roll_projection(lam)
         div_lam = roll_divergence(lam)
-        z = (1.0 - theta) * z + mu * theta * (xi - div_lam)
+        z = (1.0 - theta) * z + theta * ((xi_search if searching else xi) - div_lam)
         if c is not None:
             z = c.project(z)
         iters += 1
-        if iters % _GAP_STRIDE and iters < max_iter:
-            continue
-        p_val, d_val = primal(z), dual(lam, div_lam)
-        p_hist.append(p_val)
-        d_hist.append(d_val)
-        if p_val - d_val < best[0]:
-            best = (p_val - d_val, z, lam)
-        converged = rel_gap(p_val - d_val, p_val, d_val) <= eta
-    return best[1], best[2], iters, p_hist, d_hist
+    return best[1], best[2], iters, p_hist, d_hist, estimates
 
 
 def solve_like_the_oracle(prob, **kwargs):
-    """Solve, assert the report and every checked iterate's values equal the oracle's.
+    """Solve, assert the report, every certified value and every estimate equal the oracle's.
 
-    Returns (report, primal values, dual values).
+    Returns (report, primal values, dual values) of the certified pairs.
     """
-    rep, got_p, got_d = solve_with_histories(prob, **kwargs)
-    x, lam, iters, p_hist, d_hist = oracle_pdhg(prob, **kwargs)
+    estimates = []
+    rep, got_p, got_d = solve_with_histories(prob, estimates=estimates, **kwargs)
+    x, lam, iters, p_hist, d_hist, want_estimates = oracle_pdhg(prob, **kwargs)
+    assert rep.x.dtype == rep.lam.u.dtype == rep.lam.v.dtype == np.float64
     assert np.array_equal(rep.x, x)
     assert np.array_equal(rep.lam.u, lam.u) and np.array_equal(rep.lam.v, lam.v)
     assert rep.iterations == iters
     assert got_p == p_hist and got_d == d_hist
-    assert rep.gap_evaluations == len(got_p)
+    assert estimates == want_estimates
+    assert rep.gap_evaluations == len(got_p) + len(estimates)
     return rep, got_p, got_d
 
 
@@ -468,6 +516,49 @@ def test_reports_own_their_arrays(mu):
     assert not np.shares_memory(second.lam.u, second.lam.v)
 
 
+def huge_xi(kind):
+    """A 16 x 16 xi whose float32 squares overflow: everywhere, or at one spike."""
+    if kind == "1e25":
+        return 1e25 * rand_grid(90, (16, 16))
+    xi = rand_grid(90, (16, 16))
+    xi[3, 5] = 1.5e19  # ||xi||^2 fits float32; the gradient's squared length there does not
+    return xi
+
+
+@pytest.mark.parametrize("kind", ["1e25", "spike"])
+@pytest.mark.parametrize(
+    "constraint", [None, NonnegativityConstraint()], ids=["none", "nonneg"],
+)
+def test_a_solve_past_float32s_range_converges_as_in_float64(kind, constraint):
+    # at 1e25 the search never leaves float64, so the solve is the float64
+    # loop's to the bit; at the spike the first float32 estimate overflows,
+    # and its certificate hands the solve to float64.  Neither may warn.
+    prob = DenoiseProblem(xi=huge_xi(kind), mu=2.0, constraint=constraint)
+    rep = pdhg_solve(prob, eta=1e-6)
+    x, lam, iters, _, _, _ = oracle_pdhg(prob, eta=1e-6, search=np.float64)
+    assert rep.converged and iters < 5000
+    assert rep.x.dtype == rep.lam.u.dtype == rep.lam.v.dtype == np.float64
+    assert math.isfinite(rep.eps_certificate)
+    gap = primal_value(prob, rep.x) - dual_value(prob, rep.lam)
+    assert abs(rep.gap_abs - gap) <= 1e-12 * (abs(rep.primal_value) + abs(rep.dual_value))
+    if kind == "1e25":
+        assert np.array_equal(rep.x, x) and rep.iterations == iters
+        assert np.array_equal(rep.lam.u, lam.u) and np.array_equal(rep.lam.v, lam.v)
+
+
+def test_a_target_below_float32s_reach_converges_in_the_float64_loop():
+    # the float32 estimate falls to its rounding floor far above 1e-10; the
+    # pair certified there misses the target and the loop goes on in float64
+    prob = DenoiseProblem(xi=rand_grid(53, (32, 32)), mu=1.0)
+    estimates = []
+    rep, p_hist, d_hist = solve_with_histories(prob, estimates=estimates, eta=1e-10,
+                                               max_iter=50_000)
+    assert rep.converged and rep.iterations < 50_000 and rep.gap_rel <= 1e-10
+    # iterate 0, the search's certificate, then every checked float64 iterate
+    searched = _GAP_STRIDE * len(estimates)
+    assert searched > 0 and len(p_hist) == 2 + (rep.iterations - searched) // _GAP_STRIDE
+
+
 @pytest.mark.parametrize("mu", [1.0, 2.0])
 def test_nan_xi_stops_unconverged(mu):
     prob = DenoiseProblem(xi=np.full((4, 4), np.nan), mu=mu, constraint=NonnegativityConstraint())
@@ -507,26 +598,33 @@ def test_nan_inner_solve_ends_the_run_non_finite(monkeypatch):
 
 @pytest.mark.parametrize("mu,eta,max_iter", [(1.0, 1e-4, 5000), (2.5, 1e-4, 5000), (1.0, 1e-12, 4)])
 def test_each_iterate_is_evaluated_once(monkeypatch, mu, eta, max_iter):
+    # each value kernel runs once per checked iterate, in float64 at iterate
+    # 0 and in float32 in the search, and once more, with one more gradient,
+    # for the float64 certificate of the search's last iterate
     from lkreg import pdhg
 
-    calls = {"gradient": 0, "primal": 0, "dual": 0, "primal_value": 0}
+    calls = {"gradient": 0, "primal_value": 0, ("primal", np.float32): 0,
+             ("primal", np.float64): 0, ("dual", np.float32): 0, ("dual", np.float64): 0}
 
-    def counting(name, fn):
+    def counting(name, fn, typed=False):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[(name, args[1].dtype.type) if typed else name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(pdhg, "discrete_gradient", counting("gradient", pdhg.discrete_gradient))
-    monkeypatch.setattr(pdhg, "_primal_value_at", counting("primal", pdhg._primal_value_at))
-    monkeypatch.setattr(pdhg, "_dual_value_at", counting("dual", pdhg._dual_value_at))
+    monkeypatch.setattr(pdhg, "_primal_value_at", counting("primal", pdhg._primal_value_at, True))
+    monkeypatch.setattr(pdhg, "_dual_value_at", counting("dual", pdhg._dual_value_at, True))
     monkeypatch.setattr(pdhg, "primal_value", counting("primal_value", pdhg.primal_value))
     prob = DenoiseProblem(xi=rand_grid(41, (8, 8)), mu=mu, constraint=NonnegativityConstraint())
     report = pdhg_solve(prob, z0=np.ones((8, 8)), eta=eta, max_iter=max_iter)
     assert report.iterations > 0 and report.converged == (max_iter == 5000)
-    assert calls["gradient"] == report.iterations + 1
+    assert calls["gradient"] == report.iterations + 2
     checked = checked_iterates(report.iterations, max_iter)
-    assert calls["primal"] == calls["dual"] == report.gap_evaluations == len(checked)
+    for kernel in ("primal", "dual"):
+        float32, float64 = calls[(kernel, np.float32)], calls[(kernel, np.float64)]
+        assert float32 + float64 == report.gap_evaluations == len(checked) + 1
+        assert float32 >= 1 and float64 >= 2
     assert calls["primal_value"] == 0
 
 
@@ -596,9 +694,12 @@ def test_strided_certificate_is_the_exact_gap_of_the_returned_pair_property(case
     prob, z0, lam0 = case
     if prob.constraint is not None:
         z0 = prob.constraint.project(z0)
-    rep, p_hist, d_hist = solve_with_histories(prob, z0=z0, lam0=lam0, eta=1e-4,
-                                               max_iter=max_iter)
-    assert rep.gap_evaluations == len(p_hist) == len(checked_iterates(rep.iterations, max_iter))
+    estimates = []
+    rep, p_hist, d_hist = solve_with_histories(prob, estimates=estimates, z0=z0, lam0=lam0,
+                                               eta=1e-4, max_iter=max_iter)
+    # a solve that iterates ends its float32 search with one more certificate
+    checked = len(checked_iterates(rep.iterations, max_iter)) + (rep.iterations > 0)
+    assert rep.gap_evaluations == len(p_hist) + len(estimates) == checked
     for p_val, d_val in zip(p_hist, d_hist):
         assert d_val <= p_val + 1e-12 * (1.0 + abs(p_val) + abs(d_val))
     p_val, d_val = primal_value(prob, rep.x), dual_value(prob, rep.lam)
@@ -618,8 +719,9 @@ def test_capped_solve_checks_its_last_iterate_and_returns_the_best_checked_pair(
     prob = DenoiseProblem(xi=xi, mu=2.0, constraint=constraint)
     rep, p_hist, d_hist = solve_like_the_oracle(prob, eta=1e-12, max_iter=max_iter)
     assert not rep.converged and rep.iterations == max_iter
-    # 0, _GAP_STRIDE, ... up to the cap, and the cap itself
-    assert rep.gap_evaluations == max_iter // _GAP_STRIDE + 2
+    # 0, _GAP_STRIDE, ... up to the cap, the cap itself, and the certificate
+    # that ends the float32 search
+    assert rep.gap_evaluations == max_iter // _GAP_STRIDE + 3
     gaps = np.subtract(p_hist, d_hist)
     best = int(np.argmin(gaps))
     assert (rep.primal_value, rep.dual_value) == (p_hist[best], d_hist[best])
@@ -653,11 +755,15 @@ def test_a_nan_mid_solve_stops_at_the_next_checked_iterate(monkeypatch):
 
     monkeypatch.setattr(pdhg, "step_sizes", nan_at_5)
     prob = DenoiseProblem(xi=rand_grid(49, (7, 7)), mu=1.0)
+    estimates = []
     with np.errstate(invalid="ignore"):
-        rep, p_hist, d_hist = solve_with_histories(prob, eta=1e-12, max_iter=50)
+        rep, p_hist, d_hist = solve_with_histories(prob, estimates=estimates, eta=1e-12,
+                                                   max_iter=50)
     stop = 6 + (-6) % _GAP_STRIDE
     assert rep.iterations == stop and not rep.converged
-    assert len(p_hist) == len(checked_iterates(stop, 50)) and math.isnan(p_hist[-1] - d_hist[-1])
+    # the nan estimate there is certified, and the certificate is nan too
+    assert len(p_hist) + len(estimates) == len(checked_iterates(stop, 50)) + 1
+    assert math.isnan(p_hist[-1] - d_hist[-1])
     assert rep.gap_abs == np.subtract(p_hist[:-1], d_hist[:-1]).min()
     assert math.isfinite(rep.eps_certificate)
     assert abs(primal_value(prob, rep.x) - dual_value(prob, rep.lam) - rep.gap_abs) <= 1e-12 * (
@@ -681,7 +787,8 @@ def test_one_gradient_per_iteration(mu, monkeypatch):
     prob = DenoiseProblem(xi=rand_grid(44, (9, 7)), mu=mu, constraint=NonnegativityConstraint())
     report = pdhg_solve(prob, eta=1e-7)
     assert report.iterations > 10
-    assert calls == {"gradient": report.iterations + 1, "field_dot": 0}
+    # and one more for the float64 certificate of the float32 search's last iterate
+    assert calls == {"gradient": report.iterations + 2, "field_dot": 0}
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (5, 7), (6, 3), (1, 6), (7, 1), (1, 1)])
@@ -809,3 +916,19 @@ def test_a_start_outside_c_and_the_balls_keeps_the_certificate_exact_property(ca
     assert math.isfinite(p_val) and math.isfinite(d_val)
     assert abs(rep.gap_abs - (p_val - d_val)) <= 1e-12 * (1.0 + abs(p_val) + abs(d_val))
     assert rep.eps_certificate == max(rep.gap_abs, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(denoise_case(), st.sampled_from([1.0, 2.0, 8.0]), st.sampled_from([1e-2, 1e-4, 1e-8]),
+       st.integers(0, 120))
+def test_the_report_is_a_float64_pair_with_its_exact_gap_property(case, mu, eta, max_iter):
+    # mu a power of two, so x / mu is the loop's own iterate and mu scales
+    # every value exactly: the report's values are primal_value's and
+    # dual_value's at the returned pair, to the bit
+    prob, z0, lam0 = case
+    prob = DenoiseProblem(xi=prob.xi, mu=mu, constraint=prob.constraint)
+    rep = pdhg_solve(prob, z0=z0, lam0=lam0, eta=eta, max_iter=max_iter)
+    assert rep.x.dtype == rep.lam.u.dtype == rep.lam.v.dtype == np.float64
+    p_val, d_val = primal_value(prob, rep.x), dual_value(prob, rep.lam)
+    assert (rep.primal_value, rep.dual_value, rep.gap_abs) == (p_val, d_val, p_val - d_val)
+    assert rep.eps_certificate == max(p_val - d_val, 0.0)
