@@ -47,10 +47,12 @@ certificate is float64:
   and each checked iterate's gap is estimated in float32, with float32's
   eps in the rounding floor.  An estimate certifies nothing; it only says
   when to certify: when it meets eta, falls to its floor, is not finite,
-  or the cap is reached.
+  stalls (is no lower than the best estimate before it), or the cap is
+  reached.
 - Promotion.  A certificate that misses eta continues the same loop in
   float64 from the certified pair, and every later check is exact.  So a
-  target below float32's reach still converges, with no knob for when.
+  target below float32's reach still converges, whether float32's gap
+  falls to its floor or stalls above it, with no knob for when.
 - Range.  The search stays in float64 from the start when ||xi||^2 or
   twice the start's primal value exceeds float32's largest value, where
   its squares would overflow.  Below that, an overflowing estimate is inf,
@@ -202,12 +204,12 @@ def _rounding_floor(eps, xi_sq):
     return 0.0 if math.isinf(floor) else floor
 
 
-def _buffers(prob, dtype, exact):
+def _buffers(prob, dtype):
     """The loop's state in one dtype, bound once.
 
     Returns (problem over xi in that dtype, z, lam, grad, div_lam,
     xi_minus_div, work, projection, divergence): lam's in-place projection,
-    `projection_into` when `exact` and the plain `scaling_into` otherwise,
+    `projection_into` in float64 and the plain `scaling_into` in float32,
     and its divergence into div_lam.  grad holds the gradient of the current
     z: the primal value uses it and the next dual step scales it in place.
     xi_minus_div holds xi - div_lam: the z step scales it and the dual value
@@ -219,7 +221,8 @@ def _buffers(prob, dtype, exact):
         prob = DenoiseProblem(xi=xi, mu=prob.mu, constraint=prob.constraint)
     lam, div_lam = GradientField.empty(shape, dtype), np.empty(shape, dtype)
     work = (np.empty(shape, dtype), GradientField.empty(shape, dtype))
-    project = projection_into(lam, lam, work[1]) if exact else scaling_into(lam, work[1])
+    project = (projection_into(lam, lam, work[1]) if dtype is np.float64
+               else scaling_into(lam, work[1]))
     return (prob, np.empty(shape, dtype), lam, GradientField.empty(shape, dtype), div_lam,
             np.empty(shape, dtype), work, project, divergence_into(lam.u, lam.v, div_lam))
 
@@ -252,7 +255,7 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     if not (0.0 < eta < 1.0):
         raise ValueError("relative gap target must lie in (0, 1)")
     mu, xi, constraint = prob.mu, prob.xi, prob.constraint
-    exact = _buffers(prob, np.float64, exact=True)
+    exact = _buffers(prob, np.float64)
     kprob, z, lam, grad, div_lam, xi_minus_div, work, project, divergence = exact
     if z0 is None:
         z.fill(0.0)
@@ -271,7 +274,7 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     f32_max = float(np.finfo(np.float32).max)
 
     searching = False
-    best = None
+    best, best_estimate = None, math.inf
     iters = evaluations = 0
     # an overflow gives a non-finite value, which the checks act on, silently
     with np.errstate(over="ignore", invalid="ignore"):
@@ -282,8 +285,10 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
                 p_val = _primal_value_at(kprob, z, grad, work)
                 d_val = _dual_value_at(kprob, xi_minus_div, div_lam, work[0])
                 evaluations += 1
-                # certify where the estimate meets eta or its floor, is nan, or at the cap
-                if not _rel_gap(p_val - d_val, p_val, d_val, floor32) > eta or iters >= max_iter:
+                estimate = _rel_gap(p_val - d_val, p_val, d_val, floor32)
+                # certify where the estimate meets eta or its floor, is nan, stalls
+                # (is no lower than the best before it), or at the cap
+                if not eta < estimate < best_estimate or iters >= max_iter:
                     searching = False
                     z32, lam32 = z, lam
                     kprob, z, lam, grad, div_lam, xi_minus_div, work, project, divergence = exact
@@ -292,22 +297,26 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
                     project()
                     np.subtract(xi, divergence(), out=xi_minus_div)
                     discrete_gradient(z, out=grad)
+                else:
+                    best_estimate = estimate
             if checked and not searching:
                 p_val = _primal_value_at(kprob, z, grad, work)
                 d_val = _dual_value_at(kprob, xi_minus_div, div_lam, work[0])
                 evaluations += 1
                 gap = p_val - d_val
                 rel = _rel_gap(gap, p_val, d_val, floor)
-                if best is None or -math.inf < gap < best[0]:
-                    best = (gap, rel, p_val, d_val, mu * z, lam.copy())
                 converged = rel <= eta
-                if converged or iters >= max_iter or not math.isfinite(gap):
+                done = converged or iters >= max_iter or not math.isfinite(gap)
+                if best is None or -math.inf < gap < best[0]:
+                    # the last check's lam is never overwritten, so it needs no copy
+                    best = (gap, rel, p_val, d_val, mu * z, lam if done else lam.copy())
+                if done:
                     break
                 if iters == 0 and xi_sq < f32_max and 2.0 * p_val < f32_max:  # squares fit
                     searching = True
                     z64, lam64, grad64 = z, lam, grad
                     kprob, z, lam, grad, div_lam, xi_minus_div, work, project, divergence = (
-                        _buffers(prob, np.float32, exact=False))
+                        _buffers(prob, np.float32))
                     np.copyto(z, z64)
                     np.copyto(lam.stacked, lam64.stacked)
                     np.copyto(grad.stacked, grad64.stacked)

@@ -44,10 +44,7 @@ class GradientField:
 
     def copy(self):
         """A stacked field holding a copy of this one's values."""
-        out = GradientField.empty(self.shape, self.u.dtype)
-        np.copyto(out.u, self.u)
-        np.copyto(out.v, self.v)
-        return out
+        return GradientField._halves(np.stack((self.u, self.v)))
 
     @property
     def shape(self):

@@ -353,7 +353,8 @@ def oracle_pdhg(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000, search=np.flo
     `search` and projected plainly, and at every `_GAP_STRIDE`-th iterate
     and at the cap the gap is estimated in that dtype; the iterate whose
     estimate meets eta, falls to its floor (float32's eps in the floor
-    formula), is not finite or reaches the cap is cast back to float64,
+    formula), is not finite, is no lower than every estimate before it, or
+    reaches the cap is cast back to float64,
     its lam reprojected with `roll_projection`, and certified.  From a
     certificate that misses eta the loop goes on in float64, certifying
     every checked iterate.  With `search=np.float64`, or when ||xi||^2 or
@@ -399,7 +400,7 @@ def oracle_pdhg(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000, search=np.flo
     lam = GradientField.zeros(z.shape) if lam0 is None else roll_projection(lam0)
     xi_search = xi.astype(search)
     p_hist, d_hist, estimates = [], [], []
-    best = None
+    best, best_estimate = None, math.inf
     searching = False
     iters = 0
     while True:
@@ -408,10 +409,13 @@ def oracle_pdhg(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000, search=np.flo
         if checked and searching:
             p_val, d_val = primal(z, xi_search), dual(roll_divergence(lam), xi_search)
             estimates.append((p_val, d_val))
-            if not rel_gap(p_val - d_val, p_val, d_val, 2.0 ** -23) > eta or iters == max_iter:
+            estimate = rel_gap(p_val - d_val, p_val, d_val, 2.0 ** -23)
+            if not eta < estimate < best_estimate or iters == max_iter:
                 searching = False
                 z, lam = z.astype(float), roll_projection(cast(lam, float))
                 grad_z = roll_gradient(z)
+            else:
+                best_estimate = estimate
         if checked and not searching:
             p_val, d_val = primal(z, xi), dual(roll_divergence(lam), xi)
             p_hist.append(p_val)
@@ -557,6 +561,27 @@ def test_a_target_below_float32s_reach_converges_in_the_float64_loop():
     # iterate 0, the search's certificate, then every checked float64 iterate
     searched = _GAP_STRIDE * len(estimates)
     assert searched > 0 and len(p_hist) == 2 + (rep.iterations - searched) // _GAP_STRIDE
+
+
+def test_a_stalled_float32_estimate_hands_the_solve_to_float64(monkeypatch):
+    # float32 estimates pinned at a relative gap of 1/3, above eta and above
+    # float32's floor: the second is no lower than the first, so the search
+    # certifies there, misses eta, and the float64 loop converges
+    from lkreg import pdhg
+
+    def pinned(kernel, value):
+        def wrapper(*args, **kwargs):
+            return value if args[1].dtype == np.float32 else kernel(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pdhg, "_primal_value_at", pinned(pdhg._primal_value_at, 2.0))
+    monkeypatch.setattr(pdhg, "_dual_value_at", pinned(pdhg._dual_value_at, 1.0))
+    prob = DenoiseProblem(xi=rand_grid(54, (16, 16)), mu=1.0)
+    rep = pdhg_solve(prob, eta=1e-6, max_iter=50_000)
+    assert rep.converged and rep.gap_rel <= 1e-6 and rep.iterations < 5_000
+    # iterate 0 and the certificate in float64, the two estimates in float32
+    assert rep.gap_evaluations == 2 + 2 + (rep.iterations - 2 * _GAP_STRIDE) // _GAP_STRIDE
+    assert rep.eps_certificate == primal_value(prob, rep.x) - dual_value(prob, rep.lam)
 
 
 @pytest.mark.parametrize("mu", [1.0, 2.0])
