@@ -26,8 +26,9 @@ rows of metrics.csv back and extends them:
 
 Runs are deterministic: the only randomness is the seeded portable noise
 stream, so identical config plus seed reproduces metrics.csv byte for byte
-with the same BLAS thread count: the BLAS reductions behind `np.vdot` and
-`penalty.norm` round differently across thread counts.
+with the same BLAS thread count.  Across thread counts the BLAS reductions
+round differently: `np.vdot`, the `ndarray.dot` of `penalty.norm`, and the
+three `ndarray.dot` calls of `pdhg`'s value kernels.
 """
 
 import dataclasses

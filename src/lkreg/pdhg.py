@@ -31,36 +31,37 @@ divides the warm start on entry and multiplies x, the values and the
 absolute gaps on exit, and the relative gap is invariant.  A constraint
 that is not a cone would change under this substitution.
 
-The loop searches in float32 and certifies in float64.  The outer method
-needs a certified eps for each pair, not float64 iterates, so only the
-certificate is float64:
+A solve is Chambolle-Pock PDHG (JMIV 40, 2011) plus a certificate, in
+three phases: check the start in float64, search in float32, certify in
+float64.  The outer method needs a certified eps for each pair, not float64
+iterates, so only the certificate is float64:
 
 - Exact.  The start, projected onto C and the unit balls, is checked in
   float64, so a start that meets eta (the closed form's, say) returns with
-  every byte of a float64 solve.  A certificate casts the float32 pair to
+  every byte of a float64 solve.  A certificate casts the search's pair to
   float64, re-projects lam with `projection_into`, and takes the gap with
   `_primal_value_at` and `_dual_value_at`.  The report holds the best
   certified pair, so its eps is the exact float64 gap of the x and lam it
   returns.
-- Not exact.  Past the start the iterates are float32, the dual step uses
-  the plain projection `scaling_into` (a length may round just above 1),
-  and each checked iterate's gap is estimated in float32, with float32's
-  eps in the rounding floor.  An estimate certifies nothing; it only says
-  when to certify: when it meets eta, falls to its floor, is not finite,
-  stalls (is no lower than the best estimate before it), or the cap is
-  reached.
-- Promotion.  A certificate that misses eta continues the same loop in
-  float64 from the certified pair, and every later check is exact.  So a
-  target below float32's reach still converges, whether float32's gap
-  falls to its floor or stalls above it, with no knob for when.
-- Range.  The search stays in float64 from the start when ||xi||^2 or
-  twice the start's primal value exceeds float32's largest value, where
-  its squares would overflow.  Below that, an overflowing estimate is inf,
-  and its certificate hands the solve to float64.
+- Not exact.  The search's iterates are float32, its dual step uses the
+  plain projection `scaling_into` (a length may round just above 1), and
+  each checked iterate's gap is estimated in float32, with float32's eps in
+  the rounding floor.  An estimate certifies nothing; it only says when to
+  certify: when it meets eta, falls to its floor, is not finite, stalls (is
+  no lower than the best estimate before it), or the cap is reached.
+- Promotion.  A certificate that misses eta goes on in float64 from the
+  certified pair, and every later check is exact.  So a target below
+  float32's reach still converges, whether float32's gap falls to its floor
+  or stalls above it, with no knob for when.
+- Range.  The search is skipped when ||xi||^2 or twice the start's primal
+  value exceeds float32's largest value, where its squares would overflow.
+  Below that, an overflowing estimate is inf, and its certificate hands the
+  solve to float64.
 
-README, "Cost model", gives what one iteration costs and allocates.
-`discrete_gradient`, `_primal_value_at` and `_dual_value_at` are looked up
-through this module's names at each call, so a caller can wrap them.
+README, "Cost model", gives what each phase costs and allocates.
+`discrete_gradient`, `step_sizes`, `_primal_value_at` and `_dual_value_at`
+are looked up through this module's names at each call, so a caller can
+wrap them.
 """
 
 import math
@@ -69,18 +70,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .penalty import PrimalDualPair, solve_quadratic_exact
-from .tv import (
-    GradientField,
-    discrete_gradient,
-    divergence_adjoint,
-    divergence_into,
-    field_dot,  # noqa: F401  unused here; benchmarks/tracer.py wraps it by this name
-    l21_norm,
-    pointwise_norm,
-    project_dual_ball,
-    projection_into,
-    scaling_into,
-)
+from .tv import (GradientField, discrete_gradient, divergence_adjoint, divergence_into, l21_norm,
+                 pointwise_norm, projection_into, scaling_into)
+from .tv import field_dot, project_dual_ball  # noqa: F401  unused; benchmarks/tracer.py wraps them
 
 # The gap is taken at every _GAP_STRIDE-th iterate and at the cap.  On ct-desk
 # 4 calls the value kernels a quarter as often for 1 % more iterations;
@@ -169,8 +161,7 @@ class PdhgReport:
     x and lam are float64 arrays of their own, and the values and gaps are
     that pair's exactly evaluated ones.  `gap_evaluations` counts the calls
     of each value kernel: one per checked iterate, and one more for the
-    certificate that ends a float32 search; with `iterations` it tells
-    fewer iterations from cheaper ones.
+    certificate that ends a float32 search.
     """
 
     x: np.ndarray
@@ -204,27 +195,87 @@ def _rounding_floor(eps, xi_sq):
     return 0.0 if math.isinf(floor) else floor
 
 
-def _buffers(prob, dtype):
-    """The loop's state in one dtype, bound once.
+class _Iterates:
+    """One solve's iterates in one dtype, allocated and bound once; z and lam start at zero.
 
-    Returns (problem over xi in that dtype, z, lam, grad, div_lam,
-    xi_minus_div, work, projection, divergence): lam's in-place projection,
-    `projection_into` in float64 and the plain `scaling_into` in float32,
-    and its divergence into div_lam.  grad holds the gradient of the current
-    z: the primal value uses it and the next dual step scales it in place.
-    xi_minus_div holds xi - div_lam: the z step scales it and the dual value
-    projects it.  work is scratch for the values, the projection and the z
-    step in turn.
+    `prob` is the problem over xi in that dtype.  grad is the gradient of z,
+    xi_minus_div is xi - div_lam, and work is scratch.  `project` projects
+    lam in place: `projection_into` in float64, `scaling_into` in float32.
     """
-    xi, shape = prob.xi.astype(dtype, copy=False), prob.xi.shape
-    if xi is not prob.xi:
-        prob = DenoiseProblem(xi=xi, mu=prob.mu, constraint=prob.constraint)
-    lam, div_lam = GradientField.empty(shape, dtype), np.empty(shape, dtype)
-    work = (np.empty(shape, dtype), GradientField.empty(shape, dtype))
-    project = (projection_into(lam, lam, work[1]) if dtype is np.float64
-               else scaling_into(lam, work[1]))
-    return (prob, np.empty(shape, dtype), lam, GradientField.empty(shape, dtype), div_lam,
-            np.empty(shape, dtype), work, project, divergence_into(lam.u, lam.v, div_lam))
+
+    def __init__(self, prob, dtype):
+        xi, shape = prob.xi.astype(dtype, copy=False), prob.xi.shape
+        self.prob = DenoiseProblem(xi=xi, mu=prob.mu, constraint=prob.constraint)
+        self.z, self.lam = np.zeros(shape, dtype), GradientField.zeros(shape, dtype)
+        self.grad, self.div_lam = GradientField.empty(shape, dtype), np.empty(shape, dtype)
+        self.xi_minus_div = np.empty(shape, dtype)
+        self.work = (np.empty(shape, dtype), GradientField.empty(shape, dtype))
+        self.project = (projection_into(self.lam, self.lam, self.work[1]) if dtype is np.float64
+                        else scaling_into(self.lam, self.work[1]))
+        self.divergence = divergence_into(self.lam.u, self.lam.v, self.div_lam)
+
+    def load(self, z=None, lam=None):
+        """Cast z and lam in, where given, and project them; form xi - div_lam and grad."""
+        if z is not None:
+            np.copyto(self.z, z)
+        if lam is not None:
+            np.copyto(self.lam.u, lam.u)
+            np.copyto(self.lam.v, lam.v)
+        if self.prob.constraint is not None:
+            self.prob.constraint.project(self.z, out=self.z)
+        self.project()
+        np.subtract(self.prob.xi, self.divergence(), out=self.xi_minus_div)
+        discrete_gradient(self.z, out=self.grad)
+
+    def values(self):
+        """The unit-weight primal value at z and dual value at lam."""
+        return (_primal_value_at(self.prob, self.z, self.grad, self.work),
+                _dual_value_at(self.prob, self.xi_minus_div, self.div_lam, self.work[0]))
+
+
+def _checked_iterates(it, iters, max_iter):
+    """Step `it` in place from iterate `iters` on; yield each iterate to check.
+
+    Those are every `_GAP_STRIDE`-th iterate and the cap.
+    """
+    xi, z, lam, grad, stacked_grad = it.prob.xi, it.z, it.lam.stacked, it.grad, it.grad.stacked
+    xi_minus_div, scratch, constraint = it.xi_minus_div, it.work[0], it.prob.constraint
+    project, divergence = it.project, it.divergence
+    while True:
+        tau, theta = step_sizes(iters)
+        np.multiply(stacked_grad, tau, out=stacked_grad)
+        np.add(lam, stacked_grad, out=lam)
+        project()
+        np.subtract(xi, divergence(), out=xi_minus_div)
+        np.multiply(xi_minus_div, theta, out=scratch)
+        np.multiply(z, 1.0 - theta, out=z)
+        np.add(z, scratch, out=z)
+        if constraint is not None:
+            constraint.project(z, out=z)
+        iters += 1
+        discrete_gradient(z, out=grad)
+        if iters % _GAP_STRIDE == 0 or iters >= max_iter:
+            yield iters
+
+
+def _search(exact, eta, max_iter, floor):
+    """Search in float32 from `exact`, then load the pair to certify into `exact`.
+
+    Returns its iterate and the estimates taken; the float32 iterates are freed on return.
+    """
+    search = _Iterates(exact.prob, np.float32)
+    np.copyto(search.z, exact.z)
+    np.copyto(search.lam.stacked, exact.lam.stacked)
+    np.copyto(search.grad.stacked, exact.grad.stacked)
+    best_estimate = math.inf
+    for estimates, iters in enumerate(_checked_iterates(search, 0, max_iter), 1):
+        p_val, d_val = search.values()
+        estimate = _rel_gap(p_val - d_val, p_val, d_val, floor)
+        if not eta < estimate < best_estimate or iters >= max_iter:
+            break
+        best_estimate = estimate
+    exact.load(search.z, search.lam)
+    return iters, estimates
 
 
 def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
@@ -242,10 +293,6 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     max_iter : int
         Iteration cap; on hitting it the report carries converged=False.
 
-    Every `_GAP_STRIDE`-th iterate and the cap are checked, the start in
-    float64 and later iterates as the module docstring says: estimated in
-    float32 until one is certified, exactly after that.
-
     Returns the report of the smallest-gap certified pair, whose eps is that
     pair's exactly evaluated gap.  A certified gap that is not finite (nan
     from a non-finite xi, inf from a value that overflows) certifies
@@ -254,85 +301,43 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     """
     if not (0.0 < eta < 1.0):
         raise ValueError("relative gap target must lie in (0, 1)")
-    mu, xi, constraint = prob.mu, prob.xi, prob.constraint
-    exact = _buffers(prob, np.float64)
-    kprob, z, lam, grad, div_lam, xi_minus_div, work, project, divergence = exact
-    if z0 is None:
-        z.fill(0.0)
-    else:
-        np.divide(np.asarray(z0, dtype=float), mu, out=z)
-    if constraint is not None:
-        constraint.project(z, out=z)
-    if lam0 is None:
-        lam.stacked.fill(0.0)
-    else:
-        project_dual_ball(lam0, out=lam, work=work[1])
-    np.subtract(xi, divergence(), out=xi_minus_div)
+    mu, xi = prob.mu, prob.xi
     xi_sq = float(np.vdot(xi, xi))
     floor = _rounding_floor(np.finfo(float).eps, xi_sq)
-    floor32 = _rounding_floor(float(np.finfo(np.float32).eps), xi_sq)
-    f32_max = float(np.finfo(np.float32).max)
+    exact = _Iterates(prob, np.float64)
+    best, evaluations, converged = None, 0, False
 
-    searching = False
-    best, best_estimate = None, math.inf
-    iters = evaluations = 0
+    def certify(iters):
+        """Take the exact gap, keep the pair if it is the best; return whether the solve is done."""
+        nonlocal best, evaluations, converged
+        p_val, d_val = exact.values()
+        evaluations += 1
+        gap = p_val - d_val
+        rel = _rel_gap(gap, p_val, d_val, floor)
+        converged = rel <= eta
+        done = converged or iters >= max_iter or not math.isfinite(gap)
+        if best is None or -math.inf < gap < best[0]:
+            # the last check's lam is never overwritten, so it needs no copy
+            best = (gap, rel, p_val, d_val, mu * exact.z, exact.lam if done else exact.lam.copy())
+        return done
+
     # an overflow gives a non-finite value, which the checks act on, silently
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            discrete_gradient(z, out=grad)
-            checked = iters % _GAP_STRIDE == 0 or iters >= max_iter
-            if checked and searching:
-                p_val = _primal_value_at(kprob, z, grad, work)
-                d_val = _dual_value_at(kprob, xi_minus_div, div_lam, work[0])
-                evaluations += 1
-                estimate = _rel_gap(p_val - d_val, p_val, d_val, floor32)
-                # certify where the estimate meets eta or its floor, is nan, stalls
-                # (is no lower than the best before it), or at the cap
-                if not eta < estimate < best_estimate or iters >= max_iter:
-                    searching = False
-                    z32, lam32 = z, lam
-                    kprob, z, lam, grad, div_lam, xi_minus_div, work, project, divergence = exact
-                    np.copyto(z, z32)
-                    np.copyto(lam.stacked, lam32.stacked)
-                    project()
-                    np.subtract(xi, divergence(), out=xi_minus_div)
-                    discrete_gradient(z, out=grad)
-                else:
-                    best_estimate = estimate
-            if checked and not searching:
-                p_val = _primal_value_at(kprob, z, grad, work)
-                d_val = _dual_value_at(kprob, xi_minus_div, div_lam, work[0])
-                evaluations += 1
-                gap = p_val - d_val
-                rel = _rel_gap(gap, p_val, d_val, floor)
-                converged = rel <= eta
-                done = converged or iters >= max_iter or not math.isfinite(gap)
-                if best is None or -math.inf < gap < best[0]:
-                    # the last check's lam is never overwritten, so it needs no copy
-                    best = (gap, rel, p_val, d_val, mu * z, lam if done else lam.copy())
-                if done:
+        if z0 is not None:
+            np.divide(np.asarray(z0, dtype=float), mu, out=exact.z)
+        exact.load(lam=lam0)
+        iters, done = 0, certify(0)
+        f32_max = float(np.finfo(np.float32).max)
+        # best[2] is the start's primal value
+        if not done and xi_sq < f32_max and 2.0 * best[2] < f32_max:
+            floor32 = _rounding_floor(float(np.finfo(np.float32).eps), xi_sq)
+            iters, estimates = _search(exact, eta, max_iter, floor32)
+            evaluations += estimates
+            done = certify(iters)
+        if not done:
+            for iters in _checked_iterates(exact, iters, max_iter):
+                if certify(iters):
                     break
-                if iters == 0 and xi_sq < f32_max and 2.0 * p_val < f32_max:  # squares fit
-                    searching = True
-                    z64, lam64, grad64 = z, lam, grad
-                    kprob, z, lam, grad, div_lam, xi_minus_div, work, project, divergence = (
-                        _buffers(prob, np.float32))
-                    np.copyto(z, z64)
-                    np.copyto(lam.stacked, lam64.stacked)
-                    np.copyto(grad.stacked, grad64.stacked)
-
-            tau, theta = step_sizes(iters)
-            np.multiply(grad.stacked, tau, out=grad.stacked)
-            np.add(lam.stacked, grad.stacked, out=lam.stacked)
-            project()
-            divergence()
-            np.subtract(kprob.xi, div_lam, out=xi_minus_div)
-            np.multiply(xi_minus_div, theta, out=work[0])
-            np.multiply(z, 1.0 - theta, out=z)
-            np.add(z, work[0], out=z)
-            if constraint is not None:
-                constraint.project(z, out=z)
-            iters += 1
 
     gap_b, rel_b, p_b, d_b, x_b, lam_b = best
     return PdhgReport(
@@ -403,25 +408,17 @@ def inner_solver(xi, penalty, gap_target=None, warm_x=None, warm_lam=None, max_i
     constant.
 
     (warm_x, warm_lam) is the last solve's pair and (prev_x, prev_lam), given
-    only with both of those, the one before it.  Consecutive subproblems
-    differ by one small dual step, so their solutions follow a smooth path,
-    and PDHG starts from its linear extrapolation (2 warm_x - prev_x,
-    2 warm_lam - prev_lam).  Without prev_lam it starts from (warm_x,
-    warm_lam).  `pdhg_solve` projects any start onto C and the unit balls,
-    and the eps it returns is the exact gap of the pair it returns, wherever
-    it started.
+    only with both of those, the one before it.  PDHG starts from their
+    linear extrapolation (2 warm_x - prev_x, 2 warm_lam - prev_lam), or from
+    (warm_x, warm_lam) without prev_lam; `pdhg_solve` projects any start,
+    and the eps it returns is the exact gap of the pair it returns.
 
-    While warm_x is constant (or None, meaning zeros), as on a run's first
-    steps, the solve first tries the constant regime: with c = mean(xi) and
-    lam = `_constant_regime_field(xi - c)`, max |lam| <= 1 makes (c, lam), c
+    While warm_x is constant (or None, meaning zeros), the solve first tries
+    the constant regime: with c = mean(xi) and lam =
+    `_constant_regime_field(xi - c)`, max |lam| <= 1 makes (c, lam), c
     projected onto C, an exact primal-dual pair of the unit-weight problem,
-    so PDHG starts from (mu c, lam)
-    instead (`pdhg_solve` projects any start).  Its gap at iterate 0 is at
-    the rounding floor, so the solve returns after 0 iterations; should the
-    gap miss the target, PDHG iterates from there.  A try costs two FFTs;
-    the first solve that leaves the regime normally returns a non-constant
-    x, and that ends the tries.  A non-finite xi fails the test.  A start
-    the closed form certifies is used as it is, not extrapolated.
+    so PDHG starts from (mu c, lam), not extrapolated, and normally returns
+    after 0 iterations.  A non-finite xi fails the test.
     """
     if penalty.kind == "quadratic":
         return solve_quadratic_exact(xi, penalty), InnerInfo(iterations=0, converged=True)

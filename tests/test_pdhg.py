@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -957,3 +958,43 @@ def test_the_report_is_a_float64_pair_with_its_exact_gap_property(case, mu, eta,
     p_val, d_val = primal_value(prob, rep.x), dual_value(prob, rep.lam)
     assert (rep.primal_value, rep.dual_value, rep.gap_abs) == (p_val, d_val, p_val - d_val)
     assert rep.eps_certificate == max(p_val - d_val, 0.0)
+
+
+def _solve_and_peak(prob, **kwargs):
+    """`pdhg_solve(prob, **kwargs)` and tracemalloc's peak during it, in grids of xi's size.
+
+    A grid is a float64 array of xi's shape.  The inputs are made before
+    tracing starts, so the peak is the solve's own: numpy's arrays
+    (`np.lib.tracemalloc_domain`) plus a few kB of Python objects.
+    """
+    tracemalloc.start()
+    try:
+        report = pdhg_solve(prob, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return report, peak / (8 * prob.xi.size)
+
+
+def _xi_128():
+    return 0.05 * normals(3, 128 * 128).reshape(128, 128)
+
+
+def test_a_solve_certified_at_its_start_never_builds_the_float32_iterates():
+    # the float64 iterates and the report's x take about 11.2 grids; the
+    # float32 iterates would add about 5
+    xi = _xi_128()
+    prob = DenoiseProblem(xi=xi, mu=2.0)
+    z0, lam0 = np.full(xi.shape, prob.mu * xi.mean()), _constant_regime_field(xi - xi.mean())
+    report, peak = _solve_and_peak(prob, z0=z0, lam0=lam0, eta=1e-6)
+    assert report.iterations == 0 and report.converged
+    assert peak < 12.0
+
+
+def test_a_search_frees_its_float32_iterates_before_its_certificate():
+    # float64 iterates (10.1 grids), float32 ones (5) and iterate 0's copied
+    # pair (3) peak at about 18.75 grids; float32 iterates kept through the
+    # certificate's copies, or a start built in fresh arrays, peak one higher
+    report, peak = _solve_and_peak(DenoiseProblem(xi=_xi_128(), mu=2.0), eta=1e-9, max_iter=50)
+    assert report.iterations == 50 and not report.converged
+    assert peak < 19.25
