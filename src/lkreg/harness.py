@@ -350,16 +350,17 @@ def write_trace(path, trace, metrics_path=None):
 
 
 def write_pgm(path, grid):
-    """Write a grid as binary 8-bit PGM, affinely scaled to 0..255.
+    """Write a grid as binary 8-bit PGM, its finite cells affinely scaled to 0..255.
 
-    A constant grid maps to all zeros.
+    Constant finite cells map to 0; +inf cells are written as 255, -inf and nan ones as 0.
     """
     grid = np.asarray(grid, dtype=float)
-    lo, hi = float(grid.min()), float(grid.max())
-    if hi > lo:
-        scaled = np.round((grid - lo) / (hi - lo) * 255.0)
-    else:
-        scaled = np.zeros_like(grid)
+    finite = np.isfinite(grid)
+    scaled, values = np.where(grid == np.inf, 255.0, 0.0), grid[finite]
+    if values.size and values.max() > values.min():
+        lo, hi = float(values.min()), float(values.max())
+        half = 0.5 if math.isinf(hi - lo) else 1.0  # exact; keeps a span past 1.8e308 finite
+        scaled[finite] = np.round((values * half - lo * half) / (hi * half - lo * half) * 255.0)
     data = scaled.astype(np.uint8)
     height, width = grid.shape
     with open(path, "wb") as fh:

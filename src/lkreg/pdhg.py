@@ -212,15 +212,14 @@ class _Iterates:
         self.work = (np.empty(shape, dtype), GradientField.empty(shape, dtype))
         self.project = (projection_into(self.lam, self.lam, self.work[1]) if dtype is np.float64
                         else scaling_into(self.lam, self.work[1]))
-        self.divergence = divergence_into(self.lam.u, self.lam.v, self.div_lam)
+        self.divergence = divergence_into(self.lam, self.div_lam)
 
     def load(self, z=None, lam=None):
         """Cast z and lam in, where given, and project them; form xi - div_lam and grad."""
         if z is not None:
             np.copyto(self.z, z)
         if lam is not None:
-            np.copyto(self.lam.u, lam.u)
-            np.copyto(self.lam.v, lam.v)
+            np.copyto(self.lam.stacked, lam.stacked)
         if self.prob.constraint is not None:
             self.prob.constraint.project(self.z, out=self.z)
         self.project()
@@ -438,7 +437,7 @@ def inner_solver(xi, penalty, gap_target=None, warm_x=None, warm_lam=None, max_i
         warm_x, warm_lam = np.full(prob.xi.shape, prob.mu * c), lam
     elif prev_lam is not None:
         warm_x = 2.0 * warm_x - prev_x
-        warm_lam = GradientField(2.0 * warm_lam.u - prev_lam.u, 2.0 * warm_lam.v - prev_lam.v)
+        warm_lam = GradientField._wrap(2.0 * warm_lam.stacked - prev_lam.stacked)
     report = pdhg_solve(prob, z0=warm_x, lam0=warm_lam, eta=gap_target, max_iter=max_iter)
     pair = PrimalDualPair(
         x=report.x, xi=np.array(xi, dtype=float, copy=True), eps=report.eps_certificate

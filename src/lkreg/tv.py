@@ -14,37 +14,44 @@ import numpy as np
 class GradientField:
     """Pair of component arrays (u, v), one per grid direction.
 
-    A field made by `zeros` or `empty` keeps u and v as the two halves of
-    one (2, *shape) array, `stacked`, so that one ufunc call can treat both
-    components; a field made from two arrays has `stacked` None.  Kernels
-    read `stacked` in place of u and v whenever it is set, so it must never
-    be set to anything but the array whose halves u and v are.
+    Every field holds one C-contiguous (2, *shape) array, `stacked`, whose
+    halves are u and v, so one ufunc call treats both components.
+    `GradientField(u, v)` copies u and v into a new stacked array; `zeros`,
+    `empty` and `copy` build the rest.
     """
 
     u: np.ndarray
     v: np.ndarray
-    stacked: np.ndarray = _field(default=None, repr=False, compare=False)
+    stacked: np.ndarray = _field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.u.shape != self.v.shape:
             raise ValueError("gradient components must share a shape")
+        self._hold(np.array((self.u, self.v), order="C"))
+
+    def _hold(self, stacked):
+        for name, value in (("stacked", stacked), ("u", stacked[0]), ("v", stacked[1])):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def _halves(cls, stacked):
-        return cls(stacked[0], stacked[1], stacked)
+    def _wrap(cls, stacked):
+        """The field whose halves are those of `stacked`, a C-contiguous (2, *shape) array."""
+        field = object.__new__(cls)
+        field._hold(stacked)
+        return field
 
     @classmethod
     def zeros(cls, shape, dtype=float):
-        return cls._halves(np.zeros((2, *shape), dtype))
+        return cls._wrap(np.zeros((2, *shape), dtype))
 
     @classmethod
     def empty(cls, shape, dtype=float):
         """A field of uninitialized arrays, to be written into."""
-        return cls._halves(np.empty((2, *shape), dtype))
+        return cls._wrap(np.empty((2, *shape), dtype))
 
     def copy(self):
-        """A stacked field holding a copy of this one's values."""
-        return GradientField._halves(np.stack((self.u, self.v)))
+        """A field holding a copy of this one's values."""
+        return GradientField._wrap(self.stacked.copy())
 
     @property
     def shape(self):
@@ -56,8 +63,8 @@ def discrete_gradient(z, out=None):
 
     Component u holds differences along the first index (with the last row
     wrapping to the first), component v along the second index.  With `out`,
-    a field of C-contiguous arrays of z's shape not overlapping z, the
-    differences are written into its arrays and `out` is returned.
+    a field of z's shape not overlapping z, the differences are written into
+    its arrays and `out` is returned.
     """
     if out is None:
         out = GradientField.empty(z.shape)
@@ -81,18 +88,19 @@ def divergence_adjoint(field, out=None):
     """
     if out is None:
         out = np.empty(field.shape)
-    return divergence_into(field.u, np.ascontiguousarray(field.v), out)()
+    return divergence_into(field, out)()
 
 
-def divergence_into(u, v, out):
-    """Bind `divergence_adjoint` of the field (u, v) into `out`.
+def divergence_into(field, out):
+    """Bind `divergence_adjoint(field, out)`.
 
     Returns a function of no arguments that writes the divergence of the
-    values u and v hold at the time of the call into `out` and returns
+    values `field` holds at the time of the call into `out` and returns
     `out`.  The views it works on and its column scratch are made here,
-    once, in `out`'s dtype; v and `out` must be C-contiguous, and `out`
-    must not overlap u or v.
+    once, in `out`'s dtype; `out` must be C-contiguous and must not overlap
+    the field.
     """
+    u, v = field.u, field.v
     flat, v_flat = _flat_view(out), _flat_view(v)
     u_last, u_first, u_head, u_tail = u[-1:], u[:1], u[:-1], u[1:]
     out_first_row, out_rest = out[:1], out[1:]
@@ -122,17 +130,9 @@ def _flat_view(a):
 
 
 def _squared_length(field, work):
-    """Write u*u + v*v into `work.u`, with `work.v` as scratch; return `work.u`.
-
-    When both fields are stacked, one call squares both components.
-    """
-    sq, scratch = work.u, work.v
-    if field.stacked is not None and work.stacked is not None:
-        np.multiply(field.stacked, field.stacked, out=work.stacked)
-    else:
-        np.multiply(field.u, field.u, out=sq)
-        np.multiply(field.v, field.v, out=scratch)
-    return np.add(sq, scratch, out=sq)
+    """Write u*u + v*v into `work.u`, with `work.v` as scratch; return `work.u`."""
+    np.multiply(field.stacked, field.stacked, out=work.stacked)
+    return np.add(work.u, work.v, out=work.u)
 
 
 def pointwise_norm(field, work=None):
@@ -209,7 +209,7 @@ def projection_into(field, out, work):
     entries that leave the ball is allocated here, once, so a call
     allocates only the scale of the entries that do.
     """
-    u, v, out_u, out_v, scratch = field.u, field.v, out.u, out.v, work.v
+    stacked, out_stacked, scratch = field.stacked, out.stacked, work.v
     outside = np.empty(field.shape, dtype=bool)
     copy = out is not field
 
@@ -218,24 +218,22 @@ def projection_into(field, out, work):
         np.greater(sq, _ONE_UP, out=outside)
         if not np.count_nonzero(outside):
             if copy:
-                np.copyto(out_u, u)
-                np.copyto(out_v, v)
+                np.copyto(out_stacked, stacked)
             return out
         norm = np.sqrt(sq, out=sq)
         scale = np.where(outside, np.multiply(norm, _INWARD, out=scratch), 1.0)
-        np.divide(u, scale, out=out_u)
-        np.divide(v, scale, out=out_v)
+        np.divide(stacked, scale, out=out_stacked)
         return out
 
     return projection
 
 
 def scaling_into(field, work):
-    """Bind the plain projection of a stacked field onto the unit balls, in place.
+    """Bind the plain projection of a field onto the unit balls, in place.
 
     Returns a function of no arguments that divides every entry of `field`
     by max(length, 1): squares, `max(., 1)`, a root and one broadcast
-    divide, with `work`, a stacked field of the same shape, as scratch.
+    divide, with `work`, a field of the same shape, as scratch.
     Unlike `projection_into` it has no mask and no _INWARD margin, so a
     length may round to just above 1; it serves iterates whose own values
     are never certified.  An entry whose square overflows maps to 0.

@@ -59,11 +59,15 @@ def test_validate_and_run_both_exit_2_with_one_stderr_line(tmp_path, capsys, cas
     assert not out.exists()
 
 
-@pytest.mark.parametrize("extra", ["noise_rel = 0.01\nmu = 1e300\n", "noise_rel = 0.01\np = 1e6\n"],
-                         ids=["mu-1e300", "threshold-underflows"])
+@pytest.mark.parametrize("extra", [
+    "noise_rel = 0.01\nmu = 1e300\n", "noise_rel = 0.01\np = 1e6\n",
+    "noise_rel = 0.01\nbeta0 = 1e308\nbeta1 = 1e308\npenalty = quadratic\nct_rays = 1\n",
+], ids=["mu-1e300", "threshold-underflows", "final-iterate-mixes-inf-and-finite-cells"])
 def test_a_run_that_goes_non_finite_after_a_finite_threshold_exits_3(tmp_path, capsys, extra):
     # mu = 1e300 overflows at step 1; with p = 1e6, tau * delta < 1 and the
-    # threshold underflows to 0: neither is a config error
+    # threshold underflows to 0: neither is a config error.  With beta = 1e308
+    # the final iterate holds inf and finite cells, which recon.pgm must write
+    # without a warning
     cfg_path = tmp_path / "case.cfg"
     cfg_path.write_text(CT + extra)
     assert main(["validate", "--config", str(cfg_path)]) == 0

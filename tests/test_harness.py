@@ -208,6 +208,17 @@ def test_write_pgm_bytes(tmp_path):
     assert blob == b"P5\n3 2\n255\n" + bytes(6)  # constant grid maps to zeros
 
 
+def test_write_pgm_scales_finite_cells_and_clamps_the_rest(tmp_path):
+    path = tmp_path / "img.pgm"
+    inf, nan = np.inf, np.nan
+    write_pgm(path, np.array([[0.0, inf], [-inf, 1.0], [nan, 0.5]]))
+    assert path.read_bytes() == b"P5\n2 3\n255\n" + bytes([0, 255, 0, 255, 0, 128])
+    write_pgm(path, np.array([[inf, 2.0, nan]]))
+    assert path.read_bytes() == b"P5\n3 1\n255\n" + bytes([255, 0, 0])
+    write_pgm(path, np.array([[-1e308, 1e308, 0.0]]))  # a span past the float range
+    assert path.read_bytes() == b"P5\n3 1\n255\n" + bytes([0, 255, 128])
+
+
 def test_metrics_files(tmp_path):
     problem, _, _ = tiny_linear_problem(303)
     _, trace = run(problem, QuadraticPenalty(mu=1.0),
