@@ -256,16 +256,3 @@ class EllipticProblem(ForwardProblem):
     def data(self, i):
         return self._data
 
-
-def manufactured_error(m):
-    """Max-norm error of the scheme against u = sin(pi x) sin(pi y), c = 1.
-
-    The exact solution solves -Laplace(u) + u = (2 pi^2 + 1) u with zero
-    boundary data; the discrete error decays like h^2.
-    """
-    mesh = Mesh(m)
-    x, y = mesh.grids()
-    exact = np.sin(math.pi * x) * np.sin(math.pi * y)
-    f = (2.0 * math.pi ** 2 + 1.0) * exact
-    u = solve_state(np.ones((m, m)), mesh, f, 0.0)
-    return float(np.max(np.abs(u - exact)))

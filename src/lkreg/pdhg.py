@@ -70,8 +70,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .penalty import PrimalDualPair, solve_quadratic_exact
-from .tv import (GradientField, discrete_gradient, divergence_adjoint, divergence_into, l21_norm,
-                 pointwise_norm, projection_into, scaling_into)
+from .tv import (discrete_gradient, divergence_adjoint, divergence_into, l21_norm, pointwise_norm,
+                 projection_into, scaling_into)
 from .tv import field_dot, project_dual_ball  # noqa: F401  unused; benchmarks/tracer.py wraps them
 
 # The gap is taken at every _GAP_STRIDE-th iterate and at the cap.  On ct-desk
@@ -83,7 +83,7 @@ _GAP_STRIDE = 4
 _FEAS_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenoiseProblem:
     """One inner subproblem: dual grid xi, weight mu, optional constraint."""
 
@@ -154,7 +154,7 @@ def _dual_value_at(prob, xi_minus_div, div_lam, work=None):
     return float(d.dot(d)) / 2.0 + linear
 
 
-@dataclass
+@dataclass(eq=False)
 class PdhgReport:
     """Best certified iterate of a PDHG run plus convergence bookkeeping.
 
@@ -165,7 +165,7 @@ class PdhgReport:
     """
 
     x: np.ndarray
-    lam: GradientField
+    lam: np.ndarray
     iterations: int
     gap_evaluations: int
     converged: bool
@@ -206,10 +206,10 @@ class _Iterates:
     def __init__(self, prob, dtype):
         xi, shape = prob.xi.astype(dtype, copy=False), prob.xi.shape
         self.prob = DenoiseProblem(xi=xi, mu=prob.mu, constraint=prob.constraint)
-        self.z, self.lam = np.zeros(shape, dtype), GradientField.zeros(shape, dtype)
-        self.grad, self.div_lam = GradientField.empty(shape, dtype), np.empty(shape, dtype)
+        self.z, self.lam = np.zeros(shape, dtype), np.zeros((2, *shape), dtype)
+        self.grad, self.div_lam = np.empty((2, *shape), dtype), np.empty(shape, dtype)
         self.xi_minus_div = np.empty(shape, dtype)
-        self.work = (np.empty(shape, dtype), GradientField.empty(shape, dtype))
+        self.work = (np.empty(shape, dtype), np.empty((2, *shape), dtype))
         self.project = (projection_into(self.lam, self.lam, self.work[1]) if dtype is np.float64
                         else scaling_into(self.lam, self.work[1]))
         self.divergence = divergence_into(self.lam, self.div_lam)
@@ -219,7 +219,7 @@ class _Iterates:
         if z is not None:
             np.copyto(self.z, z)
         if lam is not None:
-            np.copyto(self.lam.stacked, lam.stacked)
+            np.copyto(self.lam, lam)
         if self.prob.constraint is not None:
             self.prob.constraint.project(self.z, out=self.z)
         self.project()
@@ -237,13 +237,13 @@ def _checked_iterates(it, iters, max_iter):
 
     Those are every `_GAP_STRIDE`-th iterate and the cap.
     """
-    xi, z, lam, grad, stacked_grad = it.prob.xi, it.z, it.lam.stacked, it.grad, it.grad.stacked
+    xi, z, lam, grad = it.prob.xi, it.z, it.lam, it.grad
     xi_minus_div, scratch, constraint = it.xi_minus_div, it.work[0], it.prob.constraint
     project, divergence = it.project, it.divergence
     while True:
         tau, theta = step_sizes(iters)
-        np.multiply(stacked_grad, tau, out=stacked_grad)
-        np.add(lam, stacked_grad, out=lam)
+        np.multiply(grad, tau, out=grad)
+        np.add(lam, grad, out=lam)
         project()
         np.subtract(xi, divergence(), out=xi_minus_div)
         np.multiply(xi_minus_div, theta, out=scratch)
@@ -264,8 +264,8 @@ def _search(exact, eta, max_iter, floor):
     """
     search = _Iterates(exact.prob, np.float32)
     np.copyto(search.z, exact.z)
-    np.copyto(search.lam.stacked, exact.lam.stacked)
-    np.copyto(search.grad.stacked, exact.grad.stacked)
+    np.copyto(search.lam, exact.lam)
+    np.copyto(search.grad, exact.grad)
     best_estimate = math.inf
     for estimates, iters in enumerate(_checked_iterates(search, 0, max_iter), 1):
         p_val, d_val = search.values()
@@ -285,8 +285,9 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     prob : DenoiseProblem
     z0 : ndarray, optional
         Feasible warm start for the primal grid (default zeros).
-    lam0 : GradientField, optional
-        Warm start for the dual field (projected on entry, default zeros).
+    lam0 : ndarray, optional
+        Warm start for the dual field, of shape (2, *xi.shape) (projected on
+        entry, default zeros).
     eta : float
         Relative gap target in (0, 1).
     max_iter : int
@@ -301,6 +302,8 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     if not (0.0 < eta < 1.0):
         raise ValueError("relative gap target must lie in (0, 1)")
     mu, xi = prob.mu, prob.xi
+    if lam0 is not None and np.shape(lam0) != (2, *xi.shape):
+        raise ValueError(f"lam0 has shape {np.shape(lam0)}, not {(2, *xi.shape)}")
     xi_sq = float(np.vdot(xi, xi))
     floor = _rounding_floor(np.finfo(float).eps, xi_sq)
     exact = _Iterates(prob, np.float64)
@@ -377,7 +380,7 @@ def _constant_regime_field(centered):
     return discrete_gradient(np.fft.irfft2(spectrum, s=centered.shape))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InnerInfo:
     """What the outer iteration needs to know about one inner solve.
 
@@ -437,7 +440,7 @@ def inner_solver(xi, penalty, gap_target=None, warm_x=None, warm_lam=None, max_i
         warm_x, warm_lam = np.full(prob.xi.shape, prob.mu * c), lam
     elif prev_lam is not None:
         warm_x = 2.0 * warm_x - prev_x
-        warm_lam = GradientField._wrap(2.0 * warm_lam.stacked - prev_lam.stacked)
+        warm_lam = 2.0 * warm_lam - prev_lam
     report = pdhg_solve(prob, z0=warm_x, lam0=warm_lam, eta=gap_target, max_iter=max_iter)
     pair = PrimalDualPair(
         x=report.x, xi=np.array(xi, dtype=float, copy=True), eps=report.eps_certificate

@@ -73,7 +73,7 @@ class NonnegativityConstraint:
         return "NonnegativityConstraint()"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrimalDualPair:
     """Certified triple (x, xi, eps): xi lies in the eps-subdifferential at x.
 

@@ -29,7 +29,7 @@ def default_ray_count(q):
     return int(round(math.sqrt(2.0) * q)) + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TomoGeometry:
     """Grid size, projection angles in degrees, and detector layout."""
 

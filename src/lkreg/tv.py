@@ -3,59 +3,14 @@
 Forward differences with periodic wrap-around in both directions; the
 divergence below is the exact (negative-free) matrix transpose of the
 gradient, so adjoint identities hold to rounding error.
+
+A field (a gradient, a dual variable, scratch) is a float array of shape
+(2, n0, n1) whose halves u = f[0] and v = f[1] hold one component per grid
+direction, so one ufunc call treats both.  Fields the package makes are
+C-contiguous; the public functions read fields of any layout.
 """
 
-from dataclasses import dataclass, field as _field
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class GradientField:
-    """Pair of component arrays (u, v), one per grid direction.
-
-    Every field holds one C-contiguous (2, *shape) array, `stacked`, whose
-    halves are u and v, so one ufunc call treats both components.
-    `GradientField(u, v)` copies u and v into a new stacked array; `zeros`,
-    `empty` and `copy` build the rest.
-    """
-
-    u: np.ndarray
-    v: np.ndarray
-    stacked: np.ndarray = _field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.u.shape != self.v.shape:
-            raise ValueError("gradient components must share a shape")
-        self._hold(np.array((self.u, self.v), order="C"))
-
-    def _hold(self, stacked):
-        for name, value in (("stacked", stacked), ("u", stacked[0]), ("v", stacked[1])):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _wrap(cls, stacked):
-        """The field whose halves are those of `stacked`, a C-contiguous (2, *shape) array."""
-        field = object.__new__(cls)
-        field._hold(stacked)
-        return field
-
-    @classmethod
-    def zeros(cls, shape, dtype=float):
-        return cls._wrap(np.zeros((2, *shape), dtype))
-
-    @classmethod
-    def empty(cls, shape, dtype=float):
-        """A field of uninitialized arrays, to be written into."""
-        return cls._wrap(np.empty((2, *shape), dtype))
-
-    def copy(self):
-        """A field holding a copy of this one's values."""
-        return GradientField._wrap(self.stacked.copy())
-
-    @property
-    def shape(self):
-        return self.u.shape
 
 
 def discrete_gradient(z, out=None):
@@ -63,12 +18,12 @@ def discrete_gradient(z, out=None):
 
     Component u holds differences along the first index (with the last row
     wrapping to the first), component v along the second index.  With `out`,
-    a field of z's shape not overlapping z, the differences are written into
-    its arrays and `out` is returned.
+    a C-contiguous field of z's shape not overlapping z, the differences are
+    written into it and `out` is returned.
     """
     if out is None:
-        out = GradientField.empty(z.shape)
-    u, v = out.u, out.v
+        out = np.empty((2, *z.shape))
+    u, v = out
     v_flat, z_flat = _flat_view(v), z.ravel()
     np.subtract(z[1:], z[:-1], out=u[:-1])
     np.subtract(z[:1], z[-1:], out=u[-1:])
@@ -87,8 +42,8 @@ def divergence_adjoint(field, out=None):
     grid of the field's shape not overlapping it, the result is written there.
     """
     if out is None:
-        out = np.empty(field.shape)
-    return divergence_into(field, out)()
+        out = np.empty(field.shape[1:])
+    return divergence_into(np.ascontiguousarray(field), out)()
 
 
 def divergence_into(field, out):
@@ -97,10 +52,10 @@ def divergence_into(field, out):
     Returns a function of no arguments that writes the divergence of the
     values `field` holds at the time of the call into `out` and returns
     `out`.  The views it works on and its column scratch are made here,
-    once, in `out`'s dtype; `out` must be C-contiguous and must not overlap
-    the field.
+    once, in `out`'s dtype; the field and `out` must be C-contiguous and
+    must not overlap.
     """
-    u, v = field.u, field.v
+    u, v = field
     flat, v_flat = _flat_view(out), _flat_view(v)
     u_last, u_first, u_head, u_tail = u[-1:], u[:1], u[:-1], u[1:]
     out_first_row, out_rest = out[:1], out[1:]
@@ -125,26 +80,26 @@ def divergence_into(field, out):
 def _flat_view(a):
     """A 1-D view of `a`; ValueError unless `a` is C-contiguous."""
     if not a.flags.c_contiguous:
-        raise ValueError("out arrays must be C-contiguous")
+        raise ValueError("fields and out arrays must be C-contiguous")
     return a.reshape(-1)
 
 
 def _squared_length(field, work):
-    """Write u*u + v*v into `work.u`, with `work.v` as scratch; return `work.u`."""
-    np.multiply(field.stacked, field.stacked, out=work.stacked)
-    return np.add(work.u, work.v, out=work.u)
+    """Write u*u + v*v into `work[0]`, with `work[1]` as scratch; return `work[0]`."""
+    np.multiply(field, field, out=work)
+    return np.add(work[0], work[1], out=work[0])
 
 
 def pointwise_norm(field, work=None):
     """Pointwise Euclidean length sqrt(u*u + v*v) of a field.
 
-    `work`, an optional field of the same shape, holds the squares: the
-    length is written into `work.u`, which is returned, and `work.v` is
-    overwritten.  The squares overflow for entries above about 1e154,
-    where the length is inf.
+    `work`, an optional C-contiguous field of the same shape, holds the
+    squares: the length is written into `work[0]`, which is returned, and
+    `work[1]` is overwritten.  The squares overflow for entries above about
+    1e154, where the length is inf.
     """
     if work is None:
-        work = GradientField.empty(field.shape)
+        work = np.empty(field.shape)
     sq = _squared_length(field, work)
     return np.sqrt(sq, out=sq)
 
@@ -190,14 +145,14 @@ def project_dual_ball(field, out=None, work=None):
     on the squared length (see _ONE_UP); when no entry leaves the ball the
     field is copied as it is, with no root and no division.  With `out`, a
     field of the same shape (`field` itself is allowed), the result is
-    written into its arrays; `work`, a field of the same shape distinct from
-    both, is overwritten with scratch values.  Without `out` the result is a
-    new field, never `field` itself.
+    written into it; `work`, a field of the same shape distinct from both, is
+    overwritten with scratch values.  Without `out` the result is a new
+    field, never `field` itself.
     """
     if work is None:
-        work = GradientField.empty(field.shape)
+        work = np.empty(field.shape)
     if out is None:
-        out = GradientField.empty(field.shape)
+        out = np.empty(field.shape)
     return projection_into(field, out, work)()
 
 
@@ -209,8 +164,8 @@ def projection_into(field, out, work):
     entries that leave the ball is allocated here, once, so a call
     allocates only the scale of the entries that do.
     """
-    stacked, out_stacked, scratch = field.stacked, out.stacked, work.v
-    outside = np.empty(field.shape, dtype=bool)
+    scratch = work[1]
+    outside = np.empty(field.shape[1:], dtype=bool)
     copy = out is not field
 
     def projection():
@@ -218,11 +173,11 @@ def projection_into(field, out, work):
         np.greater(sq, _ONE_UP, out=outside)
         if not np.count_nonzero(outside):
             if copy:
-                np.copyto(out_stacked, stacked)
+                np.copyto(out, field)
             return out
         norm = np.sqrt(sq, out=sq)
         scale = np.where(outside, np.multiply(norm, _INWARD, out=scratch), 1.0)
-        np.divide(stacked, scale, out=out_stacked)
+        np.divide(field, scale, out=out)
         return out
 
     return projection
@@ -238,18 +193,23 @@ def scaling_into(field, work):
     length may round to just above 1; it serves iterates whose own values
     are never certified.  An entry whose square overflows maps to 0.
     """
-    stacked, length = field.stacked, work.u
+    length = work[0]
 
     def scaling():
         _squared_length(field, work)
         np.maximum(length, 1.0, out=length)
         np.sqrt(length, out=length)
-        np.divide(stacked, length, out=stacked)
+        np.divide(field, length, out=field)
         return field
 
     return scaling
 
 
 def field_dot(a, b):
-    """Euclidean inner product of two fields."""
-    return float(np.vdot(a.u, b.u) + np.vdot(a.v, b.v))
+    """Euclidean inner product of two fields.
+
+    Both are read as C-contiguous copies where they are not, since `np.vdot`
+    may sum a strided vector in another order.
+    """
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return float(np.vdot(a[0], b[0]) + np.vdot(a[1], b[1]))

@@ -11,9 +11,9 @@ import pytest
 import scipy.sparse as sp
 
 from lkreg import pdhg
+from lkreg.elliptic import Mesh, solve_state
 from lkreg.harness import MatrixProblem
 from lkreg.rng import normals
-from lkreg.tv import GradientField
 
 
 def rand_grid(seed, shape):
@@ -25,7 +25,7 @@ def rand_field(seed, shape):
     """Deterministic gradient field with independent components."""
     n = int(np.prod(shape))
     vals = normals(seed, 2 * n)
-    return GradientField(vals[:n].reshape(shape), vals[n:].reshape(shape))
+    return np.array((vals[:n].reshape(shape), vals[n:].reshape(shape)))
 
 
 def tiny_linear_problem(seed, domain_shape=(3, 4), rows=8, n_blocks=1, data=None):
@@ -75,25 +75,26 @@ def solve_with_histories(prob, estimates=None, **kwargs):
 
 def roll_gradient(z):
     """Reference periodic forward differences, written with np.roll."""
-    return GradientField(np.roll(z, -1, axis=0) - z, np.roll(z, -1, axis=1) - z)
+    return np.array((np.roll(z, -1, axis=0) - z, np.roll(z, -1, axis=1) - z))
 
 
 def roll_divergence(field):
     """Reference transpose of `roll_gradient`, written with np.roll."""
-    u, v = field.u, field.v
+    u, v = field
     return np.roll(u, 1, axis=0) - u + np.roll(v, 1, axis=1) - v
 
 
 def reference_norm(field):
     """Reference pointwise length sqrt(u*u + v*v), as a plain expression."""
-    return np.sqrt(field.u * field.u + field.v * field.v)
+    u, v = field
+    return np.sqrt(u * u + v * v)
 
 
 def roll_projection(field):
     """Reference dual-ball projection: divide by the inward-biased length."""
     norm = reference_norm(field)
     scale = np.where(norm > 1.0, norm * (1.0 + 2.0 ** -48), 1.0)
-    return GradientField(field.u / scale, field.v / scale)
+    return np.array((field[0] / scale, field[1] / scale))
 
 
 def kron_operator(c, mesh):
@@ -138,6 +139,20 @@ def textbook_pcg(op, b, x0, rtol, max_iter):
         res = np.linalg.norm(r)
         iters += 1
     return (x if res <= tol < math.inf else np.full(b.shape, np.nan)), iters
+
+
+def manufactured_error(m):
+    """Max-norm error of the scheme against u = sin(pi x) sin(pi y), c = 1.
+
+    The exact solution solves -Laplace(u) + u = (2 pi^2 + 1) u with zero
+    boundary data; the discrete error decays like h^2.
+    """
+    mesh = Mesh(m)
+    x, y = mesh.grids()
+    exact = np.sin(math.pi * x) * np.sin(math.pi * y)
+    f = (2.0 * math.pi ** 2 + 1.0) * exact
+    u = solve_state(np.ones((m, m)), mesh, f, 0.0)
+    return float(np.max(np.abs(u - exact)))
 
 
 def loop_parallel_tomo(geom):

@@ -10,7 +10,6 @@ from lkreg.elliptic import (
     EllipticProblem,
     Mesh,
     default_problem,
-    manufactured_error,
     solve_state,
 )
 from lkreg.engine import SolverConfig, run, validate_config
@@ -33,7 +32,7 @@ from lkreg.tomo import (
 )
 from lkreg.tv import discrete_gradient, divergence_adjoint, field_dot
 
-from conftest import rand_field, solve_with_histories, tiny_linear_problem
+from conftest import manufactured_error, rand_field, solve_with_histories, tiny_linear_problem
 
 
 def verdict(num, label, ok, detail=""):

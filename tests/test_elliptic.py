@@ -16,12 +16,11 @@ from lkreg.elliptic import (
     default_coefficient,
     default_problem,
     default_source,
-    manufactured_error,
     solve_state,
 )
 from lkreg.rng import normals
 
-from conftest import kron_operator, textbook_pcg
+from conftest import kron_operator, manufactured_error, textbook_pcg
 
 
 def test_mesh_basics():

@@ -19,6 +19,7 @@ from lkreg.penalty import (
 from lkreg.pdhg import (
     _GAP_STRIDE,
     DenoiseProblem,
+    InnerInfo,
     PdhgReport,
     _constant_regime_field,
     dual_value,
@@ -28,7 +29,8 @@ from lkreg.pdhg import (
     step_sizes,
 )
 from lkreg.rng import normals
-from lkreg.tv import GradientField, divergence_adjoint, pointwise_norm, project_dual_ball
+from lkreg.tomo import TomoGeometry
+from lkreg.tv import divergence_adjoint, pointwise_norm, project_dual_ball
 
 from conftest import (
     rand_field,
@@ -87,21 +89,21 @@ def test_primal_value_infeasible():
 
 def test_dual_value_zero_multiplier_unconstrained():
     prob = DenoiseProblem(xi=rand_grid(24, (5, 5)), mu=2.0)
-    assert dual_value(prob, GradientField.zeros((5, 5))) == 0.0
+    assert dual_value(prob, np.zeros((2, 5, 5))) == 0.0
 
 
 def test_dual_value_outside_ball_is_minus_infinity():
-    lam = GradientField(np.full((3, 3), 2.0), np.zeros((3, 3)))
+    lam = np.array((np.full((3, 3), 2.0), np.zeros((3, 3))))
     prob = DenoiseProblem(xi=np.zeros((3, 3)), mu=1.0)
     assert dual_value(prob, lam) == -math.inf
 
 
 def test_dual_value_with_a_nan_entry_is_minus_infinity():
     prob = DenoiseProblem(xi=np.zeros((3, 3)), mu=1.0)
-    lam = GradientField(np.zeros((3, 3)), np.zeros((3, 3)))
-    lam.u[0, 1] = np.nan
+    lam = np.zeros((2, 3, 3))
+    lam[0, 0, 1] = np.nan
     assert dual_value(prob, lam) == -math.inf
-    lam.v[2, 2] = 5.0  # np.max returns the nan, not this length
+    lam[1, 2, 2] = 5.0  # np.max returns the nan, not this length
     assert dual_value(prob, lam) == -math.inf
 
 
@@ -116,7 +118,7 @@ def test_dual_value_against_brute_force():
     for i in range(m):
         for j in range(n):
             div[i, j] = (
-                lam.u[(i - 1) % m, j] - lam.u[i, j] + lam.v[i, (j - 1) % n] - lam.v[i, j]
+                lam[0][(i - 1) % m, j] - lam[0][i, j] + lam[1][i, (j - 1) % n] - lam[1][i, j]
             )
     zstar = np.maximum(mu * (prob.xi - div), 0.0)
     val = 0.0
@@ -125,7 +127,7 @@ def test_dual_value_against_brute_force():
             val += (zstar[i, j] - mu * prob.xi[i, j]) ** 2 / (2.0 * mu)
             du = zstar[(i + 1) % m, j] - zstar[i, j]
             dv = zstar[i, (j + 1) % n] - zstar[i, j]
-            val += lam.u[i, j] * du + lam.v[i, j] * dv
+            val += lam[0][i, j] * du + lam[1][i, j] * dv
     assert math.isclose(dual_value(prob, lam), val, rel_tol=1e-12)
 
 
@@ -219,6 +221,38 @@ def test_solver_requires_valid_target():
         pdhg_solve(prob, eta=1.0)
     with pytest.raises(ValueError):
         DenoiseProblem(xi=np.zeros((2, 2)), mu=0.0)
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (2, 5, 4), (3, 4, 5), (2, 4, 5, 1), (1, 4, 5)])
+def test_a_mis_shaped_dual_start_is_refused(shape):
+    # np.copyto would broadcast an (n0, n1) grid into both halves of the field
+    prob = DenoiseProblem(xi=rand_grid(27, (4, 5)), mu=1.0)
+    with pytest.raises(ValueError, match="lam0"):
+        pdhg_solve(prob, lam0=np.zeros(shape))
+    rep = pdhg_solve(prob, lam0=np.zeros((2, 4, 5)), max_iter=8)
+    assert rep.lam.shape == (2, 4, 5)
+
+
+def _two_equal_records():
+    """Factories of two distinct records with equal contents, per array-holding class."""
+    geom = {"q": 4, "angles": np.array([0.0, 90.0])}
+    grid = np.zeros((2, 2))
+    prob = DenoiseProblem(xi=rand_grid(28, (3, 3)), mu=1.0)
+    return {
+        "PrimalDualPair": lambda: PrimalDualPair(x=grid.copy(), xi=grid.copy(), eps=0.0),
+        "DenoiseProblem": lambda: DenoiseProblem(xi=grid.copy(), mu=1.0),
+        "TomoGeometry": lambda: TomoGeometry(**geom),
+        "PdhgReport": lambda: pdhg_solve(prob, max_iter=8),
+        "InnerInfo": lambda: InnerInfo(iterations=0, converged=True, lam=np.zeros((2, 2, 2))),
+    }
+
+
+@pytest.mark.parametrize("cls", sorted(_two_equal_records()))
+def test_array_holding_records_compare_and_hash_by_identity(cls):
+    make = _two_equal_records()[cls]
+    a, b = make(), make()
+    assert a == a and not a == b and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def test_constant_data_solved_in_few_iterations():
@@ -337,12 +371,12 @@ def checked_iterates(iterations, max_iter):
 
 def plain_projection(field):
     """Reference plain projection: divide by max(length, 1), in the field's dtype."""
-    scale = np.sqrt(np.maximum(field.u * field.u + field.v * field.v, 1.0))
-    return GradientField(field.u / scale, field.v / scale)
+    scale = np.sqrt(np.maximum(field[0] * field[0] + field[1] * field[1], 1.0))
+    return np.array((field[0] / scale, field[1] / scale))
 
 
 def cast(field, dtype):
-    return GradientField(field.u.astype(dtype), field.v.astype(dtype))
+    return field.astype(dtype)
 
 
 def oracle_pdhg(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000, search=np.float32):
@@ -398,7 +432,7 @@ def oracle_pdhg(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000, search=np.flo
     z = np.zeros_like(xi) if z0 is None else np.array(z0, dtype=float, copy=True)
     if c is not None:
         z = c.project(z)
-    lam = GradientField.zeros(z.shape) if lam0 is None else roll_projection(lam0)
+    lam = np.zeros((2, *z.shape)) if lam0 is None else roll_projection(lam0)
     xi_search = xi.astype(search)
     p_hist, d_hist, estimates = [], [], []
     best, best_estimate = None, math.inf
@@ -431,7 +465,7 @@ def oracle_pdhg(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000, search=np.flo
                 searching = True
                 z, lam, grad_z = z.astype(search), cast(lam, search), cast(grad_z, search)
         tau, theta = step_sizes(iters)
-        lam = GradientField(lam.u + tau * grad_z.u, lam.v + tau * grad_z.v)
+        lam = lam + tau * grad_z
         lam = plain_projection(lam) if searching else roll_projection(lam)
         div_lam = roll_divergence(lam)
         z = (1.0 - theta) * z + theta * ((xi_search if searching else xi) - div_lam)
@@ -449,9 +483,9 @@ def solve_like_the_oracle(prob, **kwargs):
     estimates = []
     rep, got_p, got_d = solve_with_histories(prob, estimates=estimates, **kwargs)
     x, lam, iters, p_hist, d_hist, want_estimates = oracle_pdhg(prob, **kwargs)
-    assert rep.x.dtype == rep.lam.u.dtype == rep.lam.v.dtype == np.float64
+    assert rep.x.dtype == rep.lam[0].dtype == rep.lam[1].dtype == np.float64
     assert np.array_equal(rep.x, x)
-    assert np.array_equal(rep.lam.u, lam.u) and np.array_equal(rep.lam.v, lam.v)
+    assert np.array_equal(rep.lam[0], lam[0]) and np.array_equal(rep.lam[1], lam[1])
     assert rep.iterations == iters
     assert got_p == p_hist and got_d == d_hist
     assert estimates == want_estimates
@@ -509,16 +543,16 @@ def test_reports_own_their_arrays(mu):
     constraint = NonnegativityConstraint()
     prob = DenoiseProblem(xi=rand_grid(42, (10, 10)), mu=mu, constraint=constraint)
     first = pdhg_solve(prob, eta=1e-6)
-    kept = [a.copy() for a in (first.x, first.lam.u, first.lam.v)]
+    kept = [a.copy() for a in (first.x, first.lam[0], first.lam[1])]
     moved = DenoiseProblem(xi=prob.xi + rand_grid(43, (10, 10)), mu=mu, constraint=constraint)
     second = pdhg_solve(moved, z0=first.x, lam0=first.lam, eta=1e-8)
     assert second.iterations > 0
-    for old, saved in zip((first.x, first.lam.u, first.lam.v), kept):
+    for old, saved in zip((first.x, first.lam[0], first.lam[1]), kept):
         assert np.array_equal(old, saved)
-        for new in (second.x, second.lam.u, second.lam.v, moved.xi):
+        for new in (second.x, second.lam[0], second.lam[1], moved.xi):
             assert not np.shares_memory(old, new)
     assert not np.shares_memory(second.x, moved.xi)
-    assert not np.shares_memory(second.lam.u, second.lam.v)
+    assert not np.shares_memory(second.lam[0], second.lam[1])
 
 
 def huge_xi(kind):
@@ -542,13 +576,13 @@ def test_a_solve_past_float32s_range_converges_as_in_float64(kind, constraint):
     rep = pdhg_solve(prob, eta=1e-6)
     x, lam, iters, _, _, _ = oracle_pdhg(prob, eta=1e-6, search=np.float64)
     assert rep.converged and iters < 5000
-    assert rep.x.dtype == rep.lam.u.dtype == rep.lam.v.dtype == np.float64
+    assert rep.x.dtype == rep.lam[0].dtype == rep.lam[1].dtype == np.float64
     assert math.isfinite(rep.eps_certificate)
     gap = primal_value(prob, rep.x) - dual_value(prob, rep.lam)
     assert abs(rep.gap_abs - gap) <= 1e-12 * (abs(rep.primal_value) + abs(rep.dual_value))
     if kind == "1e25":
         assert np.array_equal(rep.x, x) and rep.iterations == iters
-        assert np.array_equal(rep.lam.u, lam.u) and np.array_equal(rep.lam.v, lam.v)
+        assert np.array_equal(rep.lam[0], lam[0]) and np.array_equal(rep.lam[1], lam[1])
 
 
 def test_a_target_below_float32s_reach_converges_in_the_float64_loop():
@@ -664,7 +698,7 @@ def denoise_case(draw):
     entries = st.floats(-5.0, 5.0)
     xi, z, u, v = (draw(hnp.arrays(np.float64, shape, elements=entries)) for _ in range(4))
     prob = DenoiseProblem(xi=xi, mu=draw(_mus), constraint=draw(_constraints))
-    return prob, z, GradientField(u, v)
+    return prob, z, np.array((u, v))
 
 
 @settings(max_examples=60, deadline=None)
@@ -707,7 +741,7 @@ def test_dual_value_equals_its_gradient_form_property(case):
     d = zstar - prob.mu * prob.xi
     g = roll_gradient(zstar)
     quadratic = float(np.vdot(d, d)) / (2.0 * prob.mu)
-    want = quadratic + float(np.vdot(lam.u, g.u) + np.vdot(lam.v, g.v))
+    want = quadratic + float(np.vdot(lam[0], g[0]) + np.vdot(lam[1], g[1]))
     scale = quadratic + float(np.sum(np.abs(zstar)))
     assert abs(dual_value(prob, lam) - want) <= 1e-12 * scale
 
@@ -822,7 +856,7 @@ def test_constant_regime_field_inverts_the_divergence(shape):
     xi = 3.0 + rand_grid(50, shape)
     centered = xi - xi.mean()
     lam = _constant_regime_field(centered)
-    assert lam.shape == shape
+    assert lam.shape == (2, *shape)
     assert np.allclose(divergence_adjoint(lam), centered, rtol=0.0, atol=1e-13)
 
 
@@ -844,9 +878,7 @@ def constant_regime_case(draw):
 def _same_report(a, b):
     for f in dataclasses.fields(PdhgReport):
         x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(x, GradientField):
-            assert np.array_equal(x.u, y.u) and np.array_equal(x.v, y.v), f.name
-        elif isinstance(x, np.ndarray):
+        if isinstance(x, np.ndarray):
             assert np.array_equal(x, y), f.name
         else:
             assert x == y, f.name
@@ -905,14 +937,14 @@ def test_each_solve_starts_from_the_extrapolation_of_the_last_two(monkeypatch, m
         tried = last is None or last.x.min() == last.x.max()
         if tried and float(np.max(pointwise_norm(field))) <= 1.0:
             assert np.array_equal(z0, np.full(prob.xi.shape, prob.mu * c))
-            assert np.array_equal(lam0.u, field.u) and np.array_equal(lam0.v, field.v)
+            assert np.array_equal(lam0[0], field[0]) and np.array_equal(lam0[1], field[1])
             assert report.iterations == 0 and report.converged
             closed += 1
         elif k >= 2:
             before = reports[k - 2]
             assert np.array_equal(z0, 2.0 * last.x - before.x)
-            assert np.array_equal(lam0.u, 2.0 * last.lam.u - before.lam.u)
-            assert np.array_equal(lam0.v, 2.0 * last.lam.v - before.lam.v)
+            assert np.array_equal(lam0[0], 2.0 * last.lam[0] - before.lam[0])
+            assert np.array_equal(lam0[1], 2.0 * last.lam[1] - before.lam[1])
             extrapolated += 1
     assert closed >= 2 and extrapolated >= 10
     assert closed + extrapolated == len(calls)
@@ -927,7 +959,7 @@ def infeasible_start_case(draw):
     length = draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 3.0)))
     angle = draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 2.0 * math.pi)))
     prob = DenoiseProblem(xi=xi, mu=draw(_mus), constraint=draw(_constraints))
-    return prob, z0, GradientField(length * np.cos(angle), length * np.sin(angle))
+    return prob, z0, np.array((length * np.cos(angle), length * np.sin(angle)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -954,7 +986,7 @@ def test_the_report_is_a_float64_pair_with_its_exact_gap_property(case, mu, eta,
     prob, z0, lam0 = case
     prob = DenoiseProblem(xi=prob.xi, mu=mu, constraint=prob.constraint)
     rep = pdhg_solve(prob, z0=z0, lam0=lam0, eta=eta, max_iter=max_iter)
-    assert rep.x.dtype == rep.lam.u.dtype == rep.lam.v.dtype == np.float64
+    assert rep.x.dtype == rep.lam[0].dtype == rep.lam[1].dtype == np.float64
     p_val, d_val = primal_value(prob, rep.x), dual_value(prob, rep.lam)
     assert (rep.primal_value, rep.dual_value, rep.gap_abs) == (p_val, d_val, p_val - d_val)
     assert rep.eps_certificate == max(p_val - d_val, 0.0)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lkreg.pdhg import DenoiseProblem, dual_value
+from lkreg.penalty import NonnegativityConstraint
 from lkreg.tv import (
-    GradientField,
     discrete_gradient,
     divergence_adjoint,
     field_dot,
@@ -30,23 +31,18 @@ from conftest import (
 
 def test_gradient_of_constant_is_zero():
     g = discrete_gradient(np.full((5, 7), 3.25))
-    assert not np.any(g.u) and not np.any(g.v)
+    assert not np.any(g[0]) and not np.any(g[1])
 
 
 def test_gradient_hand_example_2x2():
     g = discrete_gradient(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert np.array_equal(g.u, [[2.0, 2.0], [-2.0, -2.0]])
-    assert np.array_equal(g.v, [[1.0, -1.0], [1.0, -1.0]])
+    assert np.array_equal(g[0], [[2.0, 2.0], [-2.0, -2.0]])
+    assert np.array_equal(g[1], [[1.0, -1.0], [1.0, -1.0]])
 
 
 def test_gradient_single_pixel_wraps_to_zero():
     g = discrete_gradient(np.array([[4.2]]))
-    assert g.u[0, 0] == 0.0 and g.v[0, 0] == 0.0
-
-
-def test_component_shape_mismatch_rejected():
-    with pytest.raises(ValueError):
-        GradientField(np.zeros((2, 3)), np.zeros((3, 2)))
+    assert g[0][0, 0] == 0.0 and g[1][0, 0] == 0.0
 
 
 def test_divergence_is_exact_transpose():
@@ -80,38 +76,38 @@ def test_tv_values():
 def test_l21_norm_matches_loop():
     f = rand_field(9, (5, 5))
     want = sum(
-        math.hypot(f.u[i, j], f.v[i, j]) for i in range(5) for j in range(5)
+        math.hypot(f[0][i, j], f[1][i, j]) for i in range(5) for j in range(5)
     )
     assert math.isclose(l21_norm(f), want, rel_tol=1e-13)
 
 
 def test_projection_leaves_interior_points_alone():
-    f = GradientField(np.array([[0.3]]), np.array([[0.4]]))
+    f = np.array(([[0.3]], [[0.4]]))
     p = project_dual_ball(f)
-    assert p.u[0, 0] == 0.3 and p.v[0, 0] == 0.4
+    assert p[0][0, 0] == 0.3 and p[1][0, 0] == 0.4
 
 
 def test_projection_radial_example():
-    p = project_dual_ball(GradientField(np.array([[3.0]]), np.array([[4.0]])))
-    assert math.isclose(p.u[0, 0], 0.6, rel_tol=1e-12)
-    assert math.isclose(p.v[0, 0], 0.8, rel_tol=1e-12)
+    p = project_dual_ball(np.array(([[3.0]], [[4.0]])))
+    assert math.isclose(p[0][0, 0], 0.6, rel_tol=1e-12)
+    assert math.isclose(p[1][0, 0], 0.8, rel_tol=1e-12)
 
 
 def test_projection_lands_inside_and_is_idempotent():
     for seed in range(20):
         f = rand_field(700 + seed, (8, 8))
-        big = GradientField(10.0 * f.u, 10.0 * f.v)
+        big = 10.0 * f
         once = project_dual_ball(big)
-        assert float(np.max(np.hypot(once.u, once.v))) <= 1.0
+        assert float(np.max(np.hypot(once[0], once[1]))) <= 1.0
         twice = project_dual_ball(once)
-        assert np.array_equal(once.u, twice.u) and np.array_equal(once.v, twice.v)
+        assert np.array_equal(once[0], twice[0]) and np.array_equal(once[1], twice[1])
 
 
 def test_field_dot_is_bilinear():
     a = rand_field(41, (4, 6))
     b = rand_field(42, (4, 6))
     c = rand_field(43, (4, 6))
-    ab_c = field_dot(GradientField(a.u + b.u, a.v + b.v), c)
+    ab_c = field_dot(a + b, c)
     assert math.isclose(ab_c, field_dot(a, c) + field_dot(b, c), rel_tol=1e-12)
 
 
@@ -119,7 +115,7 @@ def test_field_dot_is_bilinear():
 def test_primitives_match_roll_reference_bit_for_bit(shape):
     z = rand_grid(1100 + shape[0], shape)
     w = rand_field(1200 + shape[1], shape)
-    big = GradientField(3.0 * w.u, 3.0 * w.v)  # some entries inside the ball, most outside
+    big = 3.0 * w  # some entries inside the ball, most outside
     want = {
         "gradient": roll_gradient(z),
         "divergence": roll_divergence(w),
@@ -127,10 +123,10 @@ def test_primitives_match_roll_reference_bit_for_bit(shape):
     }
 
     def junk_field():
-        return GradientField(np.full(shape, np.nan), np.full(shape, np.nan))
+        return np.full((2, *shape), np.nan)
 
     g_out, d_out, p_out = junk_field(), np.full(shape, np.nan), junk_field()
-    in_place = GradientField(big.u.copy(), big.v.copy())
+    in_place = big.copy()
     assert discrete_gradient(z, out=g_out) is g_out
     assert divergence_adjoint(w, out=d_out) is d_out
     assert project_dual_ball(big, out=p_out) is p_out
@@ -145,31 +141,47 @@ def test_primitives_match_roll_reference_bit_for_bit(shape):
             if name == "divergence":
                 assert np.array_equal(result, want[name]), name
             else:
-                assert np.array_equal(result.u, want[name].u), name
-                assert np.array_equal(result.v, want[name].v), name
+                assert np.array_equal(result[0], want[name][0]), name
+                assert np.array_equal(result[1], want[name][1]), name
 
 
 def _layouts(a):
-    """Views of `a`'s values that are not C-contiguous arrays of its shape."""
-    m, n = a.shape
-    transposed = np.ascontiguousarray(a.T).T
-    strided = np.empty((m, 2 * n))
-    strided[:, ::2] = a
-    return {"transposed": transposed, "strided": strided[:, ::2], "fortran": np.asfortranarray(a)}
+    """Views of `a`'s values that are not C-contiguous arrays of its shape.
+
+    `a` is a grid or a (2, n0, n1) field; "transposed" swaps the grid axes.
+    """
+    transposed = np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
+    strided = np.empty((*a.shape[:-1], 2 * a.shape[-1]))
+    strided[..., ::2] = a
+    return {"transposed": transposed, "strided": strided[..., ::2], "fortran": np.asfortranarray(a)}
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 7), (64, 64)])
 def test_primitives_read_any_memory_layout(shape):
     z = rand_grid(1300 + shape[0], shape)
     w = rand_field(1400 + shape[1], shape)
+    lam = project_dual_ball(w)
     grad_ref, div_ref = roll_gradient(z), roll_divergence(w)
-    z_views, u_views, v_views = _layouts(z), _layouts(w.u), _layouts(w.v)
-    for name, z_view in z_views.items():
+    prob = DenoiseProblem(xi=z, mu=1.5, constraint=NonnegativityConstraint())
+    # each function of a field gives the bytes it gives on the C-contiguous field
+    of_field = {
+        "projection": lambda f, g: project_dual_ball(f),
+        "norm": lambda f, g: pointwise_norm(f),
+        "l21": lambda f, g: l21_norm(f),
+        "dot": lambda f, g: field_dot(f, g),
+        "dual value": lambda f, g: dual_value(prob, g),
+    }
+    want = {name: np.asarray(fn(w, lam)).tobytes() for name, fn in of_field.items()}
+    w_views, lam_views = _layouts(w), _layouts(lam)
+    for name, z_view in _layouts(z).items():
         assert not z_view.flags.c_contiguous or 1 in shape, name
+        assert not w_views[name].flags.c_contiguous or 1 in shape, name
         grad = discrete_gradient(z_view)
-        assert np.array_equal(grad.u, grad_ref.u) and np.array_equal(grad.v, grad_ref.v), name
-        div = divergence_adjoint(GradientField(u_views[name], v_views[name]))
-        assert np.array_equal(div, div_ref), name
+        assert np.array_equal(grad[0], grad_ref[0]) and np.array_equal(grad[1], grad_ref[1]), name
+        assert np.array_equal(divergence_adjoint(w_views[name]), div_ref), name
+        for fn_name, fn in of_field.items():
+            got = np.asarray(fn(w_views[name], lam_views[name])).tobytes()
+            assert got == want[fn_name], (name, fn_name)
 
 
 @pytest.mark.parametrize("layout", ["transposed", "strided", "fortran"])
@@ -179,18 +191,9 @@ def test_non_contiguous_out_is_rejected(layout):
     bad = _layouts(np.zeros(shape))[layout]
     with pytest.raises(ValueError, match="C-contiguous"):
         divergence_adjoint(w, out=bad)
-
-
-@pytest.mark.parametrize("layout", ["contiguous", "transposed", "strided", "fortran"])
-def test_a_field_from_two_arrays_holds_a_stacked_copy(layout):
-    grids = [rand_grid(seed, (4, 6)) for seed in (1600, 1601)]
-    u, v = (g.copy() if layout == "contiguous" else _layouts(g)[layout] for g in grids)
-    field = GradientField(u, v)
-    u[...], v[...] = 7.0, -7.0
-    assert np.array_equal(field.u, grids[0]) and np.array_equal(field.v, grids[1])
-    assert field.stacked.shape == (2, 4, 6) and field.stacked.flags.c_contiguous
-    field.stacked[...] = np.arange(2.0)[:, None, None]
-    assert not np.any(field.u) and np.all(field.v == 1.0)
+    bad_field = _layouts(np.zeros((2, *shape)))[layout]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        discrete_gradient(z, out=bad_field)
 
 
 _entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -200,7 +203,7 @@ _entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 def grid_and_field(draw):
     shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12))
     z, u, v = (draw(hnp.arrays(np.float64, shape, elements=_entries)) for _ in range(3))
-    return z, GradientField(u, v)
+    return z, np.array((u, v))
 
 
 @settings(max_examples=200, deadline=None)
@@ -213,7 +216,7 @@ def test_adjoint_identity_property(case):
     scale = 1.0 + float(np.linalg.norm(z)) * math.sqrt(field_dot(w, w))
     assert abs(lhs - rhs) <= 1e-12 * scale
     ref = roll_gradient(z)
-    assert np.array_equal(grad.u, ref.u) and np.array_equal(grad.v, ref.v)
+    assert np.array_equal(grad[0], ref[0]) and np.array_equal(grad[1], ref[1])
     assert np.array_equal(div, roll_divergence(w))
 
 
@@ -230,28 +233,28 @@ _wide_entries = st.one_of(st.just(0.0), _magnitudes, st.floats(-1.5, 1.5))
 def wide_field(draw):
     shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9))
     u, v = (draw(hnp.arrays(np.float64, shape, elements=_wide_entries)) for _ in range(2))
-    return GradientField(u, v)
+    return np.array((u, v))
 
 
 def assert_same_field(a, b):
-    assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 @settings(max_examples=200, deadline=None)
 @given(wide_field())
 def test_projection_property_over_wide_magnitudes(field):
     once = project_dual_ball(field)
-    assert np.all(np.isfinite(once.u)) and np.all(np.isfinite(once.v))
+    assert np.all(np.isfinite(once[0])) and np.all(np.isfinite(once[1]))
     assert float(np.max(pointwise_norm(once))) <= 1.0
     assert_same_field(project_dual_ball(once), once)
     assert_same_field(once, roll_projection(field))
 
     shape = field.shape
-    out, work = GradientField.empty(shape), GradientField.empty(shape)
+    out, work = np.empty(shape), np.empty(shape)
     assert project_dual_ball(field, out=out, work=work) is out
     assert_same_field(out, once)
-    assert_same_field(project_dual_ball(field, work=GradientField.empty(shape)), once)
-    in_place = GradientField(field.u.copy(), field.v.copy())
+    assert_same_field(project_dual_ball(field, work=np.empty(shape)), once)
+    in_place = field.copy()
     assert project_dual_ball(in_place, out=in_place, work=work) is in_place
     assert_same_field(in_place, once)
 
@@ -260,16 +263,17 @@ def test_projection_property_over_wide_magnitudes(field):
 @given(wide_field())
 def test_norm_and_l21_match_plain_expression(field):
     want = reference_norm(field)
-    work = GradientField.empty(field.shape)
-    assert pointwise_norm(field, work) is work.u
-    assert np.array_equal(work.u, want) and np.array_equal(pointwise_norm(field), want)
-    assert l21_norm(field, GradientField.empty(field.shape)) == l21_norm(field)
+    work = np.empty(field.shape)
+    got = pointwise_norm(field, work)
+    assert got.base is work and got.ctypes.data == work.ctypes.data and got.shape == work.shape[1:]
+    assert np.array_equal(work[0], want) and np.array_equal(pointwise_norm(field), want)
+    assert l21_norm(field, np.empty(field.shape)) == l21_norm(field)
     assert l21_norm(field) == float(np.sum(want))
 
 
 def _field(entries):
     u, v = np.array(entries, dtype=float).T
-    return GradientField(u.reshape(1, -1).copy(), v.reshape(1, -1).copy())
+    return np.array((u.reshape(1, -1), v.reshape(1, -1)))
 
 
 _ULP = 2.0 ** -52
@@ -290,27 +294,27 @@ _NAN_ENTRIES = [(np.nan, 0.3), (-0.7, np.nan), (np.nan, np.nan)]
 ], ids=["on-circle", "across-circle", "nan-inside", "nan-and-outside"])
 def test_projection_at_the_unit_circle_matches_reference_bit_for_bit(entries):
     field = _field(entries)
-    before = field.u.tobytes(), field.v.tobytes()
+    before = field[0].tobytes(), field[1].tobytes()
     want = roll_projection(field)
-    out = GradientField(np.full(field.shape, 7.0), np.full(field.shape, 7.0))
-    in_place = GradientField(field.u.copy(), field.v.copy())
+    out = np.full(field.shape, 7.0)
+    in_place = field.copy()
     fresh = project_dual_ball(field)
     assert project_dual_ball(field, out=out) is out
     assert project_dual_ball(in_place, out=in_place) is in_place
     for got in (fresh, out, in_place):
-        assert got.u.tobytes() == want.u.tobytes() and got.v.tobytes() == want.v.tobytes()
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
     # a new field even where nothing leaves the ball, and the input is only read
-    assert not np.shares_memory(fresh.u, field.u) and not np.shares_memory(fresh.v, field.v)
-    assert (field.u.tobytes(), field.v.tobytes()) == before
+    assert not np.shares_memory(fresh[0], field[0]) and not np.shares_memory(fresh[1], field[1])
+    assert (field[0].tobytes(), field[1].tobytes()) == before
     # entries that stay in the ball, nan components included, pass unchanged
     kept = [i for i, e in enumerate(entries) if e not in _PAST_THE_CIRCLE and e != (3.0, 4.0)]
-    assert fresh.u[0, kept].tobytes() == field.u[0, kept].tobytes()
-    assert fresh.v[0, kept].tobytes() == field.v[0, kept].tobytes()
+    assert fresh[0][0, kept].tobytes() == field[0][0, kept].tobytes()
+    assert fresh[1][0, kept].tobytes() == field[1][0, kept].tobytes()
 
 
 def test_overflowing_entries_project_to_zero_and_l21_is_inf():
-    big = GradientField(np.array([[3e154, 0.5]]), np.array([[-2e200, 0.5]]))
+    big = np.array(([[3e154, 0.5]], [[-2e200, 0.5]]))
     with np.errstate(over="ignore"):
         once = project_dual_ball(big)
         assert l21_norm(big) == math.inf
-    assert np.array_equal(once.u, [[0.0, 0.5]]) and np.array_equal(once.v, [[0.0, 0.5]])
+    assert np.array_equal(once[0], [[0.0, 0.5]]) and np.array_equal(once[1], [[0.0, 0.5]])
