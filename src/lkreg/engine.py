@@ -216,9 +216,10 @@ def run(problem, penalty, cfg, truth=None):
         every cfg.metric_every outer steps (and always at the final iterate).
 
     Returns (pair, trace) with the final certified PrimalDualPair.  A
-    negative or non-finite noise level is refused with ValueError before
-    step 0.  Float overflow and invalid operations raise no warning: the
-    run stops `non-finite` where they show.
+    negative or non-finite noise level, and a truth not of the problem's
+    domain_shape, are refused with ValueError before step 0.  Float overflow
+    and invalid operations raise no warning: the run stops `non-finite`
+    where they show.
     """
     n_blocks = problem.num_blocks
     if n_blocks < 1:
@@ -226,6 +227,9 @@ def run(problem, penalty, cfg, truth=None):
     delta = problem.noise_level
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ValueError(f"noise_level must be finite and nonnegative; got {delta!r}")
+    shape = tuple(problem.domain_shape)
+    if truth is not None and np.shape(truth) != shape:
+        raise ValueError(f"truth has shape {np.shape(truth)}, not the domain's {shape}")
     accel = cfg.mode == "accelerated"
     noisy = delta > 0.0
     threshold = power(cfg.tau * delta, cfg.p)  # inf on overflow, which stops step 0
@@ -233,7 +237,6 @@ def run(problem, penalty, cfg, truth=None):
     if truth is not None:  # run constants of the diagnostics
         truth_norm, truth_value = norm(truth), penalty.value(truth)
 
-    shape = problem.domain_shape
     pair = PrimalDualPair(x=np.zeros(shape), xi=np.zeros(shape), eps=0.0)
     prev = pair
     # the dual field of the last inner solve, and the (x, lam) of the solve

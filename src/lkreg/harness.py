@@ -26,9 +26,9 @@ rows of metrics.csv back and extends them:
 
 Runs are deterministic: the only randomness is the seeded portable noise
 stream, so identical config plus seed reproduces metrics.csv byte for byte
-with the same BLAS thread count.  Across thread counts the BLAS reductions
-round differently: `np.vdot`, the `ndarray.dot` of `penalty.norm`, and the
-three `ndarray.dot` calls of `pdhg`'s value kernels.
+with the same BLAS thread count.  Across thread counts one reduction, `tv.dot`,
+can round differently; OpenBLAS 0.3.31 splits its float64 sum by thread only
+above 10,000 entries, so only runs at `ct-paper` size move.
 """
 
 import dataclasses

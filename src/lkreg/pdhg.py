@@ -70,8 +70,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .penalty import PrimalDualPair, solve_quadratic_exact
-from .tv import (discrete_gradient, divergence_adjoint, divergence_into, l21_norm, pointwise_norm,
-                 projection_into, scaling_into)
+from .tv import (discrete_gradient, divergence_adjoint, divergence_into, dot, in_unit_balls,
+                 l21_norm, projection_into, scaling_into)
 from .tv import field_dot, project_dual_ball  # noqa: F401  unused; benchmarks/tracer.py wraps them
 
 # The gap is taken at every _GAP_STRIDE-th iterate and at the cap.  On ct-desk
@@ -79,13 +79,10 @@ from .tv import field_dot, project_dual_ball  # noqa: F401  unused; benchmarks/t
 # 2 and 8 cost 0.4 % and 2.9 % more.
 _GAP_STRIDE = 4
 
-# Slack of the dual value's unit-ball test, for lengths rounded above 1.
-_FEAS_TOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class DenoiseProblem:
-    """One inner subproblem: dual grid xi, weight mu, optional constraint."""
+    """One inner subproblem: 2-D dual grid xi, weight mu, optional constraint."""
 
     xi: np.ndarray
     mu: float
@@ -94,6 +91,8 @@ class DenoiseProblem:
     def __post_init__(self):
         if not self.mu > 0.0:
             raise ValueError("mu must be positive")
+        if np.ndim(self.xi) != 2:
+            raise ValueError(f"xi must be a 2-D grid, not of shape {np.shape(self.xi)}")
 
 
 def step_sizes(k):
@@ -122,18 +121,18 @@ def _primal_value_at(prob, w, grad, work=None):
     and the scratch of the l21 norm instead of fresh arrays.
     """
     d, scratch = (None, None) if work is None else work
-    d = np.subtract(w, prob.xi, out=d).ravel()
-    return float(d.dot(d)) / 2.0 + l21_norm(grad, scratch)
+    d = np.subtract(w, prob.xi, out=d)
+    return dot(d, d) / 2.0 + l21_norm(grad, scratch)
 
 
 def dual_value(prob, lam):
-    """Constructive dual value Psi_D(lam); -inf when lam leaves the unit balls or holds a nan.
+    """Constructive dual value Psi_D(lam); -inf unless `in_unit_balls(lam)`.
 
     For feasible lam the unit-weight Lagrangian is minimized in closed form
     (w* = P_C(xi - div* lam)), evaluated there and scaled by mu, so the
     value is a true lower bound on min Psi_P regardless of rounding.
     """
-    if not float(np.max(pointwise_norm(lam))) <= 1.0 + _FEAS_TOL:  # a nan max fails too
+    if not in_unit_balls(lam):
         return -math.inf
     div_lam = divergence_adjoint(lam)
     return prob.mu * _dual_value_at(prob, np.subtract(prob.xi, div_lam), div_lam)
@@ -149,9 +148,9 @@ def _dual_value_at(prob, xi_minus_div, div_lam, work=None):
     wstar = xi_minus_div
     if prob.constraint is not None:
         wstar = prob.constraint.project(wstar, out=work)
-    linear = float(div_lam.ravel().dot(wstar.ravel()))
-    d = np.subtract(wstar, prob.xi, out=work).ravel()
-    return float(d.dot(d)) / 2.0 + linear
+    linear = dot(div_lam, wstar)
+    d = np.subtract(wstar, prob.xi, out=work)
+    return dot(d, d) / 2.0 + linear
 
 
 @dataclass(eq=False)
@@ -284,7 +283,8 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     ----------
     prob : DenoiseProblem
     z0 : ndarray, optional
-        Feasible warm start for the primal grid (default zeros).
+        Warm start for the primal grid, of xi's shape (projected onto C on
+        entry, default zeros).
     lam0 : ndarray, optional
         Warm start for the dual field, of shape (2, *xi.shape) (projected on
         entry, default zeros).
@@ -293,18 +293,21 @@ def pdhg_solve(prob, z0=None, lam0=None, eta=1e-6, max_iter=5000):
     max_iter : int
         Iteration cap; on hitting it the report carries converged=False.
 
-    Returns the report of the smallest-gap certified pair, whose eps is that
-    pair's exactly evaluated gap.  A certified gap that is not finite (nan
-    from a non-finite xi, inf from a value that overflows) certifies
-    nothing: the solve stops there, unconverged, and reports the best
-    earlier certified pair, or an eps of inf when it came at the start.
+    A start of another shape raises ValueError.  Returns the report of the
+    smallest-gap certified pair, whose eps is that pair's exactly evaluated
+    gap.  A certified gap that is not finite (nan from a non-finite xi, inf
+    from a value that overflows) certifies nothing: the solve stops there,
+    unconverged, and reports the best earlier certified pair, or an eps of
+    inf when it came at the start.
     """
     if not (0.0 < eta < 1.0):
         raise ValueError("relative gap target must lie in (0, 1)")
     mu, xi = prob.mu, prob.xi
+    if z0 is not None and np.shape(z0) != xi.shape:
+        raise ValueError(f"z0 has shape {np.shape(z0)}, not {xi.shape}")
     if lam0 is not None and np.shape(lam0) != (2, *xi.shape):
         raise ValueError(f"lam0 has shape {np.shape(lam0)}, not {(2, *xi.shape)}")
-    xi_sq = float(np.vdot(xi, xi))
+    xi_sq = dot(xi, xi)
     floor = _rounding_floor(np.finfo(float).eps, xi_sq)
     exact = _Iterates(prob, np.float64)
     best, evaluations, converged = None, 0, False
@@ -417,7 +420,7 @@ def inner_solver(xi, penalty, gap_target=None, warm_x=None, warm_lam=None, max_i
 
     While warm_x is constant (or None, meaning zeros), the solve first tries
     the constant regime: with c = mean(xi) and lam =
-    `_constant_regime_field(xi - c)`, max |lam| <= 1 makes (c, lam), c
+    `_constant_regime_field(xi - c)`, `in_unit_balls(lam)` makes (c, lam), c
     projected onto C, an exact primal-dual pair of the unit-weight problem,
     so PDHG starts from (mu c, lam), not extrapolated, and normally returns
     after 0 iterations.  A non-finite xi fails the test.
@@ -435,7 +438,7 @@ def inner_solver(xi, penalty, gap_target=None, warm_x=None, warm_lam=None, max_i
         with np.errstate(over="ignore", invalid="ignore"):
             c = prob.xi.mean()
             lam = _constant_regime_field(prob.xi - c)
-            certified = float(np.max(pointwise_norm(lam))) <= 1.0
+            certified = in_unit_balls(lam)
     if certified:
         warm_x, warm_lam = np.full(prob.xi.shape, prob.mu * c), lam
     elif prev_lam is not None:

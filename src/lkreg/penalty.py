@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tv import tv_value
+from .tv import dot, tv_value
 
 
 def power(base, exponent):
@@ -34,13 +34,11 @@ def power(base, exponent):
 def norm(a):
     """Euclidean (Frobenius) norm of a real array, as a float.
 
-    The package's one norm.  It is the arithmetic of numpy.linalg's `norm`
-    with its defaults, the square root of the K-order ravel's dot with
-    itself, so it gives the same bits, without that wrapper's checks and
-    dispatch.
+    The package's one norm: numpy.linalg's `norm` with its defaults, the root
+    of the K-order ravel's `dot` with itself, without that wrapper's checks.
     """
     a = a.ravel(order="K")
-    return math.sqrt(a.dot(a))
+    return math.sqrt(dot(a, a))
 
 
 def duality_map(r, s, r_norm=None):
@@ -110,7 +108,7 @@ class _QuadraticCore:
     def value(self, z):
         if self.constraint is not None and not self.constraint.contains(z):
             return math.inf
-        return float(np.vdot(z, z)) / (2.0 * self.mu)
+        return dot(z, z) / (2.0 * self.mu)
 
 
 class QuadraticPenalty(_QuadraticCore):
@@ -121,7 +119,7 @@ class QuadraticPenalty(_QuadraticCore):
     def dual_bound(self, xi):
         """Exact value of min_z Theta(z) - <xi, z>, at `solve_quadratic_exact`'s minimizer."""
         x = solve_quadratic_exact(xi, self).x
-        return self.value(x) - float(np.vdot(xi, x))
+        return self.value(x) - dot(xi, x)
 
 
 class TotalVariationPenalty(_QuadraticCore):
@@ -160,7 +158,7 @@ def bregman_eps_distance(theta, pair, xbar, val_bar=None):
     if math.isinf(val_bar):
         return math.inf
     val_x = theta.value(pair.x)
-    inner = float(np.vdot(pair.xi, xbar - pair.x))
+    inner = dot(pair.xi, xbar - pair.x)
     return val_bar - val_x - inner + pair.eps
 
 
@@ -181,5 +179,5 @@ def check_eps_subgradient(pair, theta, dual_lower_bound, tol=None):
         return False
     if tol is None:
         tol = 1e-9 * (1.0 + abs(val))
-    gap = val - float(np.vdot(pair.xi, pair.x)) - dual_lower_bound
+    gap = val - dot(pair.xi, pair.x) - dual_lower_bound
     return gap <= pair.eps + tol

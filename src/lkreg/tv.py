@@ -1,4 +1,4 @@
-"""Discrete gradient machinery for isotropic total variation on 2-D grids.
+"""Isotropic total variation machinery on 2-D grids, and the one inner product.
 
 Forward differences with periodic wrap-around in both directions; the
 divergence below is the exact (negative-free) matrix transpose of the
@@ -139,10 +139,9 @@ _ONE_UP = np.nextafter(1.0, 2.0)
 def project_dual_ball(field, out=None, work=None):
     """Project a field onto pointwise Euclidean unit balls.
 
-    Entries whose length (see `pointwise_norm`) is <= 1 pass through
-    unchanged; longer ones are divided by their length times _INWARD, so
-    that the projection is idempotent in floating point.  The test is made
-    on the squared length (see _ONE_UP); when no entry leaves the ball the
+    Entries that pass `in_unit_balls`'s test, and nan ones, are kept; the
+    others are divided by their length times _INWARD, so that the projection
+    is idempotent in floating point.  When no entry leaves its ball the
     field is copied as it is, with no root and no division.  With `out`, a
     field of the same shape (`field` itself is allowed), the result is
     written into it; `work`, a field of the same shape distinct from both, is
@@ -205,11 +204,17 @@ def scaling_into(field, work):
     return scaling
 
 
-def field_dot(a, b):
-    """Euclidean inner product of two fields.
+def in_unit_balls(field):
+    """The projection's test for every entry: no squared length above _ONE_UP, and no nan."""
+    return bool(np.all(_squared_length(field, np.empty(field.shape)) <= _ONE_UP))
 
-    Both are read as C-contiguous copies where they are not, since `np.vdot`
-    may sum a strided vector in another order.
+
+def dot(a, b):
+    """The one inner product: `np.vdot`'s bits on a and b in C order, in their dtype, as a float.
+
+    Its bits alone follow the BLAS thread count; + 0.0 makes a one-entry -0.0 the sum's +0.0.
     """
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return float(np.vdot(a[0], b[0]) + np.vdot(a[1], b[1]))
+    return float(a.ravel().dot(b.ravel())) + 0.0
+
+
+field_dot = dot

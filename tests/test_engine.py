@@ -450,6 +450,15 @@ def test_run_refuses_a_bad_noise_level_before_step_0(monkeypatch, level):
         run(problem, QuadraticPenalty(mu=1.0), cfg_with())
 
 
+@pytest.mark.parametrize("shape", [(4,), (1, 4), (12,), (4, 3), (3, 4, 1)])
+def test_run_refuses_a_truth_of_another_shape_before_step_0(monkeypatch, shape):
+    # a (4,) or (1, 4) truth would broadcast against the 3 x 4 iterate
+    problem, _, truth = tiny_linear_problem(216)
+    monkeypatch.setattr(problem, "residual", lambda i, x: pytest.fail("step 0 was taken"))
+    with pytest.raises(ValueError, match="truth has shape"):
+        run(problem, QuadraticPenalty(mu=1.0), cfg_with(), truth=np.resize(truth, shape))
+
+
 @pytest.mark.parametrize("pen", [
     TotalVariationPenalty(mu=1.0), QuadraticPenalty(mu=1.0),
 ], ids=["tv", "quadratic"])

@@ -146,6 +146,17 @@ def test_weak_duality_on_random_pairs():
         assert d <= p + 1e-10 * (1.0 + abs(p))
 
 
+def test_a_dual_field_just_past_the_balls_gives_no_lower_bound():
+    # a tight solve leaves lam at the balls' rims; 9e-13 past them, a slack of
+    # 1e-12 would let the dual value exceed the primal value by 5.6e-11
+    prob = DenoiseProblem(xi=3.0 * np.random.default_rng(3).standard_normal((6, 6)), mu=1.0)
+    report = pdhg_solve(prob, eta=1e-13)
+    assert report.converged
+    past = dual_value(prob, report.lam * (1.0 + 9e-13))
+    assert past <= primal_value(prob, report.x)
+    assert past == -math.inf
+
+
 def test_weight_scaling_is_exact():
     # the weight-mu objective is mu times the unit-weight objective at z = mu w
     xi = rand_grid(27, (6, 6))
@@ -221,14 +232,23 @@ def test_solver_requires_valid_target():
         pdhg_solve(prob, eta=1.0)
     with pytest.raises(ValueError):
         DenoiseProblem(xi=np.zeros((2, 2)), mu=0.0)
+    # TV's gradient is taken on a 2-D grid only
+    for shape in ((5,), (2, 3, 4), ()):
+        with pytest.raises(ValueError, match="2-D grid"):
+            DenoiseProblem(xi=np.zeros(shape), mu=1.0)
 
 
-@pytest.mark.parametrize("shape", [(4, 5), (2, 5, 4), (3, 4, 5), (2, 4, 5, 1), (1, 4, 5)])
+@pytest.mark.parametrize("shape", [(4, 5), (2, 5, 4), (3, 4, 5), (2, 4, 5, 1), (1, 4, 5),
+                                   (5,), (1, 5), ()])
 def test_a_mis_shaped_dual_start_is_refused(shape):
-    # np.copyto would broadcast an (n0, n1) grid into both halves of the field
+    # np.copyto would broadcast an (n0, n1) grid into both halves of the field,
+    # and np.divide a row or a scalar over the whole primal start
     prob = DenoiseProblem(xi=rand_grid(27, (4, 5)), mu=1.0)
     with pytest.raises(ValueError, match="lam0"):
         pdhg_solve(prob, lam0=np.zeros(shape))
+    if shape != (4, 5):
+        with pytest.raises(ValueError, match="z0"):
+            pdhg_solve(prob, z0=np.zeros(shape))
     rep = pdhg_solve(prob, lam0=np.zeros((2, 4, 5)), max_iter=8)
     assert rep.lam.shape == (2, 4, 5)
 

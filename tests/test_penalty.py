@@ -20,7 +20,7 @@ from lkreg.penalty import (
 )
 from lkreg.harness import _CHOICES, ExperimentConfig
 from lkreg.pdhg import inner_solver
-from lkreg.tv import tv_value
+from lkreg.tv import dot, tv_value
 
 from conftest import rand_grid
 
@@ -256,6 +256,24 @@ def test_norm_has_the_bits_of_numpy_norm(a, view):
     a = _views[view](a)
     with np.errstate(over="ignore", invalid="ignore"):  # both warn alike on overflow
         got, want = norm(a), float(np.linalg.norm(a))
+    assert type(got) is float
+    assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), (got, want)
+
+
+# Any float32, whose squares overflow from about 1.8e19 up.
+_dot_entries = {np.float64: _norm_entries, np.float32: st.floats(width=32)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([np.float64, np.float32]), st.sampled_from(sorted(_views)))
+def test_dot_has_the_bits_of_numpy_vdot(data, dtype, view):
+    # in the inputs' own dtype, as a float32 search's estimates are; np.vdot
+    # reads a view of one stride in place, and may sum it in another order
+    shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=9))
+    a, b = (_views[view](data.draw(hnp.arrays(dtype, shape, elements=_dot_entries[dtype])))
+            for _ in range(2))
+    with np.errstate(over="ignore", invalid="ignore"):  # both warn alike on overflow
+        got, want = dot(a, b), float(np.vdot(np.ascontiguousarray(a), np.ascontiguousarray(b)))
     assert type(got) is float
     assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), (got, want)
 

@@ -13,6 +13,7 @@ from lkreg.tv import (
     discrete_gradient,
     divergence_adjoint,
     field_dot,
+    in_unit_balls,
     l21_norm,
     pointwise_norm,
     project_dual_ball,
@@ -310,6 +311,24 @@ def test_projection_at_the_unit_circle_matches_reference_bit_for_bit(entries):
     kept = [i for i, e in enumerate(entries) if e not in _PAST_THE_CIRCLE and e != (3.0, 4.0)]
     assert fresh[0][0, kept].tobytes() == field[0][0, kept].tobytes()
     assert fresh[1][0, kept].tobytes() == field[1][0, kept].tobytes()
+
+
+@pytest.mark.parametrize("entries", [
+    _ON_THE_CIRCLE,
+    _ON_THE_CIRCLE + [(np.nextafter(1.0, 2.0), 0.0)],
+    _ON_THE_CIRCLE + [(0.0, -1e200)],
+    _ON_THE_CIRCLE + [(np.inf, 0.5)],
+    _ON_THE_CIRCLE + [(0.2, np.nan)],
+], ids=["on-circle", "next-after-one", "1e200", "inf", "nan"])
+def test_in_unit_balls_decides_as_the_largest_computed_length(entries):
+    # lengths of exactly 1 pass; one just past 1, one whose square overflows,
+    # an infinite one and a nan each fail
+    field = _field(entries)
+    with np.errstate(over="ignore"):
+        want = float(np.max(pointwise_norm(field))) <= 1.0
+        assert in_unit_balls(field) is want
+        assert in_unit_balls(np.asfortranarray(field)) is want
+    assert want is (entries is _ON_THE_CIRCLE)
 
 
 def test_overflowing_entries_project_to_zero_and_l21_is_inf():
