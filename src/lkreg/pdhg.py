@@ -424,6 +424,9 @@ def inner_solver(xi, penalty, gap_target=None, warm_x=None, warm_lam=None, max_i
     projected onto C, an exact primal-dual pair of the unit-weight problem,
     so PDHG starts from (mu c, lam), not extrapolated, and normally returns
     after 0 iterations.  A non-finite xi fails the test.
+
+    A start whose shape is not xi's (x) or (2, *xi.shape) (lam) raises
+    ValueError before that test, as `pdhg_solve` would.
     """
     if penalty.kind == "quadratic":
         return solve_quadratic_exact(xi, penalty), InnerInfo(iterations=0, converged=True)
@@ -432,6 +435,11 @@ def inner_solver(xi, penalty, gap_target=None, warm_x=None, warm_lam=None, max_i
     if gap_target is None:
         raise ValueError("a TV inner solve needs an explicit gap target")
     prob = DenoiseProblem(xi=np.asarray(xi, dtype=float), mu=penalty.mu, constraint=penalty.constraint)
+    x_shape, lam_shape = prob.xi.shape, (2, *prob.xi.shape)
+    for name, start, shape in (("warm_x", warm_x, x_shape), ("warm_lam", warm_lam, lam_shape),
+                               ("prev_x", prev_x, x_shape), ("prev_lam", prev_lam, lam_shape)):
+        if start is not None and np.shape(start) != shape:
+            raise ValueError(f"{name} has shape {np.shape(start)}, not {shape}")
     certified = False
     if warm_x is None or warm_x.min() == warm_x.max():
         # non-finite or huge xi overflows here, and its field fails the test

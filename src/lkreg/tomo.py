@@ -6,9 +6,10 @@ projection angle of theta degrees the rays run along (-sin t, cos t) and are
 offset from the grid center along (cos t, sin t) by uniformly spaced signed
 detector positions.  Each matrix entry is the exact length of the segment in
 which a ray intersects a pixel, accumulated by walking the sorted parametric
-crossings of the pixel grid (Siddon's method).  Rows of rays that miss the
-grid are kept as all-zero rows so the sinogram layout stays angle-major with
-a fixed ray count per angle.
+crossings of the pixel grid (Siddon's method); each ray is crossed only with
+the grid lines its span inside the square can reach.  Rows of rays that miss
+the grid are kept as all-zero rows, and are not traced, so the sinogram
+layout stays angle-major with a fixed ray count per angle.
 """
 
 import itertools
@@ -126,6 +127,28 @@ def _entry_bounds(dx, dy, t_lo, t_hi, inside):
     return np.where(inside, bound, 0.0).astype(np.int64)
 
 
+def _crossings(p0, d, lo, hi, q):
+    """Crossing parameters of each ray with the lines of one axis its span can reach.
+
+    `p0` holds the rays' start coordinates along the axis and (lo, hi) their
+    spans, all as columns; `d` is the direction component.  A ray's window
+    runs over consecutive lines from floor(min coordinate over its span) - 1
+    to ceil(max) + 1, clamped to [0, q].  A line left out lies a unit or
+    more outside that range, so its parameter lies beyond a span end and
+    would clip to it.  Every window takes the widest one's width; the
+    planes that pad a narrower one past q have parameters beyond plane q's,
+    which lies at or beyond a span end too.  So, once clipped to the span,
+    the windows give the same values strictly inside it as all q + 1 lines.
+    """
+    ends = p0 + np.hstack([lo, hi]) * d
+    first = np.clip(np.floor(ends.min(axis=1, keepdims=True)) - 1.0, 0.0, q)
+    last = np.clip(np.ceil(ends.max(axis=1, keepdims=True)) + 1.0, 0.0, q)
+    ts = first + np.arange(int((last - first).max()) + 1)
+    ts -= p0
+    ts /= d
+    return ts
+
+
 @np.errstate(over="ignore", invalid="ignore")  # from rays that miss the grid
 def build_parallel_tomo(geom):
     """Assemble the sparse system matrix for a parallel-beam geometry.
@@ -140,19 +163,22 @@ def build_parallel_tomo(geom):
     from the span's length (`_entry_bounds`), so the value and column
     arrays are allocated once, before any ray is traced.
 
-    The rays of one angle are then traced together: each row of `ts` holds
-    one ray's crossing parameters with the grid lines, clipped to its span
+    The rays of one angle that meet the grid are then traced together: each
+    row of `ts` holds one ray's span ends and its crossing parameters with
+    the grid lines its span can reach (`_crossings`), clipped to the span
     and sorted, so the positive gaps between neighbours are the segments the
-    ray cuts.  The entries arrive row by row (angle-major, rays in order),
-    so each angle writes its lengths, columns and per-ray counts in place
-    after the previous angle's.  The arrays are then shrunk to the entries
-    written, `indptr` is the running sum of the counts, and scipy's
-    `sum_duplicates` canonicalises the matrix once, sorting each row's
-    columns and adding up the segments of one ray that land in the same
-    pixel.  The build thus peaks at the matrix plus one angle's scratch.
+    ray cuts.  One flat index picks those gaps; the lengths are written in
+    place, and the same index, shifted by one per row above, finds each
+    gap's left end for its midpoint's pixel.  The entries arrive row by row
+    (angle-major, rays in order), so each angle writes its lengths, columns
+    and per-ray counts after the previous angle's.  The arrays are then
+    shrunk to the entries written, `indptr` is the running sum of the
+    counts, and scipy's `sum_duplicates` canonicalises the matrix once,
+    sorting each row's columns and adding up the segments of one ray that
+    land in the same pixel.  The build thus peaks at the matrix plus one
+    angle's scratch.
     """
     q, n_rays = geom.q, geom.n_rays
-    planes = np.arange(q + 1, dtype=float)
     px, py, dx, dy, t_lo, t_hi, inside = _rays(geom)
     capacity = int(_entry_bounds(dx, dy, t_lo, t_hi, inside).sum())
     vals = np.empty(capacity)
@@ -160,21 +186,26 @@ def build_parallel_tomo(geom):
     indptr = np.zeros(geom.n_rows + 1, dtype=np.int64)
     end = 0
     for a in range(geom.n_angles):
-        lo, hi = t_lo[a, :, None], t_hi[a, :, None]
-        ts = np.hstack([(planes - p0[a, :, None]) / d[a]
-                        for p0, d in ((px, dx), (py, dy)) if abs(d[a]) >= 1e-14] + [lo, hi])
+        rays = np.flatnonzero(inside[a])
+        if not rays.size:
+            continue
+        x0, y0 = px[a, rays], py[a, rays]
+        lo, hi = t_lo[a, rays, None], t_hi[a, rays, None]
+        ts = np.hstack([_crossings(p0[:, None], d[a], lo, hi, q)
+                        for p0, d in ((x0, dx), (y0, dy)) if abs(d[a]) >= 1e-14] + [lo, hi])
         ts.clip(lo, hi, out=ts)
         ts.sort(axis=1)
         lengths = np.diff(ts, axis=1)
-        k, j = np.nonzero((lengths > 1e-12) & inside[a, :, None])
-        start, end = end, end + k.size
-        lengths = lengths[k, j]
-        vals[start:end] = lengths
-        mid = ts[k, j] + 0.5 * lengths
-        ix = np.clip(np.floor(px[a, k] + mid * dx[a]).astype(np.int64), 0, q - 1)
-        iy = np.clip(np.floor(py[a, k] + mid * dy[a]).astype(np.int64), 0, q - 1)
+        keep = lengths > 1e-12
+        counts = np.count_nonzero(keep, axis=1)
+        flat = np.flatnonzero(keep)
+        start, end = end, end + flat.size
+        seg = np.take(lengths, flat, out=vals[start:end])
+        mid = np.take(ts, flat + np.repeat(np.arange(rays.size), counts)) + 0.5 * seg
+        ix = np.clip(np.floor(np.repeat(x0, counts) + mid * dx[a]).astype(np.int64), 0, q - 1)
+        iy = np.clip(np.floor(np.repeat(y0, counts) + mid * dy[a]).astype(np.int64), 0, q - 1)
         cols[start:end] = ix * q + iy
-        indptr[1 + a * n_rays:1 + (a + 1) * n_rays] = np.bincount(k, minlength=n_rays)
+        indptr[1 + a * n_rays + rays] = counts
     # a view of the oversized arrays would make scipy's prune copy them
     vals.resize(end, refcheck=False)
     cols.resize(end, refcheck=False)

@@ -253,6 +253,23 @@ def test_a_mis_shaped_dual_start_is_refused(shape):
     assert rep.lam.shape == (2, 4, 5)
 
 
+@pytest.mark.parametrize("scale", [1.0, 10.0], ids=["closed-form", "pdhg"])
+@pytest.mark.parametrize("starts, name", [
+    ({"warm_x": np.zeros(5), "warm_lam": np.zeros(3)}, "warm_x"),
+    ({"warm_lam": np.zeros(3)}, "warm_lam"),
+    ({"warm_lam": np.zeros((4, 5))}, "warm_lam"),
+    ({"prev_x": np.zeros(5)}, "prev_x"),
+    ({"prev_lam": np.zeros((2, 5, 4))}, "prev_lam"),
+], ids=["warm-pair-flat", "warm_lam-flat", "warm_lam-grid", "prev_x-flat", "prev_lam-transposed"])
+def test_a_mis_shaped_warm_start_is_refused_before_the_closed_form(starts, name, scale):
+    # at scale 1 the closed form certifies xi and would drop the starts unchecked
+    xi = scale * np.random.default_rng(1).standard_normal((4, 5))
+    kwargs = {"warm_x": np.zeros((4, 5)), "warm_lam": np.zeros((2, 4, 5)),
+              "prev_x": np.zeros((4, 5)), "prev_lam": np.zeros((2, 4, 5)), **starts}
+    with pytest.raises(ValueError, match=f"{name} has shape"):
+        inner_solver(xi, TotalVariationPenalty(mu=1.0), gap_target=0.1, **kwargs)
+
+
 def _two_equal_records():
     """Factories of two distinct records with equal contents, per array-holding class."""
     geom = {"q": 4, "angles": np.array([0.0, 90.0])}

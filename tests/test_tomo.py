@@ -1,5 +1,6 @@
 """Tomography: geometry, matrix assembly, phantom, noise, matrix I/O."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -331,8 +332,16 @@ def test_matrix_load_rejects_entries_past_the_count(tmp_path):
     TomoGeometry(q=8, angles=evenly_spaced_angles(6), n_rays=9, detector_spacing=2.5),
     TomoGeometry(q=17, angles=np.array([33.0])),
     TomoGeometry(q=2, angles=np.array([10.0, 100.0]), n_rays=2, detector_spacing=100.0),
+    TomoGeometry(q=8, angles=np.array([0.0, 90.0]), n_rays=9, detector_spacing=1.0),
+    TomoGeometry(q=8, angles=np.array([45.0, 135.0]), n_rays=9, detector_spacing=1.0),
+    TomoGeometry(q=8, angles=np.array([45.0, 135.0]), n_rays=23, detector_spacing=math.sqrt(0.5)),
+    TomoGeometry(q=8, angles=np.array([1e-9, 90.0 - 1e-9, 90.0 + 1e-9, 180.0 - 1e-9]), n_rays=9,
+                 detector_spacing=1.0),
+    TomoGeometry(q=1, angles=np.array([0.0, 1e-9, 45.0, 90.0, 135.0, 180.0 - 1e-9]), n_rays=3,
+                 detector_spacing=0.5),
 ], ids=["q1", "q2", "q17", "q64", "axis-even-rays", "axis-odd-rays", "spacing-2.5",
-        "one-angle", "all-miss"])
+        "one-angle", "all-miss", "along-grid-lines", "through-corners", "corner-lattice",
+        "near-axis", "q1-on-edges"])
 def test_tracer_matches_the_global_coo_assembly_byte_for_byte(geom):
     mat, ref = build_parallel_tomo(geom), coo_parallel_tomo(geom)
     assert mat.shape == ref.shape
@@ -342,6 +351,18 @@ def test_tracer_matches_the_global_coo_assembly_byte_for_byte(geom):
     if geom.detector_spacing > 1.0:
         # the outer rays (offsets up to +-10 and +-50) pass beside the grid
         assert np.any(np.diff(mat.indptr) == 0)
+
+
+@pytest.mark.parametrize("preset, digest", [
+    ("ct-desk", "9be703ff82698b1512664eba6e123d92439256e39bc6911e5aa291d8a54630bd"),
+    ("ct-paper", "ca468efde58661f7f494cc1bfa808884dc0ebd70ec4bb20a9839ce4f75333590"),
+], ids=["ct-desk", "ct-paper"])
+def test_the_shipped_presets_keep_their_matrix_bytes(preset, digest):
+    mat = build_parallel_tomo(ct_geometry(make_config(preset=preset)))
+    sha = hashlib.sha256()
+    for name in ("indptr", "indices", "data"):
+        sha.update(getattr(mat, name).tobytes())
+    assert sha.hexdigest() == digest
 
 
 def test_tracer_peak_memory_stays_near_the_matrix_it_returns():
@@ -380,7 +401,7 @@ def random_geometry(draw):
     angle = st.sampled_from(AXIS_ANGLES) | st.floats(0.0, 180.0, exclude_max=True)
     angles = sorted(draw(st.sets(angle, min_size=1, max_size=8)))
     n_rays = draw(st.integers(0, 80))  # 0 picks the default ray count
-    spacing = draw(st.sampled_from([0.5, 1.0, 2.5]) | st.floats(1e-3, 50.0))
+    spacing = draw(st.sampled_from([0.5, 1.0, 2.5, math.sqrt(0.5)]) | st.floats(1e-3, 50.0))
     return TomoGeometry(q=q, angles=np.array(angles), n_rays=n_rays, detector_spacing=spacing)
 
 
