@@ -14,8 +14,8 @@ i = n mod N it
    capped adaptive step size mu from `step_size`,
 4. recovers the next primal iterate from xi through the inner solver,
    driven to a summable relative-gap target, which certifies the new eps.
-   The run keeps the (x, lam) pairs of the last two inner solves, and a
-   TV solve starts from their linear extrapolation 2 (x, lam)_n -
+   The run keeps the last two solves' pairs, each with its TV dual field
+   lam, and a TV solve starts from their extrapolation 2 (x, lam)_n -
    (x, lam)_{n-1}, or from the last pair while fewer than two exist.
 
 Every iterate visited, including the final one, contributes one StepRecord
@@ -238,11 +238,7 @@ def run(problem, penalty, cfg, truth=None):
         truth_norm, truth_value = norm(truth), penalty.value(truth)
 
     pair = PrimalDualPair(x=np.zeros(shape), xi=np.zeros(shape), eps=0.0)
-    prev = pair
-    # the dual field of the last inner solve, and the (x, lam) of the solve
-    # before it: the inner solver extrapolates its start from the two
-    lam_warm = None
-    before = (None, None)
+    prev = before = pair  # before: the last solve's warm pair; idle steps move only prev
 
     trace = RunTrace()
     q = 0
@@ -296,9 +292,9 @@ def run(problem, penalty, cfg, truth=None):
         new_pair, info = inner_solver(
             xi_next, penalty,
             gap_target=cfg.gap_target(n + 1),
-            warm_x=pair.x, warm_lam=lam_warm,
+            warm_x=pair.x, warm_lam=pair.lam,
             max_iter=cfg.inner_max_iter,
-            prev_x=before[0], prev_lam=before[1],
+            prev_x=before.x, prev_lam=before.lam,
         )
         rec.inner_iterations, rec.inner_gap_evaluations = info.iterations, info.gap_evaluations
         if not math.isfinite(new_pair.eps):
@@ -307,9 +303,7 @@ def run(problem, penalty, cfg, truth=None):
         if not info.converged:
             trace.terminated_by = "inner-failure"
             break
-        before = (pair.x, lam_warm)
-        lam_warm = info.lam
-        prev = pair
+        prev = before = pair
         pair = new_pair
 
     # Every stop, the cap included, leaves the pair as it was at the last

@@ -14,8 +14,8 @@ helper, `_as_config_error`.
 The ``ct`` and ``custom-linear`` problems share one block operator,
 `tomo.MatrixProblem`: CT splits its rows into runs of whole angles, a custom
 matrix into runs of rows as even as possible.  A run writes into its output
-directory; each metrics row is formatted once, and trace.csv streams the
-rows of metrics.csv back and extends them:
+directory; each metrics row is formatted once, and trace.csv extends the
+rows `write_metrics` returns:
 
 * ``metrics.csv``   one row per outer iterate with the exact column set
   ``n, i_n, residual_norm, mu_tilde, mu, eps_n, inner_iterations,
@@ -314,35 +314,24 @@ METRICS_COLUMNS = (
 _metrics_cells = operator.attrgetter(*METRICS_COLUMNS)
 
 
-def _metrics_rows(records):
-    """Each record's metrics.csv row, without its line end."""
-    for rec in records:
-        yield ",".join(map(_csv_cell, _metrics_cells(rec)))
-
-
-def _written_rows(path):
-    """The rows of the CSV table at `path` below its header, without line ends."""
-    with open(path, newline="") as fh:
-        next(fh)
-        for line in fh:
-            yield line[:-1]
-
-
 def write_metrics(path, trace):
-    """Write the per-iterate metrics table with its fixed column set."""
+    """Write the per-iterate metrics table with its fixed column set; return its rows.
+
+    The rows come without line ends, ready for `write_trace`.
+    """
+    rows = [",".join(map(_csv_cell, _metrics_cells(rec))) for rec in trace.records]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(METRICS_COLUMNS) + "\n")
-        for row in _metrics_rows(trace.records):
+        for row in rows:
             fh.write(row + "\n")
+    return rows
 
 
-def write_trace(path, trace, metrics_path=None):
-    """Write the metrics columns plus the Bregman distance to the truth.
+def write_trace(path, trace, rows):
+    """Write the rows `write_metrics` returned for `trace`, each plus its Bregman distance.
 
-    Given `metrics_path`, the table `write_metrics` wrote for this trace,
-    each row is streamed from that file instead of being formatted again.
+    Rows of another trace, of another length, raise ValueError.
     """
-    rows = _metrics_rows(trace.records) if metrics_path is None else _written_rows(metrics_path)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(METRICS_COLUMNS) + ",bregman_to_truth\n")
         for rec, row in zip(trace.records, rows, strict=True):
@@ -404,9 +393,8 @@ def run_experiment(cfg, out_dir=None):
         "inner_gap_evaluations": sum(r.inner_gap_evaluations for r in trace.records),
         "seed": cfg.seed,
     }
-    metrics_path = os.path.join(out, "metrics.csv")
-    write_metrics(metrics_path, trace)
-    write_trace(os.path.join(out, "trace.csv"), trace, metrics_path)
+    rows = write_metrics(os.path.join(out, "metrics.csv"), trace)
+    write_trace(os.path.join(out, "trace.csv"), trace, rows)
     write_pgm(os.path.join(out, "recon.pgm"), pair.x)
     with open(os.path.join(out, "summary.json"), "w") as fh:
         json.dump({key: _json_value(value) for key, value in summary.items()},

@@ -385,7 +385,7 @@ def _constant_regime_field(centered):
 
 @dataclass(frozen=True, eq=False)
 class InnerInfo:
-    """What the outer iteration needs to know about one inner solve.
+    """What the outer iteration needs to know about one inner solve, besides its pair.
 
     `gap_evaluations` is the report's count of duality gaps taken, 0 for
     the exact quadratic solve.  `report` is the full PdhgReport of a TV
@@ -398,7 +398,6 @@ class InnerInfo:
     iterations: int
     converged: bool
     gap_evaluations: int = 0
-    lam: object = None
     report: object = None
 
 
@@ -453,10 +452,7 @@ def inner_solver(xi, penalty, gap_target=None, warm_x=None, warm_lam=None, max_i
         warm_x = 2.0 * warm_x - prev_x
         warm_lam = 2.0 * warm_lam - prev_lam
     report = pdhg_solve(prob, z0=warm_x, lam0=warm_lam, eta=gap_target, max_iter=max_iter)
-    pair = PrimalDualPair(
-        x=report.x, xi=np.array(xi, dtype=float, copy=True), eps=report.eps_certificate
-    )
-    return pair, InnerInfo(
-        iterations=report.iterations, converged=report.converged,
-        gap_evaluations=report.gap_evaluations, lam=report.lam, report=report,
-    )
+    pair = PrimalDualPair(x=report.x, xi=np.array(xi, dtype=float, copy=True),
+                          eps=report.eps_certificate, lam=report.lam)
+    return pair, InnerInfo(iterations=report.iterations, converged=report.converged,
+                           gap_evaluations=report.gap_evaluations, report=report)

@@ -12,7 +12,7 @@ The outer iteration never works with exact minimizers.  Its currency is the
 `PrimalDualPair` (x, xi, eps): a certificate that xi is an eps-subgradient of
 Theta at x, equivalently that x minimizes Theta - <xi, .> up to eps.  Pairs
 come out of `solve_quadratic_exact` (eps = 0) or out of the PDHG inner solver
-(eps = certified duality gap).
+(eps = certified duality gap, with the dual field lam that certifies it).
 """
 
 import math
@@ -75,13 +75,15 @@ class NonnegativityConstraint:
 class PrimalDualPair:
     """Certified triple (x, xi, eps): xi lies in the eps-subdifferential at x.
 
-    Treat the arrays as immutable; every producer in this package allocates
-    fresh ones.
+    lam is the TV dual field whose gap certifies eps, None for a quadratic
+    pair.  Treat the arrays as immutable; every producer in this package
+    allocates fresh ones.
     """
 
     x: np.ndarray
     xi: np.ndarray
     eps: float
+    lam: np.ndarray = None
 
     def __post_init__(self):
         if self.x.shape != self.xi.shape:

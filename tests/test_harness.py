@@ -224,8 +224,8 @@ def test_metrics_files(tmp_path):
     _, trace = run(problem, QuadraticPenalty(mu=1.0),
                    ExperimentConfig(**small_ct_kwargs()))
     mpath, tpath = tmp_path / "metrics.csv", tmp_path / "trace.csv"
-    write_metrics(mpath, trace)
-    write_trace(tpath, trace)
+    rows = write_metrics(mpath, trace)
+    write_trace(tpath, trace, rows)
     lines = mpath.read_text().splitlines()
     assert lines[0] == "n,i_n,residual_norm,mu_tilde,mu,eps_n,inner_iterations,rel_error,q_n"
     assert len(lines) == len(trace.records) + 1

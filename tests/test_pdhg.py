@@ -276,11 +276,12 @@ def _two_equal_records():
     grid = np.zeros((2, 2))
     prob = DenoiseProblem(xi=rand_grid(28, (3, 3)), mu=1.0)
     return {
-        "PrimalDualPair": lambda: PrimalDualPair(x=grid.copy(), xi=grid.copy(), eps=0.0),
+        "PrimalDualPair": lambda: PrimalDualPair(x=grid.copy(), xi=grid.copy(), eps=0.0,
+                                                 lam=np.zeros((2, 2, 2))),
         "DenoiseProblem": lambda: DenoiseProblem(xi=grid.copy(), mu=1.0),
         "TomoGeometry": lambda: TomoGeometry(**geom),
         "PdhgReport": lambda: pdhg_solve(prob, max_iter=8),
-        "InnerInfo": lambda: InnerInfo(iterations=0, converged=True, lam=np.zeros((2, 2, 2))),
+        "InnerInfo": lambda: InnerInfo(iterations=0, converged=True),
     }
 
 
@@ -290,6 +291,21 @@ def test_array_holding_records_compare_and_hash_by_identity(cls):
     a, b = make(), make()
     assert a == a and not a == b and a != b
     assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+@pytest.mark.parametrize("constraint", [None, NonnegativityConstraint()])
+@pytest.mark.parametrize("seed", range(5))
+def test_a_tv_pair_carries_the_dual_field_that_certifies_its_eps(seed, constraint):
+    xi = rand_grid(900 + seed, (9, 7))
+    warm = rand_grid(950 + seed, (9, 7))  # not constant, so PDHG iterates
+    pair, info = inner_solver(xi, TotalVariationPenalty(mu=1.0, constraint=constraint),
+                              gap_target=1e-3, warm_x=warm)
+    assert info.iterations > 0 and pair.lam is info.report.lam
+    # at mu = 1 the report's values are the unit-weight ones, unscaled
+    prob = DenoiseProblem(xi=xi, mu=1.0, constraint=constraint)
+    assert max(primal_value(prob, pair.x) - dual_value(prob, pair.lam), 0.0) == pair.eps
+    quadratic, _ = inner_solver(xi, QuadraticPenalty(mu=1.0, constraint=constraint))
+    assert quadratic.lam is None
 
 
 def test_constant_data_solved_in_few_iterations():

@@ -44,15 +44,13 @@ def test_csv_cell_matches_the_reference_formatter(value):
     assert harness._csv_cell(value) == _reference_cell(value)
 
 
-def test_trace_rows_are_the_same_whether_formatted_or_streamed(tmp_path):
+def test_trace_refuses_the_rows_of_another_trace(tmp_path):
     cfg = ExperimentConfig(problem="ct", ct_q=8, ct_angles=4, n_blocks=2, penalty="quadratic",
                            constraint="none", noise_rel=0.01, n_max=6, metric_every=4)
     _, trace, _ = run_experiment(cfg, out_dir=tmp_path)
-    harness.write_trace(tmp_path / "formatted.csv", trace)
-    assert (tmp_path / "formatted.csv").read_bytes() == (tmp_path / "trace.csv").read_bytes()
-    harness.write_metrics(tmp_path / "short.csv", RunTrace(records=trace.records[:-1]))
-    with pytest.raises(ValueError):  # a table of another trace cannot be streamed
-        harness.write_trace(tmp_path / "t.csv", trace, tmp_path / "short.csv")
+    short = harness.write_metrics(tmp_path / "short.csv", RunTrace(records=trace.records[:-1]))
+    with pytest.raises(ValueError):
+        harness.write_trace(tmp_path / "t.csv", trace, short)
 
 
 def _refuse(constant):
