@@ -14,9 +14,9 @@ i = n mod N it
    capped adaptive step size mu from `step_size`,
 4. recovers the next primal iterate from xi through the inner solver,
    driven to a summable relative-gap target, which certifies the new eps.
-   The run keeps the last two solves' pairs, each with its TV dual field
-   lam, and a TV solve starts from their extrapolation 2 (x, lam)_n -
-   (x, lam)_{n-1}, or from the last pair while fewer than two exist.
+   The run hands the solver its last two pairs, each with its TV dual
+   field lam; a TV solve starts from their extrapolation 2 (x, lam)_n -
+   (x, lam)_{n-1}, or from the last pair when the one before has no lam.
 
 Every iterate visited, including the final one, contributes one StepRecord
 to the trace; runs end by `discrepancy`, by the iteration `cap`, by
@@ -238,7 +238,7 @@ def run(problem, penalty, cfg, truth=None):
         truth_norm, truth_value = norm(truth), penalty.value(truth)
 
     pair = PrimalDualPair(x=np.zeros(shape), xi=np.zeros(shape), eps=0.0)
-    prev = before = pair  # before: the last solve's warm pair; idle steps move only prev
+    prev = before = pair  # before: the pair before `pair`; idle steps move only prev
 
     trace = RunTrace()
     q = 0
@@ -289,13 +289,8 @@ def run(problem, penalty, cfg, truth=None):
             continue  # zero update direction: nothing would change
 
         xi_next = xi_eval - rec.mu * g
-        new_pair, info = inner_solver(
-            xi_next, penalty,
-            gap_target=cfg.gap_target(n + 1),
-            warm_x=pair.x, warm_lam=pair.lam,
-            max_iter=cfg.inner_max_iter,
-            prev_x=before.x, prev_lam=before.lam,
-        )
+        new_pair, info = inner_solver(xi_next, penalty, gap_target=cfg.gap_target(n + 1),
+                                      last=pair, before=before, max_iter=cfg.inner_max_iter)
         rec.inner_iterations, rec.inner_gap_evaluations = info.iterations, info.gap_evaluations
         if not math.isfinite(new_pair.eps):
             trace.terminated_by = "non-finite"

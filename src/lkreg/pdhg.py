@@ -401,8 +401,7 @@ class InnerInfo:
     report: object = None
 
 
-def inner_solver(xi, penalty, gap_target=None, warm_x=None, warm_lam=None, max_iter=5000,
-                 prev_x=None, prev_lam=None):
+def inner_solver(xi, penalty, gap_target=None, last=None, before=None, max_iter=5000):
     """Produce a certified pair for Theta - <xi, .>, dispatching on penalty kind.
 
     Quadratic penalties are solved exactly (eps = 0, gap target ignored).
@@ -411,21 +410,21 @@ def inner_solver(xi, penalty, gap_target=None, warm_x=None, warm_lam=None, max_i
     denoising objective to Theta - <xi, .> because the two differ by a
     constant.
 
-    (warm_x, warm_lam) is the last solve's pair and (prev_x, prev_lam), given
-    only with both of those, the one before it.  PDHG starts from their
-    linear extrapolation (2 warm_x - prev_x, 2 warm_lam - prev_lam), or from
-    (warm_x, warm_lam) without prev_lam; `pdhg_solve` projects any start,
-    and the eps it returns is the exact gap of the pair it returns.
+    `last` is the last solve's pair and `before` the one before it, each a
+    `PrimalDualPair` or any object with x and lam.  PDHG starts from their
+    extrapolation (2 last.x - before.x, 2 last.lam - before.lam) when both
+    carry a lam, else from (last.x, last.lam); `pdhg_solve` projects any
+    start, and the eps it returns is the exact gap of the pair it returns.
 
-    While warm_x is constant (or None, meaning zeros), the solve first tries
+    While last is None (zeros) or last.x is constant, the solve first tries
     the constant regime: with c = mean(xi) and lam =
     `_constant_regime_field(xi - c)`, `in_unit_balls(lam)` makes (c, lam), c
     projected onto C, an exact primal-dual pair of the unit-weight problem,
     so PDHG starts from (mu c, lam), not extrapolated, and normally returns
     after 0 iterations.  A non-finite xi fails the test.
 
-    A start whose shape is not xi's (x) or (2, *xi.shape) (lam) raises
-    ValueError before that test, as `pdhg_solve` would.
+    A `before` without a `last`, an x not of xi's shape or a lam neither
+    None nor of shape (2, *xi.shape) raises ValueError before that test.
     """
     if penalty.kind == "quadratic":
         return solve_quadratic_exact(xi, penalty), InnerInfo(iterations=0, converged=True)
@@ -433,25 +432,29 @@ def inner_solver(xi, penalty, gap_target=None, warm_x=None, warm_lam=None, max_i
         raise ValueError(f"unknown penalty kind: {penalty.kind!r}")
     if gap_target is None:
         raise ValueError("a TV inner solve needs an explicit gap target")
+    if before is not None and last is None:
+        raise ValueError("a `before` pair needs a `last` pair")
     prob = DenoiseProblem(xi=np.asarray(xi, dtype=float), mu=penalty.mu, constraint=penalty.constraint)
-    x_shape, lam_shape = prob.xi.shape, (2, *prob.xi.shape)
-    for name, start, shape in (("warm_x", warm_x, x_shape), ("warm_lam", warm_lam, lam_shape),
-                               ("prev_x", prev_x, x_shape), ("prev_lam", prev_lam, lam_shape)):
-        if start is not None and np.shape(start) != shape:
-            raise ValueError(f"{name} has shape {np.shape(start)}, not {shape}")
+    for name, start in (("last", last), ("before", before)):
+        if start is None:
+            continue
+        for field, shape in (("x", prob.xi.shape), ("lam", (2, *prob.xi.shape))):
+            value = getattr(start, field)
+            if np.shape(value) != shape and not (field == "lam" and value is None):
+                raise ValueError(f"{name}.{field} has shape {np.shape(value)}, not {shape}")
+    z0, lam0 = (None, None) if last is None else (last.x, last.lam)
     certified = False
-    if warm_x is None or warm_x.min() == warm_x.max():
+    if z0 is None or z0.min() == z0.max():
         # non-finite or huge xi overflows here, and its field fails the test
         with np.errstate(over="ignore", invalid="ignore"):
             c = prob.xi.mean()
             lam = _constant_regime_field(prob.xi - c)
             certified = in_unit_balls(lam)
     if certified:
-        warm_x, warm_lam = np.full(prob.xi.shape, prob.mu * c), lam
-    elif prev_lam is not None:
-        warm_x = 2.0 * warm_x - prev_x
-        warm_lam = 2.0 * warm_lam - prev_lam
-    report = pdhg_solve(prob, z0=warm_x, lam0=warm_lam, eta=gap_target, max_iter=max_iter)
+        z0, lam0 = np.full(prob.xi.shape, prob.mu * c), lam
+    elif lam0 is not None and before is not None and before.lam is not None:
+        z0, lam0 = 2.0 * z0 - before.x, 2.0 * lam0 - before.lam
+    report = pdhg_solve(prob, z0=z0, lam0=lam0, eta=gap_target, max_iter=max_iter)
     pair = PrimalDualPair(x=report.x, xi=np.array(xi, dtype=float, copy=True),
                           eps=report.eps_certificate, lam=report.lam)
     return pair, InnerInfo(iterations=report.iterations, converged=report.converged,

@@ -541,21 +541,37 @@ def test_the_discrepancy_stop_nears_the_truth_as_the_noise_falls():
         assert all(coarse > fine for coarse, fine in zip(errors, errors[1:])), (mode, errors)
 
 
-def test_the_pde_discrepancy_stop_nears_the_truth_as_the_noise_falls():
+def test_the_pde_discrepancy_stop_nears_the_truth_as_the_noise_falls(monkeypatch):
     # The PDE analogue: pde-desk (40 x 40 mesh) at seed 1, plain at 1 % and
     # 0.3 % noise, accelerated also at 0.1 %; 5.4 s in all on a 2-vCPU Xeon.
     # `validate` flags this config (kappa * beta1 * sigma = 20), so only the
     # measured facts are asserted: plain stops at 506 / 1,678 with rel_error
     # 0.531 / 0.396, accelerated at 276 / 444 / 627 with 0.462 / 0.410 / 0.325.
+    # Under `nonneg` plain runs keep every adjoint's coefficient in the cone;
+    # accelerated ones take it at the extrapolant, which leaves it: at 1 %,
+    # 128 of 276 calls see a negative cell.
+    from lkreg.elliptic import EllipticProblem
     from lkreg.harness import build_problem, make_config
 
+    real_adjoint, negative = EllipticProblem.adjoint, []
+
+    def counting_adjoint(self, i, x, w):
+        negative.append(bool((x < 0.0).any()))
+        return real_adjoint(self, i, x, w)
+
+    monkeypatch.setattr(EllipticProblem, "adjoint", counting_adjoint)
     for mode, levels in (("plain", (0.01, 0.003)), ("accelerated", (0.01, 0.003, 0.001))):
         stops, errors = [], []
         for noise_rel in levels:
             cfg = make_config(preset="pde-desk", n_max=20000, noise_rel=noise_rel, mode=mode)
             problem, truth = build_problem(cfg)
+            negative.clear()
             _, trace = run(problem, cfg.penalty_object(), cfg, truth=truth)
             assert trace.terminated_by == "discrepancy", (mode, noise_rel)
+            if mode == "plain":
+                assert not any(negative), noise_rel
+            elif noise_rel == 0.01:
+                assert (sum(negative), len(negative)) == (128, 276)
             stops.append(trace.n_final)
             errors.append(trace.records[-1].rel_error)
         assert stops == sorted(stops), mode
@@ -581,3 +597,64 @@ def test_the_warm_start_outlives_idle_steps(tmp_path):
     assert sum(rec.q_n > 0 for rec in trace.records[:-1]) == 11
     digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
     assert digest == "45abf71dd12305250db8e1dcc2e694775f8745a1c0ad49dfbec63531edca002a"
+
+
+def test_a_plain_tv_run_keeps_its_bytes(tmp_path, monkeypatch):
+    # ct-desk for 400 steps at seed 1, to the cap, pinned byte for byte.  Its
+    # solves reach all three PDHG phases: 12 are certified at their start,
+    # 388 search in float32, and 4 of those go on in float64.  Every inner
+    # product has 4,096 entries, too few for the BLAS to split by thread, so
+    # the digest holds under any thread count.
+    import hashlib
+
+    from lkreg import pdhg
+    from lkreg.harness import make_config, run_experiment
+
+    real_checked_iterates, float64_runs = pdhg._checked_iterates, []
+
+    def counting_checked_iterates(it, iters, max_iter):
+        float64_runs.append(it.z.dtype == np.float64)
+        return real_checked_iterates(it, iters, max_iter)
+
+    monkeypatch.setattr(pdhg, "_checked_iterates", counting_checked_iterates)
+    _, trace, _ = run_experiment(make_config(preset="ct-desk", n_max=400, seed=1),
+                                 out_dir=tmp_path)
+    assert trace.terminated_by == "cap" and trace.n_final == 400
+    iterations = [rec.inner_iterations for rec in trace.records[:-1]]
+    assert iterations.count(0) == 12 and sum(iterations) == 8596
+    assert (len(float64_runs), sum(float64_runs)) == (388 + 4, 4)
+    digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
+    assert digest == "9033a2c411c6dc565c555bc7bfaf39ec74a56659a033fd8c6e04aecb47840cfd"
+
+
+def test_the_engine_hands_the_solver_the_pairs_it_holds(monkeypatch):
+    # The benchmark's probe stands in for `engine.inner_solver` and reads
+    # `gap_target` from the keywords, so every call passes it by name.  An
+    # accelerated 4-block run with idle steps: `last` is the pair the last
+    # solve returned, and `before` the one that solve started from, never the
+    # momentum's pair.
+    from lkreg.harness import build_problem, make_config
+
+    real_inner_solver, calls = engine.inner_solver, []
+
+    def recording(*args, **kw):
+        pair, info = real_inner_solver(*args, **kw)
+        calls.append((args, kw, pair))
+        return pair, info
+
+    monkeypatch.setattr(engine, "inner_solver", recording)
+    cfg = make_config(ct_q=16, ct_angles=8, ct_angle_step=22.5, n_blocks=4, noise_rel=0.05,
+                      n_max=3000, mode="accelerated", seed=1)
+    problem, _ = build_problem(cfg)
+    pen = cfg.penalty_object()
+    _, trace = run(problem, pen, cfg)
+    solved = [rec.n for rec in trace.records[:-1] if rec.q_n == 0]
+    assert len(calls) == len(solved) and len(solved) < len(trace.records) - 1  # idle steps
+    start = calls[0][1]["last"]
+    assert start.lam is None and not start.x.any() and calls[0][1]["before"] is start
+    for k, ((args, kw, _), n) in enumerate(zip(calls, solved)):
+        assert len(args) == 2 and args[1] is pen
+        assert set(kw) == {"gap_target", "last", "before", "max_iter"}
+        assert kw["gap_target"] == cfg.gap_target(n + 1) and kw["max_iter"] == cfg.inner_max_iter
+        if k > 0:
+            assert kw["last"] is calls[k - 1][2] and kw["before"] is calls[k - 1][1]["last"]

@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -253,21 +255,46 @@ def test_a_mis_shaped_dual_start_is_refused(shape):
     assert rep.lam.shape == (2, 4, 5)
 
 
+def _start(x=(4, 5), lam=(2, 4, 5)):
+    """A start pair of zeros: any object with x and lam will do."""
+    return SimpleNamespace(x=np.zeros(x), lam=None if lam is None else np.zeros(lam))
+
+
+# the ids name the last pair "warm" and the one before it "prev"
 @pytest.mark.parametrize("scale", [1.0, 10.0], ids=["closed-form", "pdhg"])
 @pytest.mark.parametrize("starts, name", [
-    ({"warm_x": np.zeros(5), "warm_lam": np.zeros(3)}, "warm_x"),
-    ({"warm_lam": np.zeros(3)}, "warm_lam"),
-    ({"warm_lam": np.zeros((4, 5))}, "warm_lam"),
-    ({"prev_x": np.zeros(5)}, "prev_x"),
-    ({"prev_lam": np.zeros((2, 5, 4))}, "prev_lam"),
-], ids=["warm-pair-flat", "warm_lam-flat", "warm_lam-grid", "prev_x-flat", "prev_lam-transposed"])
+    ({"last": _start(x=5, lam=3)}, "last.x"),
+    ({"last": _start(lam=3)}, "last.lam"),
+    ({"last": _start(lam=(4, 5))}, "last.lam"),
+    ({"before": _start(x=5)}, "before.x"),
+    ({"before": _start(lam=(2, 5, 4))}, "before.lam"),
+    ({"before": SimpleNamespace(x=None, lam=np.zeros((2, 4, 5)))}, "before.x"),
+], ids=["warm-pair-flat", "warm_lam-flat", "warm_lam-grid", "prev_x-flat", "prev_lam-transposed",
+        "prev_x-none"])
 def test_a_mis_shaped_warm_start_is_refused_before_the_closed_form(starts, name, scale):
     # at scale 1 the closed form certifies xi and would drop the starts unchecked
     xi = scale * np.random.default_rng(1).standard_normal((4, 5))
-    kwargs = {"warm_x": np.zeros((4, 5)), "warm_lam": np.zeros((2, 4, 5)),
-              "prev_x": np.zeros((4, 5)), "prev_lam": np.zeros((2, 4, 5)), **starts}
-    with pytest.raises(ValueError, match=f"{name} has shape"):
+    kwargs = {"last": _start(), "before": _start(), **starts}
+    with pytest.raises(ValueError, match=re.escape(f"{name} has shape")):
         inner_solver(xi, TotalVariationPenalty(mu=1.0), gap_target=0.1, **kwargs)
+
+
+def test_a_before_pair_without_a_last_pair_is_refused():
+    with pytest.raises(ValueError, match="needs a `last` pair"):
+        inner_solver(rand_grid(29, (4, 5)), TotalVariationPenalty(mu=1.0), gap_target=0.1,
+                     before=_start())
+
+
+def test_a_last_pair_without_a_dual_field_is_not_extrapolated():
+    # like the engine's second solve, whose last pair is the zero start
+    prob = DenoiseProblem(xi=10.0 * rand_grid(30, (4, 5)), mu=1.0)
+    last = SimpleNamespace(x=rand_grid(31, (4, 5)), lam=None)
+    before = SimpleNamespace(x=rand_grid(32, (4, 5)), lam=project_dual_ball(rand_field(33, (4, 5))))
+    pair, info = inner_solver(prob.xi, TotalVariationPenalty(mu=1.0), gap_target=1e-3,
+                              last=last, before=before)
+    want = pdhg_solve(prob, z0=last.x, eta=1e-3)
+    assert info.iterations > 0
+    _same_report(info.report, want)
 
 
 def _two_equal_records():
@@ -299,7 +326,7 @@ def test_a_tv_pair_carries_the_dual_field_that_certifies_its_eps(seed, constrain
     xi = rand_grid(900 + seed, (9, 7))
     warm = rand_grid(950 + seed, (9, 7))  # not constant, so PDHG iterates
     pair, info = inner_solver(xi, TotalVariationPenalty(mu=1.0, constraint=constraint),
-                              gap_target=1e-3, warm_x=warm)
+                              gap_target=1e-3, last=SimpleNamespace(x=warm, lam=None))
     assert info.iterations > 0 and pair.lam is info.report.lam
     # at mu = 1 the report's values are the unit-weight ones, unscaled
     prob = DenoiseProblem(xi=xi, mu=1.0, constraint=constraint)
@@ -922,10 +949,11 @@ def constant_regime_case(draw):
     pen = TotalVariationPenalty(mu=draw(st.sampled_from([1.0, 2.5, 20.0])),
                                 constraint=draw(_constraints))
     warm = draw(st.sampled_from(["none", "constant", "varying"]))
-    warm_x = {"none": None, "constant": np.full(shape, 0.25),
-              "varying": np.arange(float(np.prod(shape))).reshape(shape)}[warm]
-    warm_lam = None if warm == "none" else project_dual_ball(rand_field(51, shape))
-    return xi, pen, warm_x, warm_lam
+    x = {"none": None, "constant": np.full(shape, 0.25),
+         "varying": np.arange(float(np.prod(shape))).reshape(shape)}[warm]
+    last = None if warm == "none" else SimpleNamespace(
+        x=x, lam=project_dual_ball(rand_field(51, shape)))
+    return xi, pen, last
 
 
 def _same_report(a, b):
@@ -940,15 +968,15 @@ def _same_report(a, b):
 @settings(max_examples=40, deadline=None)
 @given(constant_regime_case())
 def test_constant_regime_start_property(case):
-    xi, pen, warm_x, warm_lam = case
+    xi, pen, last = case
     prob = DenoiseProblem(xi=xi, mu=pen.mu, constraint=pen.constraint)
-    tried = warm_x is None or warm_x.min() == warm_x.max()
+    tried = last is None or last.x.min() == last.x.max()
     inside = float(np.max(pointwise_norm(_constant_regime_field(xi - xi.mean())))) <= 1.0
-    pair, info = inner_solver(xi, pen, gap_target=1e-6, warm_x=warm_x, warm_lam=warm_lam,
-                              max_iter=300)
+    pair, info = inner_solver(xi, pen, gap_target=1e-6, last=last, max_iter=300)
     assert pair.eps == info.report.eps_certificate
     if not (tried and inside):
-        want = pdhg_solve(prob, z0=warm_x, lam0=warm_lam, eta=1e-6, max_iter=300)
+        want = pdhg_solve(prob, z0=getattr(last, "x", None), lam0=getattr(last, "lam", None),
+                          eta=1e-6, max_iter=300)
         _same_report(info.report, want)
         return
     assert info.iterations == 0 and info.converged
