@@ -234,8 +234,7 @@ def run(problem, penalty, cfg, truth=None):
     noisy = delta > 0.0
     threshold = power(cfg.tau * delta, cfg.p)  # inf on overflow, which stops step 0
 
-    if truth is not None:  # run constants of the diagnostics
-        truth_norm, truth_value = norm(truth), penalty.value(truth)
+    distances = None if truth is None else _Distances(penalty, truth)
 
     pair = PrimalDualPair(x=np.zeros(shape), xi=np.zeros(shape), eps=0.0)
     prev = before = pair  # before: the pair before `pair`; idle steps move only prev
@@ -261,8 +260,8 @@ def run(problem, penalty, cfg, truth=None):
             n=n, i_n=i, residual_norm=r_norm, mu_tilde=0.0, mu=0.0,
             eps_n=eps_n, inner_iterations=0, q_n=q,
         )
-        if truth is not None and n % cfg.metric_every == 0:
-            _diagnose(rec, pair, penalty, truth, truth_norm, truth_value)
+        if distances is not None and n % cfg.metric_every == 0:
+            distances.fill(rec, pair)
         trace.records.append(rec)
         if not (math.isfinite(r_norm) and math.isfinite(threshold)):
             trace.terminated_by = "non-finite"
@@ -304,27 +303,32 @@ def run(problem, penalty, cfg, truth=None):
     # Every stop, the cap included, leaves the pair as it was at the last
     # record, so an off-cadence final iterate gets its diagnostics here.
     last = trace.records[-1]
-    if truth is not None and last.rel_error is None:
-        _diagnose(last, pair, penalty, truth, truth_norm, truth_value)
+    if distances is not None and last.rel_error is None:
+        distances.fill(last, pair)
     return pair, trace
 
 
-def _relative_error(x, truth, truth_norm=None):
-    """||x - truth|| / ||truth||, or ||x|| for a zero truth; truth_norm is ||truth|| if known."""
-    denom = norm(truth) if truth_norm is None else truth_norm
-    if denom == 0.0:
-        return norm(x)
-    return norm(x - truth) / denom
+class _Distances:
+    """A run's distances to the truth, and the values of the last pair measured.
 
-
-def _diagnose(rec, pair, penalty, truth, truth_norm, truth_value):
-    """Fill rec's distances from pair.x to the truth, given ||truth|| and Theta(truth).
-
-    The Bregman distance is the eps-inflated one, with rec's floored eps_n.
+    A record on that same pair, after an idle step say, copies them, which is
+    exact because its eps_n = max(pair.eps, eps_floor) depends on the pair alone.
     """
-    rec.rel_error = _relative_error(pair.x, truth, truth_norm)
-    inflated = PrimalDualPair(x=pair.x, xi=pair.xi, eps=rec.eps_n)
-    rec.bregman_to_truth = bregman_eps_distance(penalty, inflated, truth, truth_value)
+
+    def __init__(self, penalty, truth):
+        self.penalty, self.truth = penalty, truth
+        self.truth_norm, self.truth_value = norm(truth), penalty.value(truth)  # run constants
+        self.pair = self.values = None
+
+    def fill(self, rec, pair):
+        """Set rec's ||x - truth|| / ||truth|| (||x|| for a zero truth) and eps-Bregman distance."""
+        if pair is not self.pair:
+            diff = self.truth - pair.x  # one difference serves both
+            rel_error = norm(diff) / self.truth_norm if self.truth_norm != 0.0 else norm(pair.x)
+            inflated = PrimalDualPair(x=pair.x, xi=pair.xi, eps=rec.eps_n)
+            bregman = bregman_eps_distance(self.penalty, inflated, self.truth, self.truth_value, diff)
+            self.pair, self.values = pair, (rel_error, bregman)
+        rec.rel_error, rec.bregman_to_truth = self.values
 
 
 @dataclass

@@ -144,23 +144,27 @@ def solve_quadratic_exact(xi, penalty):
         raise ValueError("exact solve only applies to the quadratic penalty")
     x = penalty.mu * np.asarray(xi, dtype=float)
     if penalty.constraint is not None:
-        x = penalty.constraint.project(x)
+        penalty.constraint.project(x, out=x)
     return PrimalDualPair(x=x, xi=np.array(xi, dtype=float, copy=True), eps=0.0)
 
 
-def bregman_eps_distance(theta, pair, xbar, val_bar=None):
+def bregman_eps_distance(theta, pair, xbar, val_bar=None, diff=None):
     """eps-Bregman distance Theta(xbar) - Theta(x) - <xi, xbar - x> + eps.
 
     Returns inf when xbar is infeasible for theta.  Nonnegative whenever the
     pair really certifies an eps-subgradient.  A caller that already holds
-    Theta(xbar) passes it as `val_bar`.
+    Theta(xbar) passes it as `val_bar`, and one that holds xbar - x as
+    `diff`.  An xbar or diff not of pair.x's shape raises ValueError.
     """
+    for name, a in (("xbar", xbar), ("diff", diff)):
+        if a is not None and np.shape(a) != pair.x.shape:
+            raise ValueError(f"{name} has shape {np.shape(a)}, not the pair's {pair.x.shape}")
     if val_bar is None:
         val_bar = theta.value(xbar)
     if math.isinf(val_bar):
         return math.inf
     val_x = theta.value(pair.x)
-    inner = dot(pair.xi, xbar - pair.x)
+    inner = dot(pair.xi, xbar - pair.x if diff is None else diff)
     return val_bar - val_x - inner + pair.eps
 
 

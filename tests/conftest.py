@@ -44,6 +44,22 @@ def tiny_linear_problem(seed, domain_shape=(3, 4), rows=8, n_blocks=1, data=None
     return problem, matrix, truth
 
 
+def idling_linear_problem():
+    """A 16-row, 4-block `tiny_linear_problem` with 10 % data noise, and its truth.
+
+    Run plain with a quadratic penalty of mu = 1 and the engine tests' step
+    settings, it holds 19 steps idle, four times three in a row, before its
+    discrepancy stop at step 66.
+    """
+    _, matrix, truth = tiny_linear_problem(233, rows=16)
+    clean = matrix @ truth.ravel()
+    noise = normals(234, clean.size)
+    noise *= 0.1 * np.linalg.norm(clean) / np.linalg.norm(noise)
+    problem, _, _ = tiny_linear_problem(233, rows=16, n_blocks=4, data=clean + noise)
+    problem.noise_level = float(np.linalg.norm(noise))
+    return problem, truth
+
+
 def solve_with_histories(prob, estimates=None, **kwargs):
     """`pdhg_solve(prob, **kwargs)` and the primal and dual value of every certified pair.
 

@@ -18,7 +18,12 @@ from lkreg.penalty import (
     norm,
 )
 
-from conftest import rand_grid, tiny_linear_problem
+from conftest import idling_linear_problem, rand_grid, tiny_linear_problem
+
+
+def relative_error(x, truth):
+    """The reference formula for a record's rel_error."""
+    return norm(x - truth) / norm(truth)
 
 
 def cfg_with(**kw):
@@ -307,7 +312,7 @@ def test_final_record_diagnosed_off_cadence(monkeypatch, stop, n_final):
     pair, trace = run(problem, pen, cfg, truth=truth)
     assert trace.terminated_by == stop and trace.n_final == n_final
     last = trace.records[-1]
-    assert last.rel_error == engine._relative_error(pair.x, truth)
+    assert last.rel_error == relative_error(pair.x, truth)
     inflated = PrimalDualPair(x=pair.x, xi=pair.xi, eps=last.eps_n)
     assert last.bregman_to_truth == bregman_eps_distance(pen, inflated, truth)
     for rec in trace.records[:-1]:
@@ -478,10 +483,27 @@ def test_run_refuses_a_gap_schedule_leaving_the_unit_interval_before_step_0(monk
     assert calls == []
 
 
-@pytest.mark.parametrize("mode", ["plain", "accelerated"])
-@pytest.mark.parametrize("kind", [QuadraticPenalty, TotalVariationPenalty])
-def test_every_record_matches_the_reference_diagnostics(monkeypatch, mode, kind):
-    problem, _, truth = tiny_linear_problem(233, n_blocks=2)
+# id -> (penalty, mode, metric_every, noisy): the noiseless 2-block runs take
+# a new pair at every step, the noisy 4-block ones hold 19 steps idle
+_DIAGNOSED_RUNS = {
+    "QuadraticPenalty-plain": (QuadraticPenalty, "plain", 1, False),
+    "QuadraticPenalty-accelerated": (QuadraticPenalty, "accelerated", 1, False),
+    "TotalVariationPenalty-plain": (TotalVariationPenalty, "plain", 1, False),
+    "TotalVariationPenalty-accelerated": (TotalVariationPenalty, "accelerated", 1, False),
+    "QuadraticPenalty-idle-steps-every-1": (QuadraticPenalty, "plain", 1, True),
+    "QuadraticPenalty-idle-steps-every-3": (QuadraticPenalty, "plain", 3, True),
+}
+
+
+@pytest.mark.parametrize("kind,mode,every,noisy", _DIAGNOSED_RUNS.values(),
+                         ids=_DIAGNOSED_RUNS.keys())
+def test_every_record_matches_the_reference_diagnostics(monkeypatch, kind, mode, every, noisy):
+    if noisy:
+        problem, truth = idling_linear_problem()
+        n_max = 200
+    else:
+        problem, _, truth = tiny_linear_problem(233, n_blocks=2)
+        n_max = 9
     truth_values = []
 
     class CountingPenalty(kind):
@@ -490,24 +512,49 @@ def test_every_record_matches_the_reference_diagnostics(monkeypatch, mode, kind)
                 truth_values.append(z)
             return super().value(z)
 
-    pairs = [PrimalDualPair(x=np.zeros(truth.shape), xi=np.zeros(truth.shape), eps=0.0)]
-    real_inner_solver = engine.inner_solver
+    # each step's residual comes first, at the pair the last solve returned
+    solved = [PrimalDualPair(x=np.zeros(truth.shape), xi=np.zeros(truth.shape), eps=0.0)]
+    at_record, measured = [], []
+    real_inner_solver, real_residual = engine.inner_solver, problem.residual
+    real_bregman = engine.bregman_eps_distance
 
     def recording(xi, penalty, **kw):
         pair, info = real_inner_solver(xi, penalty, **kw)
-        pairs.append(pair)
+        solved.append(pair)
         return pair, info
 
+    def residual(i, x):
+        at_record.append(solved[-1])
+        return real_residual(i, x)
+
+    def counting_bregman(*args):
+        measured.append(args)
+        return real_bregman(*args)
+
     monkeypatch.setattr(engine, "inner_solver", recording)
+    monkeypatch.setattr(problem, "residual", residual)
+    monkeypatch.setattr(engine, "bregman_eps_distance", counting_bregman)
     pen = CountingPenalty(mu=1.0)
-    _, trace = run(problem, pen, cfg_with(n_max=9, mode=mode, metric_every=1), truth=truth)
+    _, trace = run(problem, pen, cfg_with(n_max=n_max, mode=mode, metric_every=every),
+                   truth=truth)
     assert len(truth_values) == 1  # Theta(truth) is a run constant
-    assert len(pairs) == len(trace.records)  # one solve per step but the capped last
+    assert len(at_record) == len(trace.records)
+    if not noisy:
+        assert len(solved) == len(trace.records)  # one solve per step but the capped last
     reference = kind(mu=1.0)
-    for rec, pair in zip(trace.records, pairs):
-        assert rec.rel_error == engine._relative_error(pair.x, truth)
+    diagnosed = []
+    for rec, pair in zip(trace.records, at_record):
+        if rec.n % every and rec is not trace.records[-1]:
+            assert rec.rel_error is None and rec.bregman_to_truth is None
+            continue
+        diagnosed.append(pair)
+        assert rec.rel_error == relative_error(pair.x, truth)
         inflated = PrimalDualPair(x=pair.x, xi=pair.xi, eps=rec.eps_n)
         assert rec.bregman_to_truth == bregman_eps_distance(reference, inflated, truth)
+    # one distance per pair: a record on a pair that did not move copies the last one's
+    distinct = len({id(pair) for pair in diagnosed})
+    assert len(measured) == distinct
+    assert (distinct < len(diagnosed)) == noisy
 
 
 def test_the_discrepancy_stop_nears_the_truth_as_the_noise_falls():

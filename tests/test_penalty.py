@@ -161,6 +161,19 @@ def test_bregman_infeasible_probe_is_infinite():
     assert math.isinf(bregman_eps_distance(pen, pair, np.full((3, 3), -1.0)))
 
 
+def test_bregman_refuses_a_probe_or_difference_not_of_the_pairs_shape():
+    pen = QuadraticPenalty(mu=1.0)
+    pair = PrimalDualPair(x=rand_grid(15, (3, 4)), xi=rand_grid(16, (3, 4)), eps=0.0)
+    with pytest.raises(ValueError, match=r"xbar has shape \(1, 4\), not the pair's \(3, 4\)"):
+        bregman_eps_distance(pen, pair, np.ones((1, 4)))
+    with pytest.raises(ValueError, match=r"diff has shape \(4,\), not the pair's \(3, 4\)"):
+        bregman_eps_distance(pen, pair, np.ones((3, 4)), diff=np.ones(4))
+    # a given difference xbar - x stands in for the one the distance would form
+    xbar = rand_grid(17, (3, 4))
+    assert (bregman_eps_distance(pen, pair, xbar, diff=xbar - pair.x)
+            == bregman_eps_distance(pen, pair, xbar))
+
+
 def test_bregman_nonnegative_for_certified_tv_pairs():
     pen = TotalVariationPenalty(mu=1.0, constraint=NonnegativityConstraint())
     pair, info = inner_solver(rand_grid(13, (4, 4)), pen, gap_target=1e-6)
