@@ -167,20 +167,13 @@ def _on_vectors(grid_map, shape):
 
 
 def boundary_contribution(mesh, g):
-    """Right-hand-side grid carrying the Dirichlet data, scaled by 1/h^2.
-
-    `g` is either a constant or a callable g(x, y) evaluated at boundary
-    points.
-    """
-    m, h = mesh.m, mesh.h
-    out = np.zeros((m, m))
-    coords = mesh.coords()
-    value = g if callable(g) else lambda x, y: g
-    out[0, :] += value(0.0, coords)
-    out[-1, :] += value(1.0, coords)
-    out[:, 0] += value(coords, 0.0)
-    out[:, -1] += value(coords, 1.0)
-    return out / h ** 2
+    """Right-hand-side grid carrying the constant Dirichlet value g, scaled by 1/h^2."""
+    out = np.zeros((mesh.m, mesh.m))
+    out[0, :] += g
+    out[-1, :] += g
+    out[:, 0] += g
+    out[:, -1] += g
+    return out / mesh.h ** 2
 
 
 def solve_state(c, mesh, f, g=0.0):

@@ -40,8 +40,9 @@ class ForwardProblem:
     """Block-structured forward map with attached data.
 
     Subclasses define `num_blocks`, `domain_shape`, the block maps
-    `apply(i, x)`, their linearizations `derivative(i, x, h)` and adjoints
-    `adjoint(i, x, w)`, and per-block data vectors `data(i)`.  noise_level
+    `apply(i, x)`, the adjoints `adjoint(i, x, w)` of their linearizations,
+    and per-block data vectors `data(i)`; the engine calls nothing else, so
+    a `derivative(i, x, h)` is optional.  noise_level
     is the absolute noise level delta of the whole data; 0 means exact data
     (no discrepancy test, run to n_max).
     """
@@ -51,9 +52,6 @@ class ForwardProblem:
     noise_level = 0.0
 
     def apply(self, i, x):
-        raise NotImplementedError
-
-    def derivative(self, i, x, h):
         raise NotImplementedError
 
     def adjoint(self, i, x, w):
@@ -341,29 +339,23 @@ class ValidationReport:
     c1: float = None
     c1_ok: bool = None
     c1_offset: float = None  # C in c1 = 1/beta - C, the part of c1 that beta leaves alone
-    eps_budget: float = None
     warnings: list = field(default_factory=list)
 
 
-def validate_config(cfg, beta=None, c0=None, gamma=None, rho=None):
+def validate_config(cfg, beta=2.0, c0=None):
     """Check the step-size admissibility conditions and collect warnings.
 
     kappa is 1 for p >= s and (beta^a - 1)^(-1/a) = (1 - beta^(-a))^(-1/a) / beta
     with a = p/(s-p) otherwise, for an auxiliary constant beta > 1; the second
-    form, evaluated here, tends to 1/beta as p -> s.  When beta is omitted it
-    defaults to 2, or to min(2, (1 + 1/max(gamma, 1e-3)) / 2) when gamma is
-    supplied, which keeps beta * gamma < 1 whenever possible.  The report states whether
-    kappa * beta1 * sigma <= 1 and, when c0 (and optionally the nonlinearity
-    bound gamma) are given, whether
+    form, evaluated here, tends to 1/beta as p -> s.  The report states whether
+    kappa * beta1 * sigma <= 1 and, when c0 is given, whether
 
-        c1 = 1/beta - gamma - (1+gamma)/tau - (2/p*) (beta0 / (2 c0))^(p*-1)
+        c1 = 1/beta - 1/tau - (2/p*) (beta0 / (2 c0))^(p*-1)
 
-    is positive, p* being the conjugate exponent of p.  With rho and c0 both
-    given the report also carries the eps budget c0 rho^p / 16 that the
-    certified eps sequence should stay below in total.
+    is positive, p* being the conjugate exponent of p.  This is the paper's
+    margin with the nonlinearity constant gamma taken as 0, exact for the
+    linear CT problems.
     """
-    if beta is None:
-        beta = 2.0 if gamma is None else min(2.0, (1.0 + 1.0 / max(gamma, 1e-3)) / 2.0)
     if not beta > 1.0:
         raise ValueError("auxiliary constant beta must exceed 1")
     p, s = cfg.p, cfg.s
@@ -379,28 +371,20 @@ def validate_config(cfg, beta=None, c0=None, gamma=None, rho=None):
             f"kappa * beta1 * sigma = {product:g} exceeds 1; "
             "the step-size cap is outside the admissible range"
         )
-    if gamma is not None and not 0.0 <= gamma * beta < 1.0:
-        report.warnings.append(
-            f"nonlinearity bound gamma = {gamma:g} with beta = {beta:g} "
-            "violates beta * gamma < 1"
-        )
     if c0 is not None:
-        g = 0.0 if gamma is None else gamma
         if p > 1.0:
             p_conj = p / (p - 1.0)
             slope_term = (2.0 / p_conj) * power(cfg.beta0 / (2.0 * c0), p_conj - 1.0)
         else:
             # conjugate exponent is infinite: the term survives only above ratio 1
             slope_term = 0.0 if cfg.beta0 <= 2.0 * c0 else math.inf
-        report.c1_offset = g + (1.0 + g) / cfg.tau + slope_term
+        report.c1_offset = 1.0 / cfg.tau + slope_term
         report.c1 = 1.0 / beta - report.c1_offset
         report.c1_ok = report.c1 > 0.0
         if not report.c1_ok:
             report.warnings.append(
                 f"descent margin c1 = {report.c1:g} is not positive for beta = {beta:g}"
             )
-        if rho is not None:
-            report.eps_budget = c0 * power(rho, p) / 16.0
     if cfg.gap_exponent <= 1.0:
         report.warnings.append(
             f"gap_exponent = {cfg.gap_exponent:g} makes the inner gap targets "

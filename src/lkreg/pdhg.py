@@ -410,8 +410,8 @@ def inner_solver(xi, penalty, gap_target=None, last=None, before=None, max_iter=
     denoising objective to Theta - <xi, .> because the two differ by a
     constant.
 
-    `last` is the last solve's pair and `before` the one before it, each a
-    `PrimalDualPair` or any object with x and lam.  PDHG starts from their
+    `last` is the last solve's `PrimalDualPair` and `before` the one before
+    it; each pair has checked its own lam.  PDHG starts from their
     extrapolation (2 last.x - before.x, 2 last.lam - before.lam) when both
     carry a lam, else from (last.x, last.lam); `pdhg_solve` projects any
     start, and the eps it returns is the exact gap of the pair it returns.
@@ -423,8 +423,8 @@ def inner_solver(xi, penalty, gap_target=None, last=None, before=None, max_iter=
     so PDHG starts from (mu c, lam), not extrapolated, and normally returns
     after 0 iterations.  A non-finite xi fails the test.
 
-    A `before` without a `last`, an x not of xi's shape or a lam neither
-    None nor of shape (2, *xi.shape) raises ValueError before that test.
+    A start that is not a `PrimalDualPair` raises TypeError, and a `before`
+    without a `last` or an x not of xi's shape ValueError, before that test.
     """
     if penalty.kind == "quadratic":
         return solve_quadratic_exact(xi, penalty), InnerInfo(iterations=0, converged=True)
@@ -438,10 +438,10 @@ def inner_solver(xi, penalty, gap_target=None, last=None, before=None, max_iter=
     for name, start in (("last", last), ("before", before)):
         if start is None:
             continue
-        for field, shape in (("x", prob.xi.shape), ("lam", (2, *prob.xi.shape))):
-            value = getattr(start, field)
-            if np.shape(value) != shape and not (field == "lam" and value is None):
-                raise ValueError(f"{name}.{field} has shape {np.shape(value)}, not {shape}")
+        if not isinstance(start, PrimalDualPair):
+            raise TypeError(f"{name} must be a PrimalDualPair, not {type(start).__name__}")
+        if start.x.shape != prob.xi.shape:
+            raise ValueError(f"{name}.x has shape {start.x.shape}, not {prob.xi.shape}")
     z0, lam0 = (None, None) if last is None else (last.x, last.lam)
     certified = False
     if z0 is None or z0.min() == z0.max():

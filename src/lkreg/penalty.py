@@ -75,9 +75,10 @@ class NonnegativityConstraint:
 class PrimalDualPair:
     """Certified triple (x, xi, eps): xi lies in the eps-subdifferential at x.
 
-    lam is the TV dual field whose gap certifies eps, None for a quadratic
-    pair.  Treat the arrays as immutable; every producer in this package
-    allocates fresh ones.
+    x and xi are arrays of one shape.  lam is the TV dual field whose gap
+    certifies eps, None for a quadratic pair; any other lam must have shape
+    (2, *x.shape).  Treat the arrays as immutable; every producer in this
+    package allocates fresh ones.
     """
 
     x: np.ndarray
@@ -86,10 +87,13 @@ class PrimalDualPair:
     lam: np.ndarray = None
 
     def __post_init__(self):
-        if self.x.shape != self.xi.shape:
-            raise ValueError("primal and dual grids must share a shape")
+        shape = getattr(self.x, "shape", None)
+        if shape is None or shape != getattr(self.xi, "shape", None):
+            raise ValueError("primal and dual grids must be arrays of one shape")
         if not (self.eps >= 0.0):
             raise ValueError("certificate eps must be nonnegative")
+        if self.lam is not None and np.shape(self.lam) != (2, *shape):
+            raise ValueError(f"lam has shape {np.shape(self.lam)}, not {(2, *shape)}")
 
 
 @dataclass(frozen=True)
@@ -168,7 +172,7 @@ def bregman_eps_distance(theta, pair, xbar, val_bar=None, diff=None):
     return val_bar - val_x - inner + pair.eps
 
 
-def check_eps_subgradient(pair, theta, dual_lower_bound, tol=None):
+def check_eps_subgradient(pair, theta, dual_lower_bound):
     """Fenchel-type certificate test for xi in the eps-subdifferential at x.
 
     `dual_lower_bound` must be a lower bound on min_z Theta(z) - <xi, z>
@@ -176,14 +180,10 @@ def check_eps_subgradient(pair, theta, dual_lower_bound, tol=None):
     exact value; for TV pairs use the inner solver's dual value shifted by
     -mu ||xi||^2 / 2).  The pair passes when
 
-        Theta(x) - <xi, x> - dual_lower_bound <= eps + tol
-
-    with tol defaulting to 1e-9 * (1 + |Theta(x)|).
+        Theta(x) - <xi, x> - dual_lower_bound <= eps + 1e-9 * (1 + |Theta(x)|).
     """
     val = theta.value(pair.x)
     if math.isinf(val):
         return False
-    if tol is None:
-        tol = 1e-9 * (1.0 + abs(val))
     gap = val - dot(pair.xi, pair.x) - dual_lower_bound
-    return gap <= pair.eps + tol
+    return gap <= pair.eps + 1e-9 * (1.0 + abs(val))

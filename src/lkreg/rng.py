@@ -28,20 +28,20 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0 ** -53
 
 
-def raw_stream(seed, count, offset=0):
+def raw_stream(seed, count):
     """First `count` raw 64-bit outputs of SplitMix64(seed), as uint64."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    k = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    k = np.arange(1, count + 1, dtype=np.uint64)
     z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + k * _GAMMA
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     return z ^ (z >> np.uint64(31))
 
 
-def uniforms(seed, count, offset=0):
+def uniforms(seed, count):
     """`count` uniforms in [0, 1) drawn from the seeded raw stream."""
-    return (raw_stream(seed, count, offset) >> np.uint64(11)).astype(np.float64) * _U53
+    return (raw_stream(seed, count) >> np.uint64(11)).astype(np.float64) * _U53
 
 
 def normals(seed, count):

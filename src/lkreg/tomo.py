@@ -313,9 +313,6 @@ class MatrixProblem(ForwardProblem):
     def apply(self, i, x):
         return self._blocks[i] @ np.asarray(x).ravel()
 
-    def derivative(self, i, x, h):
-        return self.apply(i, h)
-
     def adjoint(self, i, x, w):
         w = np.asarray(w, dtype=float).ravel()
         if w.size != self._blocks[i].shape[0]:

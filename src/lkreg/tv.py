@@ -34,20 +34,17 @@ def discrete_gradient(z, out=None):
     return out
 
 
-def divergence_adjoint(field, out=None):
-    """Apply the exact transpose of `discrete_gradient` to a field.
+def divergence_adjoint(field):
+    """Apply the exact transpose of `discrete_gradient` to a field, as a new grid.
 
     Each entry is ((u[i-1, j] - u[i, j]) + v[i, j-1]) - v[i, j], indices
-    wrapping around, evaluated in that order.  With `out`, a C-contiguous
-    grid of the field's shape not overlapping it, the result is written there.
+    wrapping around, evaluated in that order.
     """
-    if out is None:
-        out = np.empty(field.shape[1:])
-    return divergence_into(np.ascontiguousarray(field), out)()
+    return divergence_into(np.ascontiguousarray(field), np.empty(field.shape[1:]))()
 
 
 def divergence_into(field, out):
-    """Bind `divergence_adjoint(field, out)`.
+    """Bind `divergence_adjoint(field)` with `out` as its result.
 
     Returns a function of no arguments that writes the divergence of the
     values `field` holds at the time of the call into `out` and returns
@@ -136,31 +133,25 @@ _INWARD = 1.0 + 2.0 ** -48
 _ONE_UP = np.nextafter(1.0, 2.0)
 
 
-def project_dual_ball(field, out=None, work=None):
-    """Project a field onto pointwise Euclidean unit balls.
+def project_dual_ball(field):
+    """Project a field onto pointwise Euclidean unit balls, as a new field.
 
     Entries that pass `in_unit_balls`'s test, and nan ones, are kept; the
     others are divided by their length times _INWARD, so that the projection
     is idempotent in floating point.  When no entry leaves its ball the
-    field is copied as it is, with no root and no division.  With `out`, a
-    field of the same shape (`field` itself is allowed), the result is
-    written into it; `work`, a field of the same shape distinct from both, is
-    overwritten with scratch values.  Without `out` the result is a new
-    field, never `field` itself.
+    field is copied as it is, with no root and no division.
     """
-    if work is None:
-        work = np.empty(field.shape)
-    if out is None:
-        out = np.empty(field.shape)
-    return projection_into(field, out, work)()
+    return projection_into(field, np.empty(field.shape), np.empty(field.shape))()
 
 
 def projection_into(field, out, work):
-    """Bind `project_dual_ball(field, out, work)`.
+    """Bind `project_dual_ball(field)` with `out` as its result.
 
     Returns a function of no arguments that projects the values `field`
-    holds at the time of the call into `out` and returns `out`; the mask of
-    entries that leave the ball is allocated here, once, so a call
+    holds at the time of the call into `out` (a field of the same shape;
+    `field` itself is allowed) and returns `out`.  `work`, a field of the
+    same shape distinct from both, is overwritten with scratch values.  The
+    mask of entries that leave the ball is allocated here, once, so a call
     allocates only the scale of the entries that do.
     """
     scratch = work[1]

@@ -2,13 +2,15 @@
 
 Each config maps to the sha256 of its `metrics.csv`, `trace.csv`,
 `recon.pgm`, and `summary.json` without its `runtime_seconds` line.  The
-runs take one fresh interpreter with `OPENBLAS_NUM_THREADS=1` set before
-numpy loads, since `ct-paper`-size inner products round differently by
-thread count.  A change that moves bytes on purpose edits `DIGESTS` in the
-same diff and says why; any other move fails here.
+runs take two fresh interpreters at once, four configs each, with
+`OPENBLAS_NUM_THREADS=1` set before numpy loads, since `ct-paper`-size
+inner products round differently by thread count.  A change that moves
+bytes on purpose edits `DIGESTS` in the same diff and says why; any other
+move fails here.
 
-Run this file as a script, `python tests/test_artifact_bytes.py OUT_DIR`
-with `lkreg` importable, to print the current digests as JSON.
+Run this file as a script, `python tests/test_artifact_bytes.py OUT_DIR
+[NAME ...]` with `lkreg` importable, to print the current digests of the
+named configs (default: all) as JSON.
 """
 
 import hashlib
@@ -34,6 +36,10 @@ CONFIGS = {
     "custom-kaczmarz-every-3": dict(_KACZMARZ, metric_every=3),
 }
 ARTIFACTS = ("metrics.csv", "trace.csv", "recon.pgm", "summary.json")
+# the configs of each interpreter, about 1.6 and 2.0 s of runs on one core
+GROUPS = (("ct-desk-400", "ct-desk-accelerated", "ct-desk-accelerated-5-blocks", "pde-paper-20"),
+          ("ct-paper-4", "pde-desk-noisy-accelerated", "custom-kaczmarz-every-1",
+           "custom-kaczmarz-every-3"))
 
 DIGESTS = {
     "ct-desk-400": {
@@ -95,18 +101,21 @@ def artifact_digest(path):
     return hashlib.sha256(b"".join(lines)).hexdigest()
 
 
-def run_all(out_root):
-    """Run every config under `out_root` and return its artifacts' digests."""
+def run_all(out_root, names):
+    """Run the named configs under `out_root` and return their artifacts' digests."""
     from lkreg import harness, tomo
 
     out_root = pathlib.Path(out_root)
+    out_root.mkdir(parents=True, exist_ok=True)
     inputs = {"matrix_path": str(out_root / "matrix.txt"),
               "truth_path": str(out_root / "truth.txt")}
-    geom = harness.ct_geometry(harness.make_config(preset="ct-desk"))
-    tomo.save_matrix_coo(inputs["matrix_path"], tomo.build_parallel_tomo(geom))
-    harness.save_grid(inputs["truth_path"], tomo.shepp_logan(geom.q))
+    if any(CONFIGS[name].get("problem") == "custom-linear" for name in names):
+        geom = harness.ct_geometry(harness.make_config(preset="ct-desk"))
+        tomo.save_matrix_coo(inputs["matrix_path"], tomo.build_parallel_tomo(geom))
+        harness.save_grid(inputs["truth_path"], tomo.shepp_logan(geom.q))
     digests = {}
-    for name, keywords in CONFIGS.items():
+    for name in names:
+        keywords = CONFIGS[name]
         if keywords.get("problem") == "custom-linear":
             keywords = dict(keywords, **inputs)
         out = out_root / name
@@ -119,12 +128,22 @@ def test_every_artifact_keeps_its_bytes(tmp_path):
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, __file__, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == DIGESTS
+    assert sorted(name for group in GROUPS for name in group) == sorted(CONFIGS)
+    runs = [subprocess.Popen([sys.executable, __file__, str(tmp_path / str(k)), *group], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for k, group in enumerate(GROUPS)]
+    try:
+        outputs = [run.communicate(timeout=120) for run in runs]
+    finally:
+        for run in runs:
+            run.kill()
+    digests = {}
+    for run, (out, err) in zip(runs, outputs):
+        assert run.returncode == 0, err
+        digests.update(json.loads(out))
+    assert digests == DIGESTS
 
 
 if __name__ == "__main__":
-    json.dump(run_all(sys.argv[1]), sys.stdout, indent=4)
+    json.dump(run_all(sys.argv[1], sys.argv[2:] or list(CONFIGS)), sys.stdout, indent=4)
     print()

@@ -67,14 +67,6 @@ def test_boundary_contribution_pattern():
     assert np.array_equal(out, want)  # corners touch two boundary edges
 
 
-def test_boundary_contribution_callable():
-    mesh = Mesh(3)
-    out = boundary_contribution(mesh, lambda x, y: x + 10.0 * y) * mesh.h ** 2
-    # corner (0, 0) cell: edge x = 0 gives 10 y = 2.5, edge y = 0 gives x = 0.25
-    assert out[0, 0] == pytest.approx(2.75)
-    assert out[1, 1] == 0.0
-
-
 def test_constant_state_reproduced():
     # c = 4, u = 1: f = -Laplace(1) + 4 = 4 with boundary data 1
     mesh = Mesh(7)

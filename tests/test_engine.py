@@ -331,6 +331,8 @@ def test_validate_kappa_values():
     assert validate_config(cfg_with()).kappa == 1.0  # p = s = 2
     rep = validate_config(cfg_with(p=2.0, s=3.0), beta=2.0)
     assert rep.kappa == pytest.approx(3.0 ** -0.5, rel=1e-12)
+    with pytest.raises(ValueError):
+        validate_config(cfg_with(), beta=1.0)
 
 
 def test_validate_step_cap_product():
@@ -349,18 +351,7 @@ def test_validate_descent_margin():
     assert roomy.c1_ok is True and not roomy.warnings
 
 
-def test_validate_auto_beta_respects_gamma():
-    rep = validate_config(cfg_with(), gamma=0.9, c0=0.5)
-    assert not any("beta * gamma" in w for w in rep.warnings)
-    forced = validate_config(cfg_with(), beta=2.0, gamma=0.9, c0=0.5)
-    assert any("beta * gamma" in w for w in forced.warnings)
-    with pytest.raises(ValueError):
-        validate_config(cfg_with(), beta=1.0)
-
-
-def test_validate_eps_budget_and_flat_gap_warning():
-    rep = validate_config(cfg_with(), c0=0.25, rho=2.0)
-    assert rep.eps_budget == pytest.approx(0.25 * 4.0 / 16.0)
+def test_validate_warns_on_a_non_summable_gap_schedule():
     flat = validate_config(cfg_with(gap_exponent=0.9))
     assert any("non-summable" in w for w in flat.warnings)
 
@@ -402,11 +393,6 @@ def test_power_of_zero_to_a_negative_exponent_is_inf():
 
     assert power(0.0, -1.0) == math.inf and power(0.0, -5e307) == math.inf
     assert power(0.0, 2.0) == 0.0
-
-
-def test_eps_budget_for_a_large_p_rho_is_inf_not_an_exception():
-    rep = validate_config(cfg_with(p=400.0), c0=0.5, rho=1e10)
-    assert rep.eps_budget == math.inf
 
 
 @pytest.mark.parametrize("p, s", [(1.0, 1.0001), (1.0, 1.0 + 2.0 ** -52), (1.5, 40.0)])

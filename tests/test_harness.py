@@ -326,6 +326,32 @@ def test_validate_says_where_c1_turns_positive(name, line, positive_below):
         assert validate_config(cfg, beta=positive_below + 1e-4, c0=c0).c1 < 0.0
 
 
+_CT_REPORT = """\
+problem = ct, penalty = quadratic+TV, mode = plain
+kappa = 1
+kappa * beta1 * sigma = 0.01 (ok)
+c1 = -0.590099 (not positive)
+c1 <= -0.0901 for every beta > 1
+warning: descent margin c1 = -0.590099 is not positive for beta = 2
+"""
+_PDE_REPORT = """\
+problem = pde, penalty = quadratic+TV, mode = plain
+kappa = 1
+kappa * beta1 * sigma = 20 (VIOLATED)
+c1 = -0.490392 (not positive)
+c1 > 0 for 1 < beta < 1.0097
+warning: kappa * beta1 * sigma = 20 exceeds 1; the step-size cap is outside the admissible range
+warning: descent margin c1 = -0.490392 is not positive for beta = 2
+"""
+
+
+@pytest.mark.parametrize("name", ["ct-desk", "ct-paper", "pde-desk", "pde-paper"])
+def test_validate_prints_each_presets_report_line_for_line(name, capsys):
+    assert main(["validate", "--preset", name]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (_CT_REPORT if name.startswith("ct") else _PDE_REPORT, "")
+
+
 def test_cli_run_and_validate(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(

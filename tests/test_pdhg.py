@@ -255,27 +255,45 @@ def test_a_mis_shaped_dual_start_is_refused(shape):
     assert rep.lam.shape == (2, 4, 5)
 
 
+def _pair(x, lam=None):
+    """A start pair: x and lam as given, xi zeros of x's shape (the solver reads only x and lam)."""
+    return PrimalDualPair(x=x, xi=np.zeros(np.shape(x)), eps=0.0, lam=lam)
+
+
 def _start(x=(4, 5), lam=(2, 4, 5)):
-    """A start pair of zeros: any object with x and lam will do."""
-    return SimpleNamespace(x=np.zeros(x), lam=None if lam is None else np.zeros(lam))
+    """A start pair of zeros, its x and lam of the given shapes; x=None gives an x of None."""
+    return _pair(None if x is None else np.zeros(x), None if lam is None else np.zeros(lam))
 
 
-# the ids name the last pair "warm" and the one before it "prev"
+# the ids name the last pair "warm" and the one before it "prev"; each case
+# gives the shapes of its starts, built inside the test, since a pair
+# refuses an x of None or a mis-shaped lam itself, before `inner_solver` sees it
 @pytest.mark.parametrize("scale", [1.0, 10.0], ids=["closed-form", "pdhg"])
-@pytest.mark.parametrize("starts, name", [
-    ({"last": _start(x=5, lam=3)}, "last.x"),
-    ({"last": _start(lam=3)}, "last.lam"),
-    ({"last": _start(lam=(4, 5))}, "last.lam"),
-    ({"before": _start(x=5)}, "before.x"),
-    ({"before": _start(lam=(2, 5, 4))}, "before.lam"),
-    ({"before": SimpleNamespace(x=None, lam=np.zeros((2, 4, 5)))}, "before.x"),
+@pytest.mark.parametrize("starts, message", [
+    ({"last": {"x": 5, "lam": (2, 5)}}, "last.x has shape (5,)"),
+    ({"last": {"lam": 3}}, "lam has shape (3,)"),
+    ({"last": {"lam": (4, 5)}}, "lam has shape (4, 5)"),
+    ({"before": {"x": 5, "lam": None}}, "before.x has shape (5,)"),
+    ({"before": {"lam": (2, 5, 4)}}, "lam has shape (2, 5, 4)"),
+    ({"before": {"x": None, "lam": None}}, "must be arrays of one shape"),
 ], ids=["warm-pair-flat", "warm_lam-flat", "warm_lam-grid", "prev_x-flat", "prev_lam-transposed",
         "prev_x-none"])
-def test_a_mis_shaped_warm_start_is_refused_before_the_closed_form(starts, name, scale):
+def test_a_mis_shaped_warm_start_is_refused_before_the_closed_form(starts, message, scale):
     # at scale 1 the closed form certifies xi and would drop the starts unchecked
     xi = scale * np.random.default_rng(1).standard_normal((4, 5))
-    kwargs = {"last": _start(), "before": _start(), **starts}
-    with pytest.raises(ValueError, match=re.escape(f"{name} has shape")):
+    shapes = {"last": {}, "before": {}, **starts}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        kwargs = {name: _start(**spec) for name, spec in shapes.items()}
+        inner_solver(xi, TotalVariationPenalty(mu=1.0), gap_target=0.1, **kwargs)
+
+
+@pytest.mark.parametrize("name", ["last", "before"])
+def test_a_start_that_is_not_a_pair_is_refused(name):
+    # the closed form certifies this xi and would drop the starts unchecked
+    xi = np.random.default_rng(1).standard_normal((4, 5))
+    kwargs = {"last": _start(), "before": _start(),
+              name: SimpleNamespace(x=np.zeros((4, 5)), lam=np.zeros((2, 4, 5)))}
+    with pytest.raises(TypeError, match=f"{name} must be a PrimalDualPair, not SimpleNamespace"):
         inner_solver(xi, TotalVariationPenalty(mu=1.0), gap_target=0.1, **kwargs)
 
 
@@ -288,8 +306,8 @@ def test_a_before_pair_without_a_last_pair_is_refused():
 def test_a_last_pair_without_a_dual_field_is_not_extrapolated():
     # like the engine's second solve, whose last pair is the zero start
     prob = DenoiseProblem(xi=10.0 * rand_grid(30, (4, 5)), mu=1.0)
-    last = SimpleNamespace(x=rand_grid(31, (4, 5)), lam=None)
-    before = SimpleNamespace(x=rand_grid(32, (4, 5)), lam=project_dual_ball(rand_field(33, (4, 5))))
+    last = _pair(rand_grid(31, (4, 5)))
+    before = _pair(rand_grid(32, (4, 5)), lam=project_dual_ball(rand_field(33, (4, 5))))
     pair, info = inner_solver(prob.xi, TotalVariationPenalty(mu=1.0), gap_target=1e-3,
                               last=last, before=before)
     want = pdhg_solve(prob, z0=last.x, eta=1e-3)
@@ -326,7 +344,7 @@ def test_a_tv_pair_carries_the_dual_field_that_certifies_its_eps(seed, constrain
     xi = rand_grid(900 + seed, (9, 7))
     warm = rand_grid(950 + seed, (9, 7))  # not constant, so PDHG iterates
     pair, info = inner_solver(xi, TotalVariationPenalty(mu=1.0, constraint=constraint),
-                              gap_target=1e-3, last=SimpleNamespace(x=warm, lam=None))
+                              gap_target=1e-3, last=_pair(warm))
     assert info.iterations > 0 and pair.lam is info.report.lam
     # at mu = 1 the report's values are the unit-weight ones, unscaled
     prob = DenoiseProblem(xi=xi, mu=1.0, constraint=constraint)
@@ -951,8 +969,7 @@ def constant_regime_case(draw):
     warm = draw(st.sampled_from(["none", "constant", "varying"]))
     x = {"none": None, "constant": np.full(shape, 0.25),
          "varying": np.arange(float(np.prod(shape))).reshape(shape)}[warm]
-    last = None if warm == "none" else SimpleNamespace(
-        x=x, lam=project_dual_ball(rand_field(51, shape)))
+    last = None if warm == "none" else _pair(x, lam=project_dual_ball(rand_field(51, shape)))
     return xi, pen, last
 
 

@@ -1,6 +1,7 @@
 """Duality map, constraints, penalties, certificates, Bregman distances."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,8 +80,17 @@ def test_every_config_constraint_is_a_cone_property(c, z, t):
 def test_pair_validation():
     with pytest.raises(ValueError):
         PrimalDualPair(np.zeros((2, 2)), np.zeros((2, 3)), 0.0)
+    for x, xi in ((None, np.zeros(())), (None, None), (np.zeros(3), [0.0, 0.0, 0.0])):
+        with pytest.raises(ValueError, match="must be arrays of one shape"):
+            PrimalDualPair(x, xi, 0.0)
     with pytest.raises(ValueError):
         PrimalDualPair(np.zeros((2, 2)), np.zeros((2, 2)), -1e-3)
+    # lam is None or of shape (2, *x.shape): not flat, not the grid's, not the transposed grid's
+    grid = np.zeros((4, 5))
+    for lam_shape in ((3,), (4, 5), (2, 5, 4)):
+        with pytest.raises(ValueError, match=re.escape(f"lam has shape {lam_shape}, not (2, 4, 5)")):
+            PrimalDualPair(grid, grid, 0.0, lam=np.zeros(lam_shape))
+    assert PrimalDualPair(grid, grid, 0.0, lam=np.zeros((2, 4, 5))).lam.shape == (2, 4, 5)
 
 
 def test_quadratic_penalty_value_and_bound():

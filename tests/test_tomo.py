@@ -246,7 +246,6 @@ def test_problem_blocks_partition_the_matrix():
         full = np.concatenate([prob.apply(i, x) for i in range(n_blocks)])
         assert np.allclose(full, mat @ x.ravel(), atol=1e-13)
         assert np.array_equal(np.concatenate([prob.data(i) for i in range(n_blocks)]), sino)
-        assert np.array_equal(prob.derivative(0, x, x), prob.apply(0, x))
 
 
 def test_problem_adjoint_blocks():

@@ -12,11 +12,13 @@ from lkreg.penalty import NonnegativityConstraint
 from lkreg.tv import (
     discrete_gradient,
     divergence_adjoint,
+    divergence_into,
     field_dot,
     in_unit_balls,
     l21_norm,
     pointwise_norm,
     project_dual_ball,
+    projection_into,
     tv_value,
 )
 
@@ -129,9 +131,9 @@ def test_primitives_match_roll_reference_bit_for_bit(shape):
     g_out, d_out, p_out = junk_field(), np.full(shape, np.nan), junk_field()
     in_place = big.copy()
     assert discrete_gradient(z, out=g_out) is g_out
-    assert divergence_adjoint(w, out=d_out) is d_out
-    assert project_dual_ball(big, out=p_out) is p_out
-    assert project_dual_ball(in_place, out=in_place) is in_place
+    assert divergence_into(w, d_out)() is d_out
+    assert projection_into(big, p_out, junk_field())() is p_out
+    assert projection_into(in_place, in_place, junk_field())() is in_place
     got = {
         "gradient": [discrete_gradient(z), g_out],
         "divergence": [divergence_adjoint(w), d_out],
@@ -191,7 +193,7 @@ def test_non_contiguous_out_is_rejected(layout):
     z, w = rand_grid(1500, shape), rand_field(1501, shape)
     bad = _layouts(np.zeros(shape))[layout]
     with pytest.raises(ValueError, match="C-contiguous"):
-        divergence_adjoint(w, out=bad)
+        divergence_into(w, bad)
     bad_field = _layouts(np.zeros((2, *shape)))[layout]
     with pytest.raises(ValueError, match="C-contiguous"):
         discrete_gradient(z, out=bad_field)
@@ -252,11 +254,10 @@ def test_projection_property_over_wide_magnitudes(field):
 
     shape = field.shape
     out, work = np.empty(shape), np.empty(shape)
-    assert project_dual_ball(field, out=out, work=work) is out
+    assert projection_into(field, out, work)() is out
     assert_same_field(out, once)
-    assert_same_field(project_dual_ball(field, work=np.empty(shape)), once)
     in_place = field.copy()
-    assert project_dual_ball(in_place, out=in_place, work=work) is in_place
+    assert projection_into(in_place, in_place, work)() is in_place
     assert_same_field(in_place, once)
 
 
@@ -300,8 +301,8 @@ def test_projection_at_the_unit_circle_matches_reference_bit_for_bit(entries):
     out = np.full(field.shape, 7.0)
     in_place = field.copy()
     fresh = project_dual_ball(field)
-    assert project_dual_ball(field, out=out) is out
-    assert project_dual_ball(in_place, out=in_place) is in_place
+    assert projection_into(field, out, np.empty(field.shape))() is out
+    assert projection_into(in_place, in_place, np.empty(field.shape))() is in_place
     for got in (fresh, out, in_place):
         assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
     # a new field even where nothing leaves the ball, and the input is only read
