@@ -331,8 +331,6 @@ def test_validate_kappa_values():
     assert validate_config(cfg_with()).kappa == 1.0  # p = s = 2
     rep = validate_config(cfg_with(p=2.0, s=3.0), beta=2.0)
     assert rep.kappa == pytest.approx(3.0 ** -0.5, rel=1e-12)
-    with pytest.raises(ValueError):
-        validate_config(cfg_with(), beta=1.0)
 
 
 def test_validate_step_cap_product():
@@ -349,6 +347,15 @@ def test_validate_descent_margin():
     assert rep.c1_ok is False
     roomy = validate_config(cfg_with(tau=8.0, beta0=0.01), c0=0.5)
     assert roomy.c1_ok is True and not roomy.warnings
+
+
+def test_validate_auto_beta_respects_gamma():
+    # gamma is taken as 0, so the default beta = 2 meets beta * gamma < 1
+    rep = validate_config(cfg_with(), c0=0.5)
+    assert rep == validate_config(cfg_with(), beta=2.0, c0=0.5)
+    assert not any("beta * gamma" in w for w in rep.warnings)
+    with pytest.raises(ValueError):
+        validate_config(cfg_with(), beta=1.0)
 
 
 def test_validate_warns_on_a_non_summable_gap_schedule():

@@ -27,7 +27,6 @@ def test_raw_stream_matches_scalar_reference():
         got = raw_stream(seed, 16)
         assert got.dtype == np.uint64
         assert [int(v) for v in got] == scalar_splitmix(seed, 16)
-    assert raw_stream(7, 0).size == 0
 
 
 def test_raw_stream_known_first_output():
@@ -35,6 +34,13 @@ def test_raw_stream_known_first_output():
     first = raw_stream(0, 3)
     assert int(first[0]) == 0xE220A8397B1DCDAF
     assert [int(v) for v in first] == scalar_splitmix(0, 3)
+
+
+def test_raw_stream_offset_is_a_pure_shift():
+    # a seed advanced by 5 SplitMix64 increments starts the stream 5 outputs later
+    full = raw_stream(7, 12)
+    assert np.array_equal(full[5:], raw_stream(7 + 5 * 0x9E3779B97F4A7C15, 7))
+    assert raw_stream(7, 0).size == 0
 
 
 def test_raw_stream_rejects_negative_count():
