@@ -59,9 +59,9 @@ iterates, so only the certificate is float64:
   solve to float64.
 
 README, "Cost model", gives what each phase costs and allocates.
-`discrete_gradient`, `step_sizes`, `_primal_value_at` and `_dual_value_at`
-are looked up through this module's names at each call, so a caller can
-wrap them.
+`step_sizes`, `_primal_value_at` and `_dual_value_at` are looked up through
+this module's names at each call, so a caller can wrap them; the loop's
+gradient, divergence and projection are bound once per set of iterates.
 """
 
 import math
@@ -70,8 +70,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .penalty import PrimalDualPair, solve_quadratic_exact
-from .tv import (discrete_gradient, divergence_adjoint, divergence_into, dot, in_unit_balls,
-                 l21_norm, projection_into, scaling_into)
+from .tv import (discrete_gradient, divergence_adjoint, divergence_into, dot, gradient_into,
+                 in_unit_balls, l21_norm, projection_into, scaling_into)
 from .tv import field_dot, project_dual_ball  # noqa: F401  unused; benchmarks/tracer.py wraps them
 
 # The gap is taken at every _GAP_STRIDE-th iterate and at the cap.  On ct-desk
@@ -197,9 +197,9 @@ def _rounding_floor(eps, xi_sq):
 class _Iterates:
     """One solve's iterates in one dtype, allocated and bound once; z and lam start at zero.
 
-    `prob` is the problem over xi in that dtype.  grad is the gradient of z,
-    xi_minus_div is xi - div_lam, and work is scratch.  `project` projects
-    lam in place: `projection_into` in float64, `scaling_into` in float32.
+    `prob` is the problem over xi in that dtype.  `gradient` writes z's into
+    grad, xi_minus_div is xi - div_lam, and work is scratch.  `project`
+    projects lam in place: `projection_into` in float64, `scaling_into` in float32.
     """
 
     def __init__(self, prob, dtype):
@@ -212,6 +212,7 @@ class _Iterates:
         self.project = (projection_into(self.lam, self.lam, self.work[1]) if dtype is np.float64
                         else scaling_into(self.lam, self.work[1]))
         self.divergence = divergence_into(self.lam, self.div_lam)
+        self.gradient = gradient_into(self.z, self.grad)
 
     def load(self, z=None, lam=None):
         """Cast z and lam in, where given, and project them; form xi - div_lam and grad."""
@@ -223,7 +224,7 @@ class _Iterates:
             self.prob.constraint.project(self.z, out=self.z)
         self.project()
         np.subtract(self.prob.xi, self.divergence(), out=self.xi_minus_div)
-        discrete_gradient(self.z, out=self.grad)
+        self.gradient()
 
     def values(self):
         """The unit-weight primal value at z and dual value at lam."""
@@ -238,7 +239,7 @@ def _checked_iterates(it, iters, max_iter):
     """
     xi, z, lam, grad = it.prob.xi, it.z, it.lam, it.grad
     xi_minus_div, scratch, constraint = it.xi_minus_div, it.work[0], it.prob.constraint
-    project, divergence = it.project, it.divergence
+    project, divergence, gradient = it.project, it.divergence, it.gradient
     while True:
         tau, theta = step_sizes(iters)
         np.multiply(grad, tau, out=grad)
@@ -251,7 +252,7 @@ def _checked_iterates(it, iters, max_iter):
         if constraint is not None:
             constraint.project(z, out=z)
         iters += 1
-        discrete_gradient(z, out=grad)
+        gradient()
         if iters % _GAP_STRIDE == 0 or iters >= max_iter:
             yield iters
 

@@ -13,25 +13,39 @@ C-contiguous; the public functions read fields of any layout.
 import numpy as np
 
 
-def discrete_gradient(z, out=None):
-    """Periodic forward differences along both axes.
+def discrete_gradient(z):
+    """Periodic forward differences along both axes, as a new field.
 
     Component u holds differences along the first index (with the last row
-    wrapping to the first), component v along the second index.  With `out`,
-    a C-contiguous field of z's shape not overlapping z, the differences are
-    written into it and `out` is returned.
+    wrapping to the first), component v along the second index.
     """
-    if out is None:
-        out = np.empty((2, *z.shape))
+    return gradient_into(np.ascontiguousarray(z), np.empty((2, *z.shape)))()
+
+
+def gradient_into(z, out):
+    """Bind `discrete_gradient(z)` with `out` as its result.
+
+    Returns a function of no arguments that writes the gradient of the
+    values `z` holds at the time of the call into `out` and returns `out`.
+    The views it works on are made here, once; z and `out` must be
+    C-contiguous and must not overlap.
+    """
     u, v = out
-    v_flat, z_flat = _flat_view(v), z.ravel()
-    np.subtract(z[1:], z[:-1], out=u[:-1])
-    np.subtract(z[:1], z[-1:], out=u[-1:])
-    # one contiguous pass along the rows; at the last column it runs on into
-    # the next row, and the wrap-around differences overwrite those entries
-    np.subtract(z_flat[1:], z_flat[:-1], out=v_flat[:-1])
-    np.subtract(z[:, :1], z[:, -1:], out=v[:, -1:])
-    return out
+    v_flat, z_flat = _flat_view(v), _flat_view(z)
+    z_tail, z_head, z_first, z_last = z[1:], z[:-1], z[:1], z[-1:]
+    z_flat_tail, z_flat_head, z_col0, z_col_last = z_flat[1:], z_flat[:-1], z[:, :1], z[:, -1:]
+    u_head, u_last, v_flat_head, v_col_last = u[:-1], u[-1:], v_flat[:-1], v[:, -1:]
+
+    def gradient():
+        np.subtract(z_tail, z_head, out=u_head)
+        np.subtract(z_first, z_last, out=u_last)
+        # one contiguous pass along the rows; at the last column it runs on into
+        # the next row, and the wrap-around differences overwrite those entries
+        np.subtract(z_flat_tail, z_flat_head, out=v_flat_head)
+        np.subtract(z_col0, z_col_last, out=v_col_last)
+        return out
+
+    return gradient
 
 
 def divergence_adjoint(field):
@@ -151,12 +165,14 @@ def projection_into(field, out, work):
     holds at the time of the call into `out` (a field of the same shape;
     `field` itself is allowed) and returns `out`.  `work`, a field of the
     same shape distinct from both, is overwritten with scratch values.  The
-    mask of entries that leave the ball is allocated here, once, so a call
-    allocates only the scale of the entries that do.
+    mask and the component views are made here, once, so a call allocates
+    only the scale of the entries that leave the ball: numpy would copy a
+    field divided in place by a grid, so each component is divided alone.
     """
     scratch = work[1]
     outside = np.empty(field.shape[1:], dtype=bool)
     copy = out is not field
+    (u, v), (out_u, out_v) = field, out
 
     def projection():
         sq = _squared_length(field, work)
@@ -167,7 +183,8 @@ def projection_into(field, out, work):
             return out
         norm = np.sqrt(sq, out=sq)
         scale = np.where(outside, np.multiply(norm, _INWARD, out=scratch), 1.0)
-        np.divide(field, scale, out=out)
+        np.divide(u, scale, out=out_u)
+        np.divide(v, scale, out=out_v)
         return out
 
     return projection
@@ -177,19 +194,20 @@ def scaling_into(field, work):
     """Bind the plain projection of a field onto the unit balls, in place.
 
     Returns a function of no arguments that divides every entry of `field`
-    by max(length, 1): squares, `max(., 1)`, a root and one broadcast
-    divide, with `work`, a field of the same shape, as scratch.
+    by max(length, 1): squares, `max(., 1)`, a root and a divide of each
+    component, with `work`, a field of the same shape, as scratch.
     Unlike `projection_into` it has no mask and no _INWARD margin, so a
     length may round to just above 1; it serves iterates whose own values
     are never certified.  An entry whose square overflows maps to 0.
     """
-    length = work[0]
+    length, (u, v) = work[0], field
 
     def scaling():
         _squared_length(field, work)
         np.maximum(length, 1.0, out=length)
         np.sqrt(length, out=length)
-        np.divide(field, length, out=field)
+        np.divide(u, length, out=u)
+        np.divide(v, length, out=v)
         return field
 
     return scaling

@@ -23,7 +23,9 @@ from lkreg.pdhg import (
     DenoiseProblem,
     InnerInfo,
     PdhgReport,
+    _checked_iterates,
     _constant_regime_field,
+    _Iterates,
     dual_value,
     inner_solver,
     pdhg_solve,
@@ -770,7 +772,9 @@ def test_each_iterate_is_evaluated_once(monkeypatch, mu, eta, max_iter):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(pdhg, "discrete_gradient", counting("gradient", pdhg.discrete_gradient))
+    real_gradient_into = pdhg.gradient_into
+    monkeypatch.setattr(pdhg, "gradient_into",
+                        lambda *args: counting("gradient", real_gradient_into(*args)))
     monkeypatch.setattr(pdhg, "_primal_value_at", counting("primal", pdhg._primal_value_at, True))
     monkeypatch.setattr(pdhg, "_dual_value_at", counting("dual", pdhg._dual_value_at, True))
     monkeypatch.setattr(pdhg, "primal_value", counting("primal_value", pdhg.primal_value))
@@ -940,7 +944,9 @@ def test_one_gradient_per_iteration(mu, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(pdhg, "discrete_gradient", counted("gradient", pdhg.discrete_gradient))
+    real_gradient_into = pdhg.gradient_into
+    monkeypatch.setattr(pdhg, "gradient_into",
+                        lambda *args: counted("gradient", real_gradient_into(*args)))
     monkeypatch.setattr(pdhg, "field_dot", counted("field_dot", pdhg.field_dot))
     prob = DenoiseProblem(xi=rand_grid(44, (9, 7)), mu=mu, constraint=NonnegativityConstraint())
     report = pdhg_solve(prob, eta=1e-7)
@@ -1104,6 +1110,26 @@ def _solve_and_peak(prob, **kwargs):
     finally:
         tracemalloc.stop()
     return report, peak / (8 * prob.xi.size)
+
+
+@pytest.mark.parametrize("constraint", [None, NonnegativityConstraint()], ids=["plain", "nonneg"])
+def test_a_float32_search_iteration_allocates_no_grid(constraint):
+    # every array of the loop is bound before it starts; what is left is
+    # about a kilobyte of Python objects, against 16,384 B for one grid
+    prob = DenoiseProblem(xi=rand_grid(45, (64, 64)), mu=1.0, constraint=constraint)
+    it = _Iterates(prob, np.float32)
+    it.load()
+    steps = _checked_iterates(it, 0, 25)
+    tracemalloc.start()
+    try:
+        for iters in steps:
+            if iters >= 25:
+                break
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert iters == 25 and np.all(np.isfinite(it.z)) and np.all(np.isfinite(it.lam))
+    assert peak < it.z.nbytes
 
 
 def _xi_128():

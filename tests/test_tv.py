@@ -1,6 +1,7 @@
 """Discrete gradient, divergence transpose, TV value, dual-ball projection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from lkreg.tv import (
     divergence_adjoint,
     divergence_into,
     field_dot,
+    gradient_into,
     in_unit_balls,
     l21_norm,
     pointwise_norm,
@@ -130,7 +132,7 @@ def test_primitives_match_roll_reference_bit_for_bit(shape):
 
     g_out, d_out, p_out = junk_field(), np.full(shape, np.nan), junk_field()
     in_place = big.copy()
-    assert discrete_gradient(z, out=g_out) is g_out
+    assert gradient_into(z, g_out)() is g_out
     assert divergence_into(w, d_out)() is d_out
     assert projection_into(big, p_out, junk_field())() is p_out
     assert projection_into(in_place, in_place, junk_field())() is in_place
@@ -146,6 +148,21 @@ def test_primitives_match_roll_reference_bit_for_bit(shape):
             else:
                 assert np.array_equal(result[0], want[name][0]), name
                 assert np.array_equal(result[1], want[name][1]), name
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 7), (64, 64)])
+def test_bound_gradient_matches_roll_reference_at_call_time(shape, dtype):
+    z = rand_grid(1600 + shape[0], shape).astype(dtype)
+    out = np.full((2, *shape), np.nan, dtype)
+    gradient = gradient_into(z, out)
+    for step in range(2):
+        if step:
+            z *= dtype(-2.5)  # the closure reads z's values at the call, not at the bind
+            z += rand_grid(1700 + shape[1], shape).astype(dtype)
+        want = roll_gradient(z)
+        assert gradient() is out and out.dtype == want.dtype == dtype
+        assert np.array_equal(out[0], want[0]) and np.array_equal(out[1], want[1])
 
 
 def _layouts(a):
@@ -196,7 +213,26 @@ def test_non_contiguous_out_is_rejected(layout):
         divergence_into(w, bad)
     bad_field = _layouts(np.zeros((2, *shape)))[layout]
     with pytest.raises(ValueError, match="C-contiguous"):
-        discrete_gradient(z, out=bad_field)
+        gradient_into(z, bad_field)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        gradient_into(_layouts(z)[layout], np.empty((2, *shape)))
+
+
+def test_in_place_projection_allocates_only_its_scale():
+    # the scale is one grid; dividing the whole field in place by it would
+    # make numpy copy the field, two grids more
+    big = 3.0 * rand_field(1502, (64, 64))  # most entries outside the ball
+    field = big.copy()
+    projection = projection_into(field, field, np.empty(field.shape))
+    tracemalloc.start()
+    try:
+        projection()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = roll_projection(big)
+    assert not in_unit_balls(big) and np.array_equal(field[0], want[0])
+    assert np.array_equal(field[1], want[1]) and peak < 2 * field[0].nbytes
 
 
 _entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
