@@ -10,9 +10,9 @@ has
     F'(c)* w = -u(c) . A(c)^{-1} w
 
 with A(c) = -Laplace_h + diag(c), both solves with zero boundary data, so
-one operator per coefficient serves the state, the derivative, and the
-adjoint.  A is symmetric and, for c >= 0, positive definite; c is clamped
-at 0 first to keep that guarantee for stray negative iterates.
+one operator per coefficient serves the state and the adjoint.  A is
+symmetric and, for c >= 0, positive definite; c is clamped at 0 first to
+keep that guarantee for stray negative iterates.
 
 `EllipticProblem` solves with A(c) by preconditioned conjugate gradients,
 matrix-free: the Laplacian is built once per mesh and A(c) x is
@@ -210,10 +210,8 @@ class EllipticProblem(ForwardProblem):
     The operator, state, and right-hand side belong to the most recent
     coefficient; passing a new grid replaces them, so one outer iteration
     sets up exactly one operator.  The state solve starts from the previous
-    state; the derivative and adjoint solves start from zero.
+    state; the adjoint solve starts from zero.
     """
-
-    num_blocks = 1
 
     def __init__(self, mesh, f, g, data):
         self.mesh = mesh
@@ -237,10 +235,6 @@ class EllipticProblem(ForwardProblem):
     def apply(self, i, x):
         _, u = self._operator(x)
         return u
-
-    def derivative(self, i, x, h):
-        op, u = self._operator(x)
-        return -op.solve(np.asarray(h, dtype=float) * u)
 
     def adjoint(self, i, x, w):
         op, u = self._operator(x)

@@ -41,10 +41,9 @@ class ForwardProblem:
 
     Subclasses define `num_blocks`, `domain_shape`, the block maps
     `apply(i, x)`, the adjoints `adjoint(i, x, w)` of their linearizations,
-    and per-block data vectors `data(i)`; the engine calls nothing else, so
-    a `derivative(i, x, h)` is optional.  noise_level
-    is the absolute noise level delta of the whole data; 0 means exact data
-    (no discrepancy test, run to n_max).
+    and per-block data vectors `data(i)`; the engine calls nothing else.
+    noise_level is the absolute noise level delta of the whole data; 0
+    means exact data (no discrepancy test, run to n_max).
     """
 
     num_blocks = 1
@@ -66,6 +65,10 @@ class ForwardProblem:
 
 MODES = ("plain", "accelerated")
 
+# The floor of the certified eps wherever the step size or the discrepancy
+# test consumes it.
+EPS_FLOOR = 1e-14
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -74,13 +77,12 @@ class SolverConfig:
     mode, one of `MODES`, picks plain or Nesterov-accelerated steps, and
     metric_every >= 1 is the cadence of the distances to the truth.  Inner
     gap targets follow eta0 * (n+1)^(-gap_exponent) for the solve that
-    produces iterate n and must lie in (0, 1) at n = 1 and at n = n_max;
-    certified eps values are floored at eps_floor wherever the step size or
-    the discrepancy test consumes them.  Every float field, a subclass's
-    included, must be finite, and every int field must hold an integer.
-    The config is frozen, so one that exists has passed these rules.  The
-    block count and the noise level belong to the problem; neither is a
-    field.
+    produces iterate n and must lie in (0, 1) at n = 1 and at n = n_max.
+    Every float field, a subclass's included, must be finite, and every int
+    field must hold an integer.  The config is frozen, so one that exists
+    has passed these rules.  The block count, the noise level and the eps
+    floor `EPS_FLOOR` are not fields: the first two belong to the problem,
+    the floor is a numerical guard.
     """
 
     p: float = 2.0
@@ -92,7 +94,6 @@ class SolverConfig:
     alpha: float = 5.0
     eta0: float = 1.0
     gap_exponent: float = 2.2
-    eps_floor: float = 1e-14
     n_max: int = 10000
     inner_max_iter: int = 5000
     mode: str = "plain"
@@ -121,7 +122,6 @@ class SolverConfig:
         yield self.tau > 1.0, "tau must exceed 1"
         yield self.alpha >= 3.0, "alpha must be at least 3"
         yield self.eta0 > 0.0, "eta0 must be positive"
-        yield self.eps_floor > 0.0, "eps_floor must be positive"
         yield self.n_max >= 0, "n_max must be nonnegative"
         yield self.inner_max_iter >= 1, "inner_max_iter must be at least 1"
         yield self.mode in MODES, f"mode must be one of {', '.join(MODES)}; got {self.mode!r}"
@@ -250,7 +250,7 @@ def run(problem, penalty, cfg, truth=None):
 
         r = problem.residual(i, x_eval)
         r_norm = norm(r)
-        eps_n = max(pair.eps, cfg.eps_floor)
+        eps_n = max(pair.eps, EPS_FLOOR)
         held = noisy and _discrepancy(r_norm, eps_n, cfg) <= threshold
         q = q + 1 if held else 0
 
@@ -310,7 +310,7 @@ class _Distances:
     """A run's distances to the truth, and the values of the last pair measured.
 
     A record on that same pair, after an idle step say, copies them, which is
-    exact because its eps_n = max(pair.eps, eps_floor) depends on the pair alone.
+    exact because its eps_n = max(pair.eps, EPS_FLOOR) depends on the pair alone.
     """
 
     def __init__(self, penalty, truth):

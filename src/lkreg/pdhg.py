@@ -209,8 +209,8 @@ class _Iterates:
         self.grad, self.div_lam = np.empty((2, *shape), dtype), np.empty(shape, dtype)
         self.xi_minus_div = np.empty(shape, dtype)
         self.work = (np.empty(shape, dtype), np.empty((2, *shape), dtype))
-        self.project = (projection_into(self.lam, self.lam, self.work[1]) if dtype is np.float64
-                        else scaling_into(self.lam, self.work[1]))
+        project_into = projection_into if dtype is np.float64 else scaling_into
+        self.project = project_into(self.lam, self.work[1])
         self.divergence = divergence_into(self.lam, self.div_lam)
         self.gradient = gradient_into(self.z, self.grad)
 

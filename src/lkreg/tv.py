@@ -101,26 +101,17 @@ def _squared_length(field, work):
     return np.add(work[0], work[1], out=work[0])
 
 
-def pointwise_norm(field, work=None):
-    """Pointwise Euclidean length sqrt(u*u + v*v) of a field.
+def l21_norm(field, work=None):
+    """Sum over pixels of the pointwise length sqrt(u*u + v*v); inf once a square overflows.
 
-    `work`, an optional C-contiguous field of the same shape, holds the
-    squares: the length is written into `work[0]`, which is returned, and
-    `work[1]` is overwritten.  The squares overflow for entries above about
-    1e154, where the length is inf.
+    `work`, an optional C-contiguous field of the same shape, receives the
+    squares and is left with the lengths in `work[0]`.  The squares overflow
+    for entries above about 1e154.
     """
     if work is None:
         work = np.empty(field.shape)
     sq = _squared_length(field, work)
-    return np.sqrt(sq, out=sq)
-
-
-def l21_norm(field, work=None):
-    """Sum over pixels of the pointwise length; inf once a square overflows.
-
-    `work` is passed on to `pointwise_norm`.
-    """
-    return float(pointwise_norm(field, work).sum())
+    return float(np.sqrt(sq, out=sq).sum())
 
 
 def tv_value(z):
@@ -148,44 +139,44 @@ _ONE_UP = np.nextafter(1.0, 2.0)
 
 
 def project_dual_ball(field):
-    """Project a field onto pointwise Euclidean unit balls, as a new field.
+    """Project a field onto pointwise Euclidean unit balls, as a new float64 field.
 
     Entries that pass `in_unit_balls`'s test, and nan ones, are kept; the
     others are divided by their length times _INWARD, so that the projection
-    is idempotent in floating point.  When no entry leaves its ball the
-    field is copied as it is, with no root and no division.
+    is idempotent in floating point.  The field is copied to float64 first
+    and the copy projected in place, so a float32 field's squares are not
+    rounded to float32.
     """
-    return projection_into(field, np.empty(field.shape), np.empty(field.shape))()
+    out = np.array(field, dtype=np.float64, order="C")
+    return projection_into(out, np.empty(out.shape))()
 
 
-def projection_into(field, out, work):
-    """Bind `project_dual_ball(field)` with `out` as its result.
+def projection_into(field, work):
+    """Bind the projection `project_dual_ball` makes of `field`, in place.
 
     Returns a function of no arguments that projects the values `field`
-    holds at the time of the call into `out` (a field of the same shape;
-    `field` itself is allowed) and returns `out`.  `work`, a field of the
-    same shape distinct from both, is overwritten with scratch values.  The
-    mask and the component views are made here, once, so a call allocates
-    only the scale of the entries that leave the ball: numpy would copy a
-    field divided in place by a grid, so each component is divided alone.
+    holds at the time of the call into `field` itself and returns it.
+    `work`, a distinct field of the same shape, is overwritten with scratch
+    values.  When no entry leaves its ball the field is left alone, with no
+    root and no division.  The mask and the component views are made here,
+    once, so a call allocates only the scale of the entries that leave the
+    ball: numpy would copy a field divided in place by a grid, so each
+    component is divided alone.
     """
     scratch = work[1]
     outside = np.empty(field.shape[1:], dtype=bool)
-    copy = out is not field
-    (u, v), (out_u, out_v) = field, out
+    u, v = field
 
     def projection():
         sq = _squared_length(field, work)
         np.greater(sq, _ONE_UP, out=outside)
         if not np.count_nonzero(outside):
-            if copy:
-                np.copyto(out, field)
-            return out
+            return field
         norm = np.sqrt(sq, out=sq)
         scale = np.where(outside, np.multiply(norm, _INWARD, out=scratch), 1.0)
-        np.divide(u, scale, out=out_u)
-        np.divide(v, scale, out=out_v)
-        return out
+        np.divide(u, scale, out=u)
+        np.divide(v, scale, out=v)
+        return field
 
     return projection
 

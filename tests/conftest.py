@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 
 from lkreg import pdhg
-from lkreg.elliptic import Mesh, solve_state
+from lkreg.elliptic import Mesh, PcgOperator, solve_state
 from lkreg.harness import MatrixProblem
 from lkreg.rng import normals
 
@@ -155,6 +155,15 @@ def textbook_pcg(op, b, x0, rtol, max_iter):
         res = np.linalg.norm(r)
         iters += 1
     return (x if res <= tol < math.inf else np.full(b.shape, np.nan)), iters
+
+
+def elliptic_derivative(prob, c, h):
+    """Reference F'(c) h = -A(c)^{-1} (h . u(c)) of an `EllipticProblem`.
+
+    u(c) comes from `prob.apply`; the solve with A(c) is a new `PcgOperator`'s.
+    """
+    u = prob.apply(0, c)
+    return -PcgOperator(c, prob.mesh).solve(np.asarray(h, dtype=float) * u)
 
 
 def manufactured_error(m):

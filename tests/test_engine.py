@@ -7,6 +7,7 @@ import pytest
 
 from lkreg import engine
 from lkreg.engine import ForwardProblem, SolverConfig, run, step_size, validate_config
+from lkreg.harness import ConfigError, make_config
 from lkreg.pdhg import InnerInfo
 from lkreg.penalty import (
     NonnegativityConstraint,
@@ -41,7 +42,6 @@ def test_config_validation_rejects_bad_scalars():
         dict(sigma=0.0),
         dict(tau=1.0),
         dict(alpha=2.9),
-        dict(eps_floor=0.0),
         dict(n_max=-1),
         dict(gap_exponent=0.0),  # gap target at n = 1 would be 1
     ):
@@ -97,7 +97,7 @@ def test_two_plain_steps_match_hand_rollout():
     a = matrix.toarray()
     y = problem.data(0)
     pen = QuadraticPenalty(mu=1.3)
-    cfg = cfg_with(n_max=2, eps_floor=1e-14)
+    cfg = cfg_with(n_max=2)
 
     x = np.zeros(truth.shape)
     for _ in range(2):
@@ -109,6 +109,16 @@ def test_two_plain_steps_match_hand_rollout():
     pair, trace = run(problem, pen, cfg)
     assert trace.terminated_by == "cap"
     assert np.max(np.abs(pair.x - x)) <= 1e-12 * (1.0 + np.max(np.abs(x)))
+
+
+def test_the_eps_floor_is_an_engine_constant_not_a_config_key():
+    with pytest.raises(ConfigError, match="unknown config key"):
+        make_config(eps_floor=1e-14)
+    # every quadratic pair, the zero start's included, certifies eps 0
+    problem, _, _ = tiny_linear_problem(203)
+    pair, trace = run(problem, QuadraticPenalty(mu=1.0), cfg_with(n_max=3))
+    assert pair.eps == 0.0 and len(trace.records) == 4
+    assert all(rec.eps_n == engine.EPS_FLOOR == 1e-14 for rec in trace.records)
 
 
 def test_first_accelerated_step_equals_plain():

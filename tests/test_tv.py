@@ -18,7 +18,6 @@ from lkreg.tv import (
     gradient_into,
     in_unit_balls,
     l21_norm,
-    pointwise_norm,
     project_dual_ball,
     projection_into,
     tv_value,
@@ -108,6 +107,17 @@ def test_projection_lands_inside_and_is_idempotent():
         assert np.array_equal(once[0], twice[0]) and np.array_equal(once[1], twice[1])
 
 
+def test_float32_field_projects_into_the_balls_and_stays():
+    # a float32 field is projected as a float64 copy: squares rounded to
+    # float32 would let a projected entry's float64 length exceed 1
+    for seed in range(10):
+        field = rand_field(1800 + seed, (16, 16)).astype(np.float32)
+        once = project_dual_ball(field)
+        assert once.dtype == np.float64 and in_unit_balls(once)
+        assert once.tobytes() == project_dual_ball(once).tobytes()
+        assert once.tobytes() == project_dual_ball(field.astype(np.float64)).tobytes()
+
+
 def test_field_dot_is_bilinear():
     a = rand_field(41, (4, 6))
     b = rand_field(42, (4, 6))
@@ -130,16 +140,15 @@ def test_primitives_match_roll_reference_bit_for_bit(shape):
     def junk_field():
         return np.full((2, *shape), np.nan)
 
-    g_out, d_out, p_out = junk_field(), np.full(shape, np.nan), junk_field()
+    g_out, d_out = junk_field(), np.full(shape, np.nan)
     in_place = big.copy()
     assert gradient_into(z, g_out)() is g_out
     assert divergence_into(w, d_out)() is d_out
-    assert projection_into(big, p_out, junk_field())() is p_out
-    assert projection_into(in_place, in_place, junk_field())() is in_place
+    assert projection_into(in_place, junk_field())() is in_place
     got = {
         "gradient": [discrete_gradient(z), g_out],
         "divergence": [divergence_adjoint(w), d_out],
-        "projection": [project_dual_ball(big), p_out, in_place],
+        "projection": [project_dual_ball(big), in_place],
     }
     for name, results in got.items():
         for result in results:
@@ -186,7 +195,6 @@ def test_primitives_read_any_memory_layout(shape):
     # each function of a field gives the bytes it gives on the C-contiguous field
     of_field = {
         "projection": lambda f, g: project_dual_ball(f),
-        "norm": lambda f, g: pointwise_norm(f),
         "l21": lambda f, g: l21_norm(f),
         "dot": lambda f, g: field_dot(f, g),
         "dual value": lambda f, g: dual_value(prob, g),
@@ -223,7 +231,7 @@ def test_in_place_projection_allocates_only_its_scale():
     # make numpy copy the field, two grids more
     big = 3.0 * rand_field(1502, (64, 64))  # most entries outside the ball
     field = big.copy()
-    projection = projection_into(field, field, np.empty(field.shape))
+    projection = projection_into(field, np.empty(field.shape))
     tracemalloc.start()
     try:
         projection()
@@ -233,6 +241,20 @@ def test_in_place_projection_allocates_only_its_scale():
     want = roll_projection(big)
     assert not in_unit_balls(big) and np.array_equal(field[0], want[0])
     assert np.array_equal(field[1], want[1]) and peak < 2 * field[0].nbytes
+
+
+def test_projection_with_every_entry_inside_allocates_nothing():
+    # nothing leaves the ball: no root, no scale, and the field's bytes stay
+    field = 0.5 * project_dual_ball(rand_field(1503, (64, 64)))
+    before = field.tobytes()
+    projection = projection_into(field, np.empty(field.shape))
+    tracemalloc.start()
+    try:
+        assert projection() is field
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.tobytes() == before and peak < 1024
 
 
 _entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -284,16 +306,12 @@ def assert_same_field(a, b):
 def test_projection_property_over_wide_magnitudes(field):
     once = project_dual_ball(field)
     assert np.all(np.isfinite(once[0])) and np.all(np.isfinite(once[1]))
-    assert float(np.max(pointwise_norm(once))) <= 1.0
+    assert float(np.max(reference_norm(once))) <= 1.0
     assert_same_field(project_dual_ball(once), once)
     assert_same_field(once, roll_projection(field))
 
-    shape = field.shape
-    out, work = np.empty(shape), np.empty(shape)
-    assert projection_into(field, out, work)() is out
-    assert_same_field(out, once)
     in_place = field.copy()
-    assert projection_into(in_place, in_place, work)() is in_place
+    assert projection_into(in_place, np.empty(field.shape))() is in_place
     assert_same_field(in_place, once)
 
 
@@ -302,11 +320,8 @@ def test_projection_property_over_wide_magnitudes(field):
 def test_norm_and_l21_match_plain_expression(field):
     want = reference_norm(field)
     work = np.empty(field.shape)
-    got = pointwise_norm(field, work)
-    assert got.base is work and got.ctypes.data == work.ctypes.data and got.shape == work.shape[1:]
-    assert np.array_equal(work[0], want) and np.array_equal(pointwise_norm(field), want)
-    assert l21_norm(field, np.empty(field.shape)) == l21_norm(field)
-    assert l21_norm(field) == float(np.sum(want))
+    assert l21_norm(field, work) == l21_norm(field) == float(np.sum(want))
+    assert np.array_equal(work[0], want)  # the lengths are left in work[0]
 
 
 def _field(entries):
@@ -334,12 +349,10 @@ def test_projection_at_the_unit_circle_matches_reference_bit_for_bit(entries):
     field = _field(entries)
     before = field[0].tobytes(), field[1].tobytes()
     want = roll_projection(field)
-    out = np.full(field.shape, 7.0)
     in_place = field.copy()
     fresh = project_dual_ball(field)
-    assert projection_into(field, out, np.empty(field.shape))() is out
-    assert projection_into(in_place, in_place, np.empty(field.shape))() is in_place
-    for got in (fresh, out, in_place):
+    assert projection_into(in_place, np.empty(field.shape))() is in_place
+    for got in (fresh, in_place):
         assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
     # a new field even where nothing leaves the ball, and the input is only read
     assert not np.shares_memory(fresh[0], field[0]) and not np.shares_memory(fresh[1], field[1])
@@ -362,7 +375,7 @@ def test_in_unit_balls_decides_as_the_largest_computed_length(entries):
     # an infinite one and a nan each fail
     field = _field(entries)
     with np.errstate(over="ignore"):
-        want = float(np.max(pointwise_norm(field))) <= 1.0
+        want = float(np.max(reference_norm(field))) <= 1.0
         assert in_unit_balls(field) is want
         assert in_unit_balls(np.asfortranarray(field)) is want
     assert want is (entries is _ON_THE_CIRCLE)
